@@ -15,7 +15,7 @@ from .klein import KLattice, dim_vector
 from .polys import F2Poly
 from .quiver import LambdaRep, TubeId, TubeLabel, identify_tube, lattice_of, phi
 from .tubes import s3_on_polynomial, s3_on_tube, syzygy, end_ring_check, tube_module_from_label
-from .cohomology import SumContext, canonical_form, cohomology_group, verify_xi_iso
+from .cohomology import CohomologyGroup, SumContext, canonical_form, verify_xi_iso
 from .colattices import DualSumContext, co_canonical_form, verify_eta_iso
 from .groups import ch_presentation, classify, cr_presentation
 from . import verification
@@ -107,7 +107,7 @@ def cmd_dim(args):
 
 def cmd_cohomology(args):
     M = load_klattice(args.module)
-    H = cohomology_group(M, args.degree)
+    H = CohomologyGroup(M, args.degree)
     if args.format == "json":
         emit({"n": args.degree, "invariants": list(H.invariants)}, args)
     else:

@@ -5,24 +5,33 @@ monomial x^j y^(n-j) sitting at index j.  H^n is computed exactly from the
 polynomial resolution by Smith reduction of kernel modulo image; every class
 carries coordinates against the computed cyclic generators.
 
+The same cohomology group serves the finite levels of the dual side: with
+a modulus 2^k the cochains are taken mod 2^k (see colattices).
+
 For a tube member the submodule chain induces a filtration of H^n whose
-strata are the automorphism orbits.  canonical_form() normalizes a class on
-a direct sum of tube members to the fixed stratum representatives and then
-cancels components against each other with unipotent automorphisms, emitting
-standard data, the complementary summand list, and an explicit witness
-automorphism.  A brute-force orbit closure is included as the independent
-oracle for the orbit structure on small groups.
+strata are the automorphism orbits.  One normal-form engine serves lattices
+and their duals: it normalizes a class on a direct sum of tube members to the
+fixed stratum representatives and then cancels components against each other
+with unipotent automorphisms, emitting (co)standard data, the complementary
+summand list, and an explicit witness automorphism.  The sum context supplies
+what differs between the two sides: the stratum representatives, the
+homomorphisms between summands and the modulus of the witnesses.
+canonical_form() is the lattice side, with lengths decreasing.  A
+brute-force orbit closure is included as the independent oracle for the
+orbit structure on small groups, on either side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .f2 import F2Matrix, is_invertible
+from .f2 import solve as f2_solve
 from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, solve_int, solve_matrix_exact
 from .klein import KLattice, SignPair, eigencomponent
-from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
+from .lattices import ZLattice, finite_quotient, hnf, hnf_mod, kernel_mod, pow2_quotient
 from .quiver import TubeLabel
 from .resolutions import r_apply, twist_chain_maps
 from .tubes import TubeModule, hom_klattices, s3_images
@@ -65,6 +74,12 @@ class Cochain:
 
     def scale(self, c: int) -> "Cochain":
         return Cochain(self.n, tuple(tuple(c * x for x in v) for v in self.values))
+
+    def reduce(self, modulus: int) -> "Cochain":
+        """Values mod modulus; modulus 0 leaves them as they are."""
+        if not modulus:
+            return self
+        return Cochain(self.n, tuple(tuple(x % modulus for x in v) for v in self.values))
 
 
 def coboundary(gamma: Cochain, M: KLattice) -> Cochain:
@@ -122,45 +137,12 @@ def differential_matrix(M: KLattice, n: int) -> IntMatrix:
     return IntMatrix(data, cols=cols)
 
 
-class CohomologyGroup:
-    """H^n(K, M) with explicit generator cocycles and coordinates.
+class ClassGroup:
+    """A finite group of cohomology classes, coordinates mod the invariants.
 
-    Kernel modulo image of the cochain complex; since the exponent divides
-    four, the quotient is taken mod 8 by fast 2-adic reduction, and an
-    assertion confirms no invariant 8 shows up.
+    Subclasses set invariants, generators, n, module and modulus (0 when
+    cochains are integral), and define class_of.
     """
-
-    def __init__(self, M: KLattice, n: int):
-        if n < 1:
-            raise ValueError("degree must be >= 1")
-        self.module = M
-        self.n = n
-        r = M.rank
-        D = differential_matrix(M, n)
-        ker = hnf([list(v) for v in kernel_basis(D)], (n + 1) * r)
-        self._kernel = ker
-        s = ker.rank()
-        Dprev = differential_matrix(M, n - 1)
-        coords = []
-        for j in range(Dprev.cols):
-            c = ker.coords(Dprev.col(j))
-            assert c is not None, "image not inside the kernel"
-            coords.append(list(c))
-        C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
-        self._q = pow2_quotient(C, s, 3)
-        assert all(4 % d == 0 for d in self._q.invariants)
-        self.invariants = self._q.invariants
-        B = ker.basis
-        gens = []
-        for g in self._q.generators:
-            flat = [0] * ((n + 1) * r)
-            for t, c in enumerate(g):
-                if c:
-                    row = B[t]
-                    for a in range((n + 1) * r):
-                        flat[a] += c * row[a]
-            gens.append(Cochain.unflatten(n, r, flat))
-        self.generators = tuple(gens)
 
     def order(self) -> int:
         out = 1
@@ -171,19 +153,8 @@ class CohomologyGroup:
     def exponent(self) -> int:
         out = 1
         for d in self.invariants:
-            out = out * d // _gcd(out, d)
+            out = out * d // math.gcd(out, d)
         return out
-
-    def is_cocycle(self, gamma: Cochain) -> bool:
-        return all(x == 0 for v in coboundary(gamma, self.module).values for x in v)
-
-    def class_of(self, gamma: Cochain) -> "CohClass":
-        flat = gamma.flatten()
-        c = self._kernel.coords(flat)
-        if c is None:
-            raise ValueError("not a cocycle")
-        coords = self._q.coords(c)
-        return CohClass(self, coords)
 
     def zero(self) -> "CohClass":
         return CohClass(self, tuple(0 for _ in self.invariants))
@@ -193,12 +164,16 @@ class CohomologyGroup:
             self, tuple(c % d for c, d in zip(coords, self.invariants))
         )
 
+    def generator_cochain(self, g) -> Cochain:
+        """A cocycle of the generator g."""
+        return g
+
     def cochain_of(self, cls: "CohClass") -> Cochain:
         out = Cochain.zero(self.n, self.module.rank)
         for c, g in zip(cls.coords, self.generators):
             if c:
-                out = out.add(g.scale(c))
-        return out
+                out = out.add(self.generator_cochain(g).scale(c))
+        return out.reduce(self.modulus)
 
     def all_classes(self):
         """Iterate every class (intended for small groups)."""
@@ -213,17 +188,80 @@ class CohomologyGroup:
         yield from rec(0, [])
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+class CohomologyGroup(ClassGroup):
+    """H^n(K, M) with explicit generator cocycles and coordinates.
+
+    Kernel modulo image of the cochain complex, over Z (modulus 0) or mod a
+    modulus 2^k, which gives the cohomology of a colattice level when M is
+    the transposed module.  Since the exponent divides four, the quotient is
+    taken by fast 2-adic reduction (mod 8 over Z, mod 2^k at a level), and an
+    assertion confirms no invariant 8 shows up.
+    """
+
+    def __init__(self, M: KLattice, n: int, modulus: int = 0):
+        if n < 1:
+            raise ValueError("degree must be >= 1")
+        self.module = M
+        self.n = n
+        self.modulus = modulus
+        r = M.rank
+        width = (n + 1) * r
+        D = differential_matrix(M, n)
+        Dprev = differential_matrix(M, n - 1)
+        image = [Dprev.col(j) for j in range(Dprev.cols)]
+        if modulus:
+            ker = kernel_mod(D, modulus)
+            image = hnf_mod([list(v) for v in image], width, modulus).basis
+        else:
+            ker = hnf([list(v) for v in kernel_basis(D)], width)
+        self._kernel = ker
+        self._q, flats = _kernel_mod_image(ker, image, modulus.bit_length() - 1 if modulus else 3)
+        assert all(4 % d == 0 for d in self._q.invariants), self._q.invariants
+        self.invariants = self._q.invariants
+        self.generators = tuple(Cochain.unflatten(n, r, f).reduce(modulus) for f in flats)
+
+    def class_of(self, gamma: Cochain) -> "CohClass":
+        flat = gamma.flatten()
+        if self.modulus:
+            flat = [x % self.modulus for x in flat]
+        c = self._kernel.coords(flat)
+        if c is None:
+            raise ValueError(f"not a cocycle mod {self.modulus}" if self.modulus else "not a cocycle")
+        return CohClass(self, self._q.coords(c))
+
+
+def _kernel_mod_image(ker: ZLattice, image, level: int):
+    """ker / image by 2-adic reduction mod 2^level.
+
+    Returns the quotient, with its invariants and coordinates, and for each
+    of its cyclic generators a representative vector of ker.
+    """
+    s = ker.rank()
+    coords = []
+    for v in image:
+        c = ker.coords(v)
+        assert c is not None, "image not inside the kernel"
+        coords.append(list(c))
+    C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
+    quotient = pow2_quotient(C, s, level)
+    width = ker.ambient_rank
+    flats = []
+    for g in quotient.generators:
+        flat = [0] * width
+        for t, c in enumerate(g):
+            if c:
+                row = ker.basis[t]
+                for a in range(width):
+                    flat[a] += c * row[a]
+        flats.append(flat)
+    return quotient, flats
 
 
 @dataclass(frozen=True)
 class CohClass:
     """A cohomology class as coordinates in its group."""
 
-    group: CohomologyGroup
+    group: ClassGroup
     coords: tuple
 
     def __eq__(self, other):
@@ -247,10 +285,6 @@ class CohClass:
 
     def to_json(self):
         return {"coords": list(self.coords), "invariants": list(self.group.invariants)}
-
-
-def cohomology_group(M: KLattice, n: int) -> CohomologyGroup:
-    return CohomologyGroup(M, n)
 
 
 def cohomology_invariants_generic(M: KLattice, n: int) -> tuple:
@@ -324,17 +358,19 @@ def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None) -> bo
     M = T.lattice
     inf = is_infinity_tube(T.label)
     comp = target_component(M, n, inf)
-    H = H or cohomology_group(M, n)
+    H = H or CohomologyGroup(M, n)
+    return _classes_form_basis(H, comp.basis, lambda v: xi(M, v, n, inf))
+
+
+def _classes_form_basis(H: ClassGroup, vectors, cocycle) -> bool:
+    """H is elementary abelian and the classes of cocycle(v) form a basis."""
     if any(d != 2 for d in H.invariants):
         return False
-    if len(H.invariants) != comp.rank():
+    if len(H.invariants) != len(vectors):
         return False
-    if comp.rank() == 0:
+    if not vectors:
         return True
-    rows = []
-    for v in comp.basis:
-        cls = H.class_of(xi(M, v, n, inf))
-        rows.append([c % 2 for c in cls.coords])
+    rows = [[c & 1 for c in H.class_of(cocycle(v)).coords] for v in vectors]
     return is_invertible(F2Matrix(rows, cols=len(H.invariants)))
 
 
@@ -350,7 +386,7 @@ class TubeCohContext:
         self.T = T
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
-        self.H = cohomology_group(T.lattice, n)
+        self.H = CohomologyGroup(T.lattice, n)
         assert all(d == 2 for d in self.H.invariants)
         self._images: Optional[list] = None
         self._e_classes: Optional[list] = None
@@ -368,7 +404,7 @@ class TubeCohContext:
                 if sub is None or sub.rank == 0:
                     out.append([])
                     continue
-                Hk = cohomology_group(sub, self.n)
+                Hk = CohomologyGroup(sub, self.n)
                 emb = self.T.chain_embeds[k]
                 gens = [
                     self.H.class_of(g.map_values(emb)) for g in Hk.generators
@@ -444,59 +480,56 @@ class TubeCohContext:
         return self._gens
 
     def class_action(self, U: IntMatrix) -> F2Matrix:
-        s = len(self.H.invariants)
-        cols = []
-        for g in self.H.generators:
-            cols.append(self.H.class_of(g.map_values(U)).coords)
-        return F2Matrix([[cols[j][i] & 1 for j in range(s)] for i in range(s)], cols=s)
+        return _class_action(self.H, U)
 
     def orbit_partition(self) -> list[set]:
         """Orbits of the generated automorphism group on all of H^n."""
         gens = [self.class_action(U) for U in self.aut_generators()]
         s = len(self.H.invariants)
-        all_pts = [tuple(c) for c in _all_f2(s)]
-        seen = set()
-        orbits = []
-        for p in all_pts:
-            if p in seen:
-                continue
-            orb = {p}
-            stack = [p]
-            while stack:
-                x = stack.pop()
-                for g in gens:
-                    y = g.apply(x)
-                    if y not in orb:
-                        orb.add(y)
-                        stack.append(y)
-            seen |= orb
-            orbits.append(orb)
-        return orbits
+        return _orbits([tuple(c) for c in _all_f2(s)], [g.apply for g in gens])
 
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word carrying src to dst, as one matrix, or None."""
-        if src == dst:
-            return IntMatrix.identity(self.T.lattice.rank)
-        gens = self.aut_generators()
-        actions = [self.class_action(U) for U in gens]
-        start = tuple(c & 1 for c in src.coords)
-        goal = tuple(c & 1 for c in dst.coords)
-        frontier = {start: IntMatrix.identity(self.T.lattice.rank)}
-        seen = {start}
-        while frontier:
-            new = {}
-            for x, W in frontier.items():
-                for U, act in zip(gens, actions):
-                    y = act.apply(x)
-                    if y in seen:
-                        continue
-                    Wy = U * W
-                    if y == goal:
-                        return Wy
-                    seen.add(y)
-                    new[y] = Wy
-            frontier = new
-        return None
+        return _move_word(self, src, dst, self.T.lattice.rank, 0)
+
+
+def _class_action(H: ClassGroup, U: IntMatrix) -> F2Matrix:
+    """The action of U on H mod 2, computed on the generator cocycles."""
+    s = len(H.invariants)
+    cols = [H.class_of(H.generator_cochain(g).map_values(U)).coords for g in H.generators]
+    return F2Matrix([[cols[j][i] & 1 for j in range(s)] for i in range(s)], cols=s)
+
+
+def _move_word(ctx, src: CohClass, dst: CohClass, rank: int, modulus: int):
+    """Breadth-first search for a word in ctx's generators carrying src to dst.
+
+    Returns the word as one matrix (reduced mod modulus unless it is 0), or
+    None when dst is not in the generated orbit of src.
+    """
+    if src == dst:
+        return IntMatrix.identity(rank)
+    gens = ctx.aut_generators()
+    actions = [ctx.class_action(U) for U in gens]
+    start = tuple(c & 1 for c in src.coords)
+    goal = tuple(c & 1 for c in dst.coords)
+    frontier = {start: IntMatrix.identity(rank)}
+    seen = {start}
+    while frontier:
+        new = {}
+        for x, W in frontier.items():
+            for U, act in zip(gens, actions):
+                y = act.apply(x)
+                if y in seen:
+                    continue
+                Wy = U * W
+                if modulus:
+                    Wy = Wy.mod(modulus)
+                if y == goal:
+                    return Wy
+                seen.add(y)
+                new[y] = Wy
+        frontier = new
+    return None
 
 
 def _all_f2(s: int):
@@ -613,7 +646,11 @@ class StandardEntry:
 
 @dataclass(frozen=True)
 class StandardData:
-    """Canonical combinatorics of a class: per-tube position sequences."""
+    """Canonical combinatorics of a class: per-tube position sequences.
+
+    Lengths decrease along a sequence for standard data (lattices) and
+    increase for costandard data (duals).
+    """
 
     entries: tuple  # tuple of (TubeId, tuple of StandardEntry)
     parity: str  # "even" | "odd" | "none"
@@ -644,7 +681,15 @@ class StandardData:
 
 
 class SumContext:
-    """A direct sum of tube members with its cohomology."""
+    """A direct sum of tube members with its cohomology.
+
+    This is the lattice side of the normal form; DualSumContext specialises
+    it to the duals.  A side supplies its cohomology and tube contexts, the
+    stratum representatives, the homomorphisms between summands and the
+    modulus of the witnesses (0 here: they are integral).
+    """
+
+    modulus = 0
 
     def __init__(self, summands: list[TubeModule], n: int):
         if not summands:
@@ -660,8 +705,33 @@ class SumContext:
         for T in summands:
             self.offsets.append(off)
             off += T.lattice.rank
-        self.H = cohomology_group(mod, n)
-        self.ctxs = [TubeCohContext(T, n) for T in summands]
+        self.H = self._cohomology()
+        self.ctxs = [self._tube_context(T) for T in summands]
+
+    # -- what a side supplies ----------------------------------------------
+
+    def _cohomology(self) -> ClassGroup:
+        return CohomologyGroup(self.module, self.n)
+
+    def _tube_context(self, T: TubeModule):
+        return TubeCohContext(T, self.n)
+
+    def representative(self, i: int, k: int):
+        """Fixed class of stratum k of summand i, or None."""
+        return self.ctxs[i].e_class(k)
+
+    def representative_vector(self, i: int, k: int):
+        """The vector whose closed-form cocycle is representative(i, k)."""
+        return self.ctxs[i].e_vector(k)
+
+    def homs(self, i: int, j: int) -> list[IntMatrix]:
+        """Generators of the homomorphisms from summand i to summand j."""
+        return hom_klattices(self.summands[i].lattice, self.summands[j].lattice)
+
+    # -- shared ------------------------------------------------------------
+
+    def reduce(self, W: IntMatrix) -> IntMatrix:
+        return W.mod(self.modulus) if self.modulus else W
 
     def embed_matrix(self, i: int) -> IntMatrix:
         r = self.module.rank
@@ -700,7 +770,7 @@ class SumContext:
         for a in range(U.rows):
             for b in range(U.cols):
                 out[off + a][off + b] = U.data[a][b]
-        return IntMatrix(out, cols=r)
+        return self.reduce(IntMatrix(out, cols=r))
 
     def unipotent_witness(self, i: int, j: int, theta: IntMatrix) -> IntMatrix:
         """Identity plus theta mapping block i into block j."""
@@ -710,6 +780,19 @@ class SumContext:
         for a in range(theta.rows):
             for b in range(theta.cols):
                 out[oj + a][oi + b] += theta.data[a][b]
+        return self.reduce(IntMatrix(out, cols=r))
+
+    def swap_witness(self, i: int, j: int) -> IntMatrix:
+        """Exchange of the blocks of two equal summands."""
+        r = self.module.rank
+        out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
+        oi, oj = self.offsets[i], self.offsets[j]
+        ri = self.summands[i].lattice.rank
+        for a in range(ri):
+            out[oi + a][oi + a] = 0
+            out[oj + a][oj + a] = 0
+            out[oi + a][oj + a] = 1
+            out[oj + a][oi + a] = 1
         return IntMatrix(out, cols=r)
 
 
@@ -731,21 +814,29 @@ def canonical_form(summands: list[TubeModule], cls: CohClass, n: int,
     the per-summand stratum positions.
     """
     sc = context or SumContext(summands, n)
+    return _normal_form(sc, cls, n, True, CanonicalForm)
+
+
+def _normal_form(sc: SumContext, cls: CohClass, n: int, descending: bool, form):
+    """The normal form on either side; lengths decrease when descending.
+
+    form is the result type, built from (data, cleared labels, witness,
+    canonical class, positions).
+    """
     assert cls.group is sc.H
     comps = sc.split(cls)
-    r = sc.module.rank
-    witness = IntMatrix.identity(r)
+    witness = IntMatrix.identity(sc.module.rank)
 
     # move every nonzero component to its stratum representative
     for i, ctx in enumerate(sc.ctxs):
         if comps[i].is_zero():
             continue
         k = ctx.filtration_position(comps[i])
-        target = ctx.e_class(k)
+        target = sc.representative(i, k)
         assert target is not None, "stratum without a fixed representative"
         W = ctx.move_to(comps[i], target)
         assert W is not None, "class not in the orbit of its stratum representative"
-        witness = sc.block_witness(i, W) * witness
+        witness = sc.reduce(sc.block_witness(i, W) * witness)
         comps[i] = target
 
     # cancellation sweep with unipotent automorphisms
@@ -763,22 +854,19 @@ def canonical_form(summands: list[TubeModule], cls: CohClass, n: int,
                     continue
                 if sc.summands[i].label.tube != sc.summands[j].label.tube:
                     continue
-                homs = hom_klattices(
-                    sc.summands[i].lattice, sc.summands[j].lattice
-                )
-                combo = _solve_cancellation(sc.ctxs[i], sc.ctxs[j], comps[i], comps[j], homs)
+                combo = _solve_cancellation(sc.ctxs[j].H, comps[i], comps[j], sc.homs(i, j))
                 if combo is None:
                     continue
-                witness = sc.unipotent_witness(i, j, combo) * witness
+                witness = sc.reduce(sc.unipotent_witness(i, j, combo) * witness)
                 comps[j] = sc.ctxs[j].H.zero()
                 changed = True
         # after cancellations the remaining components are still canonical
     entries_by_tube: dict = {}
-    m0 = []
+    cleared = []
     positions = []
     for i, T in enumerate(sc.summands):
         if comps[i].is_zero():
-            m0.append(T.label)
+            cleared.append(T.label)
             positions.append(None)
             continue
         k = sc.ctxs[i].filtration_position(comps[i])
@@ -788,53 +876,57 @@ def canonical_form(summands: list[TubeModule], cls: CohClass, n: int,
         )
     entries = []
     for tube in sorted(entries_by_tube, key=lambda t: str(t)):
-        seq = sorted(entries_by_tube[tube], key=lambda e: (-e.m, e.k))
-        _check_standard_sequence(seq)
+        seq = sorted(entries_by_tube[tube], key=lambda e: (-e.m if descending else e.m, e.k))
+        _check_sequence(seq)
         entries.append((tube, tuple(seq)))
     special = any(tube.kind == "special" for tube, _ in entries)
     parity = "none" if not special else ("even" if n % 2 == 0 else "odd")
     data = StandardData(entries=tuple(entries), parity=parity)
     canonical = sc.merge(comps)
     assert push_class(witness, cls, sc.H) == canonical
-    return CanonicalForm(
-        data=data,
-        m0_labels=tuple(m0),
-        witness=witness,
-        canonical_class=canonical,
-        positions=tuple(positions),
-    )
+    return form(data, tuple(cleared), witness, canonical, tuple(positions))
 
 
-def _check_standard_sequence(seq):
+def _check_sequence(seq):
+    """The (co)standard inequalities on a sequence sorted by length.
+
+    For each pair, with L the longer and S the shorter entry,
+    S.k < L.k < S.k + L.m - S.m.
+    """
     for t in range(len(seq) - 1):
-        assert seq[t].m > seq[t + 1].m, "equal lengths survived cancellation"
+        assert seq[t].m != seq[t + 1].m, "equal lengths survived cancellation"
     for t in range(len(seq)):
         for s in range(t + 1, len(seq)):
-            e, e2 = seq[t], seq[s]
-            assert e2.k < e.k < e2.k + e.m - e2.m, "standard inequalities violated"
+            S, L = (seq[t], seq[s]) if seq[t].m < seq[s].m else (seq[s], seq[t])
+            assert S.k < L.k < S.k + L.m - S.m, "(co)standard inequalities violated"
 
 
-def _solve_cancellation(ctx_i, ctx_j, cls_i, cls_j, homs):
-    """Combination theta of homs with theta_*(cls_i) = cls_j, or None."""
-    if not homs:
-        return None
-    s = len(ctx_j.H.invariants)
+def _solve_cancellation(H_j: ClassGroup, cls_i, cls_j, homs):
+    """Combination theta of homs with theta_*(cls_i) = cls_j, or None.
+
+    On the dual side a map mod 2^k can push a class out of the stable
+    image; such maps are left out.
+    """
     cols = []
+    kept = []
     for th in homs:
-        pushed = push_class(th, cls_i, ctx_j.H)
+        try:
+            pushed = push_class(th, cls_i, H_j)
+        except ValueError:
+            continue
         cols.append([c & 1 for c in pushed.coords])
-    Amat = F2Matrix([[cols[j][i] for j in range(len(homs))] for i in range(s)], cols=len(homs))
-    from .f2 import solve as f2_solve
-
+        kept.append(th)
+    if not kept:
+        return None
+    s = len(H_j.invariants)
+    Amat = F2Matrix([[cols[j][i] for j in range(len(kept))] for i in range(s)], cols=len(kept))
     sol = f2_solve(Amat, [c & 1 for c in cls_j.coords])
     if sol is None:
         return None
     combo = None
-    for c, th in zip(sol, homs):
+    for c, th in zip(sol, kept):
         if c:
             combo = th if combo is None else combo + th
-    if combo is None:
-        return None
     return combo
 
 
@@ -849,57 +941,55 @@ def sum_orbit_partition(sc: SumContext, cap: int = 1 << 6) -> list[set]:
         for j in range(len(sc.summands)):
             if i == j:
                 continue
-            for th in hom_klattices(sc.summands[i].lattice, sc.summands[j].lattice):
+            for th in sc.homs(i, j):
                 gens.append(sc.unipotent_witness(i, j, th))
                 gens.append(sc.unipotent_witness(i, j, th.scale(-1)))
     # swap equal summands
     for i in range(len(sc.summands)):
         for j in range(i + 1, len(sc.summands)):
             if sc.summands[i].label == sc.summands[j].label:
-                gens.append(_swap_witness(sc, i, j))
+                gens.append(sc.swap_witness(i, j))
     actions = []
     s = len(sc.H.invariants)
     for U in gens:
         cols = [push_class(U, sc.H.from_coords(tuple(1 if t == a else 0 for t in range(s))), sc.H).coords
                 for a in range(s)]
         actions.append(cols)
+    invs = sc.H.invariants
+
+    def mover(cols):
+        def move(x):
+            y = [0] * s
+            for a in range(s):
+                if x[a]:
+                    for t in range(s):
+                        y[t] += x[a] * cols[a][t]
+            return tuple(yy % dd for yy, dd in zip(y, invs))
+        return move
+
     pts = [tuple(c.coords) for c in sc.H.all_classes()]
+    return _orbits(pts, [mover(cols) for cols in actions])
+
+
+def _orbits(points, moves) -> list[set]:
+    """Orbits of points under the maps in moves, in order of first point."""
     seen = set()
     orbits = []
-    invs = sc.H.invariants
-    for p in pts:
+    for p in points:
         if p in seen:
             continue
         orb = {p}
         stack = [p]
         while stack:
             x = stack.pop()
-            for cols in actions:
-                y = [0] * s
-                for a in range(s):
-                    if x[a]:
-                        for t in range(s):
-                            y[t] += x[a] * cols[a][t]
-                y = tuple(yy % dd for yy, dd in zip(y, invs))
+            for move in moves:
+                y = move(x)
                 if y not in orb:
                     orb.add(y)
                     stack.append(y)
         seen |= orb
         orbits.append(orb)
     return orbits
-
-
-def _swap_witness(sc: SumContext, i: int, j: int) -> IntMatrix:
-    r = sc.module.rank
-    out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-    oi, oj = sc.offsets[i], sc.offsets[j]
-    ri = sc.summands[i].lattice.rank
-    for a in range(ri):
-        out[oi + a][oi + a] = 0
-        out[oj + a][oj + a] = 0
-        out[oi + a][oj + a] = 1
-        out[oj + a][oi + a] = 1
-    return IntMatrix(out, cols=r)
 
 
 # ---------------------------------------------------------------------------
@@ -938,5 +1028,5 @@ def apply_group_automorphism(which: str, M: KLattice, cls: CohClass):
                 acc = tuple(a + b for a, b in zip(acc, contrib))
         values.append(acc)
     twisted = M.twist(ia, ib)
-    H2 = cohomology_group(twisted, n)
+    H2 = CohomologyGroup(twisted, n)
     return twisted, H2.class_of(Cochain(n, tuple(values)))

@@ -12,10 +12,12 @@ with the level-(level-1) image required to have the same order (that is the
 level 3 vs 4 stabilization check at the default).  Both the eta cocycles and
 the annihilator filtration live naturally in E.
 
-co_canonical_form() mirrors the lattice-side canonical form: stratum
-representatives come from eta over fixed two-torsion vectors, cancellation
-between summands uses unipotent automorphisms mod 2^k, and the sequences are
-costandard (lengths increasing).
+Each finite level is a cohomology.CohomologyGroup with modulus 2^k.
+co_canonical_form() runs the normal-form engine of cohomology; this side
+supplies, through DualTubeContext and DualSumContext, the stratum
+representatives (eta over fixed two-torsion vectors), the homomorphisms
+between summands mod 2^k (dual_hom_mod), witnesses reduced mod 2^k, and the
+costandard length order (lengths increasing).
 """
 
 from __future__ import annotations
@@ -23,20 +25,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .f2 import F2Matrix
 from .intmat import IntMatrix, solve_int
 from .klein import KLattice, SignPair
 from .lattices import ZLattice, hnf_mod, intersection_mod, inv_mod_2k, kernel_mod, pow2_quotient
 from .cohomology import (
+    ClassGroup,
     CohClass,
     Cochain,
-    StandardEntry,
+    CohomologyGroup,
+    StandardData,
+    SumContext,
     _aut_generator_family,
+    _class_action,
+    _classes_form_basis,
+    _kernel_mod_image,
+    _move_word,
+    _normal_form,
     coboundary,
     differential_matrix,
     in_span,
     is_infinity_tube,
-    push_class,
 )
 from .tubes import TubeModule
 
@@ -68,93 +76,16 @@ class ColatticeLevel:
     def order(self) -> int:
         return self.modulus ** self.rank
 
-    def include_up(self, vec: Sequence[int]) -> tuple:
-        """The same functional one level higher."""
-        return tuple(2 * (x % self.modulus) for x in vec)
+    def cohomology(self, n: int) -> CohomologyGroup:
+        """H^n(K, N_k), with coordinates mod 2^k."""
+        return CohomologyGroup(self.transposed_module(), n, self.modulus)
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "level": self.level}
 
 
-def dual_level(M: KLattice, k: int) -> ColatticeLevel:
-    return ColatticeLevel(base=M, level=k)
-
-
-class DualCohomology:
-    """H^n(K, N_k) for one finite level, with coordinates mod 2^k."""
-
-    def __init__(self, N: ColatticeLevel, n: int):
-        if n < 1:
-            raise ValueError("degree must be >= 1")
-        self.colattice = N
-        self.module = N.transposed_module()
-        self.n = n
-        self.level = N.level
-        q = N.modulus
-        r = N.rank
-        D = differential_matrix(self.module, n)
-        ker = kernel_mod(D, q)
-        self._kernel = ker
-        Dprev = differential_matrix(self.module, n - 1)
-        img = hnf_mod([list(Dprev.col(j)) for j in range(Dprev.cols)], (n + 1) * r, q)
-        coords = []
-        for row in img.basis:
-            c = ker.coords(row)
-            assert c is not None, "image not inside the kernel"
-            coords.append(list(c))
-        s = ker.rank()
-        C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
-        self._q = pow2_quotient(C, s, N.level)
-        # the group order kills every class, so invariants divide 4
-        assert all(4 % d == 0 for d in self._q.invariants), self._q.invariants
-        self.invariants = self._q.invariants
-        B = ker.basis
-        gens = []
-        for g in self._q.generators:
-            flat = [0] * ((n + 1) * r)
-            for t, c in enumerate(g):
-                if c:
-                    row = B[t]
-                    for a in range((n + 1) * r):
-                        flat[a] = (flat[a] + c * row[a]) % q
-            gens.append(Cochain.unflatten(n, r, flat))
-        self.generators = tuple(gens)
-
-    def order(self) -> int:
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
-
-    def class_of(self, gamma: Cochain) -> CohClass:
-        q = self.colattice.modulus
-        flat = [x % q for x in gamma.flatten()]
-        c = self._kernel.coords(flat)
-        if c is None:
-            raise ValueError("not a cocycle mod 2^k")
-        return CohClass(self, self._q.coords(c))
-
-    def zero(self) -> CohClass:
-        return CohClass(self, tuple(0 for _ in self.invariants))
-
-    def from_coords(self, coords) -> CohClass:
-        return CohClass(self, tuple(c % d for c, d in zip(coords, self.invariants)))
-
-    def cochain_of(self, cls: CohClass) -> Cochain:
-        out = Cochain.zero(self.n, self.module.rank)
-        for c, g in zip(cls.coords, self.generators):
-            if c:
-                out = out.add(g.scale(c))
-        q = self.colattice.modulus
-        return Cochain(self.n, tuple(tuple(x % q for x in v) for v in out.values))
-
-
-def _image_gens(Hlow: DualCohomology, Hhigh: DualCohomology) -> list[CohClass]:
-    out = []
-    for g in Hlow.generators:
-        lifted = Cochain(g.n, tuple(tuple(2 * x for x in v) for v in g.values))
-        out.append(Hhigh.class_of(lifted))
-    return out
+def _image_gens(Hlow: CohomologyGroup, Hhigh: CohomologyGroup) -> list[CohClass]:
+    return [Hhigh.class_of(g.scale(2)) for g in Hlow.generators]
 
 
 def _subgroup_order_from_gens(gens: list[CohClass], zero: CohClass) -> int:
@@ -172,7 +103,7 @@ def _subgroup_order_from_gens(gens: list[CohClass], zero: CohClass) -> int:
     return len(seen)
 
 
-class StableDualCohomology:
+class StableDualCohomology(ClassGroup):
     """The direct limit H^n(K, DM), carried inside one finite level.
 
     Classes live in the carrier group at level+1; membership in the stable
@@ -185,13 +116,14 @@ class StableDualCohomology:
         self.base = M
         self.n = n
         self.level = level
-        self.colattice = dual_level(M, level + 1)
-        self.module = self.colattice.transposed_module()
-        self._H_low = DualCohomology(dual_level(M, level), n)
-        self.carrier = DualCohomology(self.colattice, n)
+        self.colattice = ColatticeLevel(M, level + 1)
+        self.modulus = self.colattice.modulus
+        self._H_low = ColatticeLevel(M, level).cohomology(n)
+        self.carrier = self.colattice.cohomology(n)
+        self.module = self.carrier.module
         gens = _image_gens(self._H_low, self.carrier)
         # stabilization: one level lower must give a subgroup of the same order
-        H_lower = DualCohomology(dual_level(M, level - 1), n)
+        H_lower = ColatticeLevel(M, level - 1).cohomology(n)
         gens_prev = _image_gens(H_lower, self._H_low)
         if _subgroup_order_from_gens(gens_prev, self._H_low.zero()) != \
                 _subgroup_order_from_gens(gens, self.carrier.zero()):
@@ -227,12 +159,6 @@ class StableDualCohomology:
             self.generators = tuple(new_gens)
         assert all(4 % d == 0 for d in self.invariants)
 
-    def order(self) -> int:
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
-
     def _coords_of_carrier(self, cls: CohClass) -> tuple:
         if not self.invariants:
             if any(cls.coords):
@@ -247,35 +173,9 @@ class StableDualCohomology:
         """Class of a carrier-level cocycle that lies in the stable image."""
         return CohClass(self, self._coords_of_carrier(self.carrier.class_of(gamma)))
 
-    def zero(self) -> CohClass:
-        return CohClass(self, tuple(0 for _ in self.invariants))
-
-    def from_coords(self, coords) -> CohClass:
-        return CohClass(self, tuple(c % d for c, d in zip(coords, self.invariants)))
-
-    def cochain_of(self, cls: CohClass) -> Cochain:
-        out = Cochain.zero(self.n, self.module.rank)
-        for c, g in zip(cls.coords, self.generators):
-            if c:
-                out = out.add(self.carrier.cochain_of(g).scale(c))
-        q = self.colattice.modulus
-        return Cochain(self.n, tuple(tuple(x % q for x in v) for v in out.values))
-
-    def all_classes(self):
-        def rec(i, acc):
-            if i == len(self.invariants):
-                yield CohClass(self, tuple(acc))
-                return
-            for v in range(self.invariants[i]):
-                acc.append(v)
-                yield from rec(i + 1, acc)
-                acc.pop()
-        yield from rec(0, [])
-
-
-def colattice_cohomology(M: KLattice, n: int, level: int = DEFAULT_LEVEL) -> StableDualCohomology:
-    """The stabilized dual cohomology; raises when the levels disagree."""
-    return StableDualCohomology(M, n, level)
+    def generator_cochain(self, g: CohClass) -> Cochain:
+        """Generators are carrier classes; this is the carrier's cocycle."""
+        return self.carrier.cochain_of(g)
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +261,11 @@ def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cocha
 def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
                    H: StableDualCohomology | None = None) -> bool:
     """The eta classes over a basis of N(n) form a GF(2)-basis of H^n(K, DM)."""
-    H = H or colattice_cohomology(T.lattice, n, level)
+    H = H or StableDualCohomology(T.lattice, n, level)
     N = H.colattice
     inf = is_infinity_tube(T.label)
     basis = dual_target_basis(N, n, inf)
-    if any(d != 2 for d in H.invariants):
-        return False
-    if len(H.invariants) != len(basis):
-        return False
-    if not basis:
-        return True
-    from .f2 import is_invertible
-
-    rows = []
-    for u in basis:
-        cls = H.class_of(eta(N, u, n, inf))
-        rows.append([c & 1 for c in cls.coords])
-    return is_invertible(F2Matrix(rows, cols=len(H.invariants)))
+    return _classes_form_basis(H, basis, lambda u: eta(N, u, n, inf))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +284,7 @@ def annihilator(N: ColatticeLevel, rows) -> ZLattice:
 
 def dual_chain(T: TubeModule, level: int = DEFAULT_LEVEL) -> list[ZLattice]:
     """Increasing chain N_k = annihilator of M_k, with N_0 = 0, N_m = N."""
-    N = dual_level(T.lattice, level)
+    N = ColatticeLevel(T.lattice, level)
     out = []
     for k in range(len(T.chain)):
         sub = T.chain[k]
@@ -421,36 +309,15 @@ def subgroup_order(N: ColatticeLevel, L: ZLattice) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostandardData:
-    """Costandard combinatorics: per-tube sequences with increasing lengths."""
-
-    entries: tuple
-    parity: str
-
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def to_json(self):
-        return {
-            "data": [
-                {"tube": tube.to_json(), "seq": [e.to_json() for e in seq]}
-                for tube, seq in self.entries
-            ],
-            "parity": self.parity,
-        }
-
-    def __str__(self):
-        if not self.entries:
-            return "empty"
-        parts = []
-        for tube, seq in self.entries:
-            inner = ",".join(
-                (f"(j={e.j},m={e.m},k={e.k})" if e.j is not None else f"(m={e.m},k={e.k})")
-                for e in seq
-            )
-            parts.append(f"{tube}:[{inner}]")
-        return " ".join(parts) + f" [{self.parity}]"
+def _cochains_in(L: ZLattice, slots: int, r: int) -> list[list[int]]:
+    """Flattened cochains with slots values, one of them a basis row of L."""
+    out = []
+    for j in range(slots):
+        for row in L.basis:
+            vec = [0] * (slots * r)
+            vec[j * r: (j + 1) * r] = list(row)
+            out.append(vec)
+    return out
 
 
 class DualTubeContext:
@@ -479,43 +346,14 @@ class DualTubeContext:
         r = self.N.rank
         n = self.n
         mod = self.H.module
-        blocks = []
-        for j in range(n + 1):
-            for row in L_low.basis:
-                vec = [0] * ((n + 1) * r)
-                vec[j * r: (j + 1) * r] = list(row)
-                blocks.append(vec)
-        W = hnf_mod(blocks, (n + 1) * r, q)
+        W = hnf_mod(_cochains_in(L_low, n + 1, r), (n + 1) * r, q)
         D = differential_matrix(mod, n)
         ker = intersection_mod(kernel_mod(D, q), W, q)
-        blocks_prev = []
-        for j in range(n):
-            for row in L_low.basis:
-                vec = [0] * (n * r)
-                vec[j * r: (j + 1) * r] = list(row)
-                blocks_prev.append(vec)
         Dprev = differential_matrix(mod, n - 1)
-        img_rows = [Dprev.apply(v) for v in hnf_mod(blocks_prev, n * r, q).basis]
+        img_rows = [Dprev.apply(v) for v in hnf_mod(_cochains_in(L_low, n, r), n * r, q).basis]
         img = hnf_mod([list(v) for v in img_rows], (n + 1) * r, q)
-        coords = []
-        for row in img.basis:
-            c = ker.coords(row)
-            assert c is not None
-            coords.append(list(c))
-        s = ker.rank()
-        C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
-        fq = pow2_quotient(C, s, self.level)
-        out = []
-        for g in fq.generators:
-            flat = [0] * ((n + 1) * r)
-            for t, c in enumerate(g):
-                if c:
-                    row = ker.basis[t]
-                    for a in range((n + 1) * r):
-                        flat[a] = (flat[a] + 2 * c * row[a]) % (2 * q)
-            gamma = Cochain.unflatten(n, r, flat)
-            out.append(self.H.class_of(gamma))
-        return out
+        _, flats = _kernel_mod_image(ker, img.basis, self.level)
+        return [self.H.class_of(Cochain.unflatten(n, r, f).scale(2).reduce(2 * q)) for f in flats]
 
     def _chain_images(self) -> list:
         if self._images is None:
@@ -523,7 +361,7 @@ class DualTubeContext:
             out = []
             for k in range(len(low)):
                 L = low[k]
-                if subgroup_order(dual_level(self.T.lattice, self.level), L) == 1:
+                if subgroup_order(ColatticeLevel(self.T.lattice, self.level), L) == 1:
                     out.append([])
                 else:
                     out.append(self._sub_cohomology_image(L))
@@ -603,38 +441,12 @@ class DualTubeContext:
             self._gens = out
         return self._gens
 
-    def class_action(self, U: IntMatrix) -> F2Matrix:
-        s = len(self.H.invariants)
-        cols = []
-        for g in self.H.generators:
-            gamma = self.H.carrier.cochain_of(g)
-            cols.append(self.H.class_of(gamma.map_values(U)).coords)
-        return F2Matrix([[cols[j][i] & 1 for j in range(s)] for i in range(s)], cols=s)
+    def class_action(self, U: IntMatrix):
+        return _class_action(self.H, U)
 
     def move_to(self, src: CohClass, dst: CohClass):
-        if src == dst:
-            return IntMatrix.identity(self.N.rank).mod(self.N.modulus)
-        gens = self.aut_generators()
-        actions = [self.class_action(U) for U in gens]
-        start = tuple(c & 1 for c in src.coords)
-        goal = tuple(c & 1 for c in dst.coords)
-        q = self.N.modulus
-        frontier = {start: IntMatrix.identity(self.N.rank)}
-        seen = {start}
-        while frontier:
-            new = {}
-            for x, W in frontier.items():
-                for U, act in zip(gens, actions):
-                    y = act.apply(x)
-                    if y in seen:
-                        continue
-                    Wy = (U * W).mod(q)
-                    if y == goal:
-                        return Wy
-                    seen.add(y)
-                    new[y] = Wy
-            frontier = new
-        return None
+        """Automorphism word mod 2^k carrying src to dst, or None."""
+        return _move_word(self, src, dst, self.N.rank, self.N.modulus)
 
 
 def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
@@ -664,75 +476,44 @@ def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
     return out
 
 
-class DualSumContext:
-    """Duals of a direct sum of tube members, at a fixed level."""
+class DualSumContext(SumContext):
+    """Duals of a direct sum of tube members, at a fixed level.
+
+    The dual side of the normal form: stable dual cohomology, z classes as
+    stratum representatives, dual_hom_mod between summands and witnesses
+    reduced mod 2^k.
+    """
 
     def __init__(self, summands: list[TubeModule], n: int, level: int = DEFAULT_LEVEL):
-        if not summands:
-            raise ValueError("need at least one summand")
-        self.summands = list(summands)
-        self.n = n
         self.level = level
-        mod = summands[0].lattice
-        for T in summands[1:]:
-            mod = mod.direct_sum(T.lattice)
-        self.base = mod
-        self.H = StableDualCohomology(mod, n, level)
+        super().__init__(summands, n)
         self.N = self.H.colattice
-        self.offsets = []
-        off = 0
-        for T in summands:
-            self.offsets.append(off)
-            off += T.lattice.rank
-        self.ctxs = [DualTubeContext(T, n, level) for T in summands]
+        self.modulus = self.N.modulus
 
-    def embed_matrix(self, i: int) -> IntMatrix:
-        r = self.base.rank
-        ri = self.summands[i].lattice.rank
-        off = self.offsets[i]
-        return IntMatrix(
-            [[1 if (t == off + s) else 0 for s in range(ri)] for t in range(r)], cols=ri
-        )
+    @property
+    def base(self) -> KLattice:
+        """The direct sum of the summands' lattices, whose dual this is."""
+        return self.module
 
-    def split(self, cls: CohClass) -> list[CohClass]:
-        gamma = self.H.cochain_of(cls)
-        out = []
-        for i, ctx in enumerate(self.ctxs):
-            off = self.offsets[i]
-            ri = self.summands[i].lattice.rank
-            vals = tuple(tuple(v[off: off + ri]) for v in gamma.values)
-            out.append(ctx.H.class_of(Cochain(gamma.n, vals)))
-        return out
+    def _cohomology(self) -> StableDualCohomology:
+        return StableDualCohomology(self.module, self.n, self.level)
 
-    def merge(self, comps: list[CohClass]) -> CohClass:
-        gamma = Cochain.zero(self.n, self.base.rank)
-        for i, c in enumerate(comps):
-            emb = self.embed_matrix(i)
-            gamma = gamma.add(c.group.cochain_of(c).map_values(emb))
-        return self.H.class_of(gamma)
+    def _tube_context(self, T: TubeModule) -> DualTubeContext:
+        return DualTubeContext(T, self.n, self.level)
 
-    def block_witness(self, i: int, U: IntMatrix) -> IntMatrix:
-        r = self.base.rank
-        out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-        off = self.offsets[i]
-        for a in range(U.rows):
-            for b in range(U.cols):
-                out[off + a][off + b] = U.data[a][b]
-        return IntMatrix(out, cols=r).mod(self.N.modulus)
+    def representative(self, i: int, k: int):
+        return self.ctxs[i].z_class(k)
 
-    def unipotent_witness(self, i: int, j: int, theta: IntMatrix) -> IntMatrix:
-        r = self.base.rank
-        out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-        oi, oj = self.offsets[i], self.offsets[j]
-        for a in range(theta.rows):
-            for b in range(theta.cols):
-                out[oj + a][oi + b] += theta.data[a][b]
-        return IntMatrix(out, cols=r).mod(self.N.modulus)
+    def representative_vector(self, i: int, k: int):
+        return self.ctxs[i].z_vector(k)
+
+    def homs(self, i: int, j: int) -> list[IntMatrix]:
+        return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)
 
 
 @dataclass(frozen=True)
 class CoCanonicalForm:
-    data: CostandardData
+    data: StandardData
     n0_labels: tuple
     witness: IntMatrix  # automorphism of the dual, mod 2^k
     canonical_class: CohClass
@@ -744,169 +525,4 @@ def co_canonical_form(summands: list[TubeModule], cls: CohClass, n: int,
                       context: DualSumContext | None = None) -> CoCanonicalForm:
     """Costandard normal form of a class on the dual of a direct sum."""
     sc = context or DualSumContext(summands, n, level)
-    assert cls.group is sc.H
-    comps = sc.split(cls)
-    q = sc.N.modulus
-    witness = IntMatrix.identity(sc.base.rank).mod(q)
-
-    for i, ctx in enumerate(sc.ctxs):
-        if comps[i].is_zero():
-            continue
-        k = ctx.filtration_position(comps[i])
-        target = ctx.z_class(k)
-        assert target is not None, "stratum without a fixed representative"
-        W = ctx.move_to(comps[i], target)
-        assert W is not None, "class not in the orbit of its stratum representative"
-        witness = (sc.block_witness(i, W) * witness).mod(q)
-        comps[i] = target
-
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        assert guard <= 4 * len(sc.summands) ** 2 + 4
-        for i in range(len(sc.summands)):
-            if comps[i].is_zero():
-                continue
-            for j in range(len(sc.summands)):
-                if i == j or comps[j].is_zero():
-                    continue
-                if sc.summands[i].label.tube != sc.summands[j].label.tube:
-                    continue
-                homs = dual_hom_mod(sc.ctxs[i].N, sc.ctxs[j].N)
-                combo = _solve_dual_cancellation(sc.ctxs[i], sc.ctxs[j], comps[i], comps[j], homs)
-                if combo is None:
-                    continue
-                witness = (sc.unipotent_witness(i, j, combo) * witness).mod(q)
-                comps[j] = sc.ctxs[j].H.zero()
-                changed = True
-
-    entries_by_tube: dict = {}
-    n0 = []
-    positions = []
-    for i, T in enumerate(sc.summands):
-        if comps[i].is_zero():
-            n0.append(T.label)
-            positions.append(None)
-            continue
-        k = sc.ctxs[i].filtration_position(comps[i])
-        positions.append(k)
-        entries_by_tube.setdefault(T.label.tube, []).append(
-            StandardEntry(j=T.label.j, m=T.label.m, k=k)
-        )
-    entries = []
-    for tube in sorted(entries_by_tube, key=lambda t: str(t)):
-        seq = sorted(entries_by_tube[tube], key=lambda e: (e.m, e.k))
-        _check_costandard_sequence(seq)
-        entries.append((tube, tuple(seq)))
-    special = any(tube.kind == "special" for tube, _ in entries)
-    parity = "none" if not special else ("even" if n % 2 == 0 else "odd")
-    data = CostandardData(entries=tuple(entries), parity=parity)
-    canonical = sc.merge(comps)
-    assert push_class(witness, cls, sc.H) == canonical
-    return CoCanonicalForm(
-        data=data,
-        n0_labels=tuple(n0),
-        witness=witness,
-        canonical_class=canonical,
-        positions=tuple(positions),
-    )
-
-
-def _check_costandard_sequence(seq):
-    for t in range(len(seq) - 1):
-        assert seq[t].m < seq[t + 1].m, "equal lengths survived cancellation"
-    for t in range(len(seq)):
-        for s in range(t + 1, len(seq)):
-            e, e2 = seq[t], seq[s]
-            assert e.k < e2.k < e.k + e2.m - e.m, "costandard inequalities violated"
-
-
-def _solve_dual_cancellation(ctx_i, ctx_j, cls_i, cls_j, homs):
-    if not homs:
-        return None
-    from .f2 import solve as f2_solve
-
-    s = len(ctx_j.H.invariants)
-    cols = []
-    kept = []
-    for th in homs:
-        try:
-            pushed = push_class(th, cls_i, ctx_j.H)
-        except ValueError:
-            continue
-        cols.append([c & 1 for c in pushed.coords])
-        kept.append(th)
-    if not kept:
-        return None
-    Amat = F2Matrix([[cols[j][i] for j in range(len(kept))] for i in range(s)], cols=len(kept))
-    sol = f2_solve(Amat, [c & 1 for c in cls_j.coords])
-    if sol is None:
-        return None
-    combo = None
-    for c, th in zip(sol, kept):
-        if c:
-            combo = th if combo is None else combo + th
-    return combo
-
-
-def dual_sum_orbit_partition(sc: DualSumContext, cap: int = 1 << 6) -> list[set]:
-    """Brute-force orbit closure on the dual side."""
-    assert sc.H.order() <= cap
-    gens: list[IntMatrix] = []
-    for i, ctx in enumerate(sc.ctxs):
-        for U in ctx.aut_generators():
-            gens.append(sc.block_witness(i, U))
-    for i in range(len(sc.summands)):
-        for j in range(len(sc.summands)):
-            if i == j:
-                continue
-            for th in dual_hom_mod(sc.ctxs[i].N, sc.ctxs[j].N):
-                gens.append(sc.unipotent_witness(i, j, th))
-                gens.append(sc.unipotent_witness(i, j, th.scale(-1)))
-    for i in range(len(sc.summands)):
-        for j in range(i + 1, len(sc.summands)):
-            if sc.summands[i].label == sc.summands[j].label:
-                r = sc.base.rank
-                out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
-                oi, oj = sc.offsets[i], sc.offsets[j]
-                ri = sc.summands[i].lattice.rank
-                for a in range(ri):
-                    out[oi + a][oi + a] = 0
-                    out[oj + a][oj + a] = 0
-                    out[oi + a][oj + a] = 1
-                    out[oj + a][oi + a] = 1
-                gens.append(IntMatrix(out, cols=r))
-    s = len(sc.H.invariants)
-    actions = []
-    for U in gens:
-        cols = [
-            push_class(U, sc.H.from_coords(tuple(1 if t == a else 0 for t in range(s))), sc.H).coords
-            for a in range(s)
-        ]
-        actions.append(cols)
-    pts = [tuple(c.coords) for c in sc.H.all_classes()]
-    seen = set()
-    orbits = []
-    invs = sc.H.invariants
-    for p in pts:
-        if p in seen:
-            continue
-        orb = {p}
-        stack = [p]
-        while stack:
-            x = stack.pop()
-            for cols in actions:
-                y = [0] * s
-                for a in range(s):
-                    if x[a]:
-                        for t in range(s):
-                            y[t] += x[a] * cols[a][t]
-                y = tuple(yy % dd for yy, dd in zip(y, invs))
-                if y not in orb:
-                    orb.add(y)
-                    stack.append(y)
-        seen |= orb
-        orbits.append(orb)
-    return orbits
+    return _normal_form(sc, cls, n, False, CoCanonicalForm)

@@ -134,10 +134,11 @@ class F2Matrix:
 
     @staticmethod
     def from_json(obj: dict) -> "F2Matrix":
-        m = F2Matrix(obj["data"], cols=obj["cols"])
-        if m.rows != obj["rows"]:
-            raise ValueError("row count disagrees with data")
-        return m
+        """Read {"rows", "cols", "data"}; every entry must be 0 or 1."""
+        m = IntMatrix.from_json(obj)
+        if any(x not in (0, 1) for row in m.data for x in row):
+            raise ValueError("GF(2) matrix entries must be 0 or 1")
+        return F2Matrix(m.data, cols=m.cols)
 
 
 def rref(A: F2Matrix) -> tuple["F2Matrix", list[int]]:

@@ -25,12 +25,12 @@ from .tubes import TubeModule, transport_label, tube_module_from_label
 from .cohomology import (
     CohClass,
     StandardData,
+    StandardEntry,
     SumContext,
     canonical_form,
     is_infinity_tube,
 )
 from .colattices import (
-    CostandardData,
     DualSumContext,
     co_canonical_form,
 )
@@ -166,20 +166,17 @@ def bar_cocycle_from_class(cls: CohClass, acting: KLattice, modulus: int = 0) ->
 
 def extension_from_class(M: KLattice, cls: CohClass) -> ExtensionGroup:
     """The extension of the Kleinian group by M with the given class."""
-    gamma = bar_cocycle_from_class(cls, M)
-    ops = ModuleOps(M)
-    ext = ExtensionGroup(ops, gamma)
-    assert gamma.is_cocycle(ops)
-    return ext
+    return _extension(M, cls, 0)
 
 
 def extension_from_dual_class(cls: CohClass) -> ExtensionGroup:
     """Extension by a finite-level dual (Chernikov approximation)."""
-    H = cls.group
-    acting = H.module
-    q = H.colattice.modulus
-    gamma = bar_cocycle_from_class(cls, acting, modulus=q)
-    ops = ModuleOps(acting, modulus=q)
+    return _extension(cls.group.module, cls, cls.group.colattice.modulus)
+
+
+def _extension(acting: KLattice, cls: CohClass, modulus: int) -> ExtensionGroup:
+    gamma = bar_cocycle_from_class(cls, acting, modulus=modulus)
+    ops = ModuleOps(acting, modulus=modulus)
     ext = ExtensionGroup(ops, gamma)
     assert gamma.is_cocycle(ops)
     return ext
@@ -229,30 +226,34 @@ def _check_even_special(entries):
                 raise ValueError("odd special data in degree 2")
 
 
-def standard_class_vectors(summands: list[TubeModule], entries, n: int, sc: SumContext):
-    """The canonical cocycle vectors e0 (finite part) and einf (infinity part)."""
-    e0 = [0] * sc.module.rank
-    einf = [0] * sc.module.rank
-    idx = 0
-    wanted = _data_labels(entries)
+def _data_class_and_vectors(sc: SumContext, entries):
+    """The class with the data's stratum representatives on either side.
+
+    Returns it with the vectors of its closed-form cocycles: the finite part
+    (e0 or z0) and the part on the infinity tube (einf or zinf).
+    """
+    v0 = [0] * sc.module.rank
+    vinf = [0] * sc.module.rank
     positions = {}
     for tube, seq in entries:
         for e in seq:
             positions[(str(tube), e.j, e.m)] = e.k
-    for i, T in enumerate(summands):
+    comps = []
+    for i, T in enumerate(sc.summands):
         key = (str(T.label.tube), T.label.j, T.label.m)
         if key not in positions:
+            comps.append(sc.ctxs[i].H.zero())
             continue
         k = positions.pop(key)
-        ctx = sc.ctxs[i]
-        v = ctx.e_vector(k)
+        v = sc.representative_vector(i, k)
         assert v is not None
         off = sc.offsets[i]
-        target = einf if is_infinity_tube(T.label) else e0
+        target = vinf if is_infinity_tube(T.label) else v0
         for t, x in enumerate(v):
             target[off + t] += x
-    assert not positions, "standard data does not match the summands"
-    return tuple(e0), tuple(einf)
+        comps.append(sc.representative(i, k))
+    assert not positions, "the data does not match the summands"
+    return sc.merge(comps), tuple(v0), tuple(vinf)
 
 
 def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> GroupPresentation:
@@ -263,8 +264,7 @@ def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> 
         raise ValueError("empty base")
     summands = [tube_module_from_label(l) for l in labels]
     sc = SumContext(summands, 2)
-    e0, einf = standard_class_vectors(summands, data.entries, 2, sc)
-    cls = _xi_sum_class(sc, data.entries)
+    cls, e0, einf = _data_class_and_vectors(sc, data.entries)
     ext = extension_from_class(sc.module, cls)
     section = _solve_section(ext, e0, einf)
     assert section is not None, "constructed extension does not satisfy the relations"
@@ -284,22 +284,6 @@ def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> 
         base_description=desc,
         section={"abar": w_a, "bbar": w_b, "e0": e0, "einf": einf},
     )
-
-
-def _xi_sum_class(sc: SumContext, entries) -> CohClass:
-    positions = {}
-    for tube, seq in entries:
-        for e in seq:
-            positions[(str(tube), e.j, e.m)] = e.k
-    comps = []
-    for i, T in enumerate(sc.summands):
-        key = (str(T.label.tube), T.label.j, T.label.m)
-        ctx = sc.ctxs[i]
-        if key in positions:
-            comps.append(ctx.e_class(positions.pop(key)))
-        else:
-            comps.append(ctx.H.zero())
-    return sc.merge(comps)
 
 
 def _solve_section(ext: ExtensionGroup, e0, einf):
@@ -367,7 +351,7 @@ def is_crystallographic(M: KLattice) -> bool:
     return nonzero >= 2
 
 
-def ch_presentation(data: CostandardData, n0_labels: Sequence[TubeLabel] = (),
+def ch_presentation(data: StandardData, n0_labels: Sequence[TubeLabel] = (),
                     level: int = 3) -> GroupPresentation:
     """Presentation of the standard Chernikov group over costandard data."""
     _check_even_special(data.entries)
@@ -377,31 +361,10 @@ def ch_presentation(data: CostandardData, n0_labels: Sequence[TubeLabel] = (),
     summands = [tube_module_from_label(l) for l in labels]
     sc = DualSumContext(summands, 2, level)
     q = sc.N.modulus
-    z0 = [0] * sc.base.rank
-    zinf = [0] * sc.base.rank
-    positions = {}
-    for tube, seq in data.entries:
-        for e in seq:
-            positions[(str(tube), e.j, e.m)] = e.k
-    comps = []
-    for i, T in enumerate(sc.summands):
-        key = (str(T.label.tube), T.label.j, T.label.m)
-        ctx = sc.ctxs[i]
-        if key in positions:
-            k = positions.pop(key)
-            z = ctx.z_vector(k)
-            assert z is not None
-            off = sc.offsets[i]
-            target = zinf if is_infinity_tube(T.label) else z0
-            for t, x in enumerate(z):
-                target[off + t] = (target[off + t] + x) % q
-            comps.append(ctx.z_class(k))
-        else:
-            comps.append(ctx.H.zero())
-    assert not positions, "costandard data does not match the summands"
-    cls = sc.merge(comps)
+    # the z vectors are reduced mod q already, so z0 and zinf are too
+    cls, z0, zinf = _data_class_and_vectors(sc, data.entries)
     ext = extension_from_dual_class(cls)
-    section = _solve_section(ext, tuple(z0), tuple(zinf))
+    section = _solve_section(ext, z0, zinf)
     assert section is not None, "constructed extension does not satisfy the relations"
     w_a, w_b = section
 
@@ -421,7 +384,7 @@ def ch_presentation(data: CostandardData, n0_labels: Sequence[TubeLabel] = (),
         generators=gens,
         relations=rels,
         base_description=desc,
-        section={"abar": w_a, "bbar": w_b, "z0": tuple(z0), "zinf": tuple(zinf)},
+        section={"abar": w_a, "bbar": w_b, "z0": z0, "zinf": zinf},
     )
 
 
@@ -430,13 +393,6 @@ def ch_presentation(data: CostandardData, n0_labels: Sequence[TubeLabel] = (),
 # ---------------------------------------------------------------------------
 
 S3_NAMES = ("id", "t2", "t3", "t2t3", "t3t2", "t2t3t2")
-
-
-@dataclass(frozen=True)
-class StandardEntryLike:
-    j: Optional[int]
-    m: int
-    k: int
 
 
 def _transport_entries(entries, which: str):
@@ -450,7 +406,7 @@ def _transport_entries(entries, which: str):
                 new_tube = lab.tube
             else:
                 assert new_tube == lab.tube
-            moved.append(StandardEntryLike(lab.j, e.m, e.k))
+            moved.append(StandardEntry(lab.j, e.m, e.k))
         out.append((new_tube, tuple(moved)))
     out.sort(key=lambda p: str(p[0]))
     return tuple(out)
@@ -484,13 +440,7 @@ def classify(summands1: list[TubeModule], cls1: CohClass,
     """Isomorphism of crystallographic extensions with regular bases."""
     cf1 = canonical_form(summands1, cls1, 2, context=context1)
     cf2 = canonical_form(summands2, cls2, 2, context=context2)
-    key2 = _entries_key(cf2.data.entries)
-    m0_key2 = _labels_key(cf2.m0_labels)
-    for psi in S3_NAMES:
-        moved = _transport_entries(cf1.data.entries, psi)
-        if _entries_key(moved) == key2 and _labels_key(cf1.m0_labels, psi) == m0_key2:
-            return ClassifyResult(isomorphic=True, psi=psi)
-    return ClassifyResult(isomorphic=False, psi=None)
+    return _compare_forms(cf1.data, cf1.m0_labels, cf2.data, cf2.m0_labels)
 
 
 def co_classify(summands1: list[TubeModule], cls1: CohClass,
@@ -501,10 +451,15 @@ def co_classify(summands1: list[TubeModule], cls1: CohClass,
     """Isomorphism of Chernikov extensions with regular bases."""
     cf1 = co_canonical_form(summands1, cls1, 2, level, context=context1)
     cf2 = co_canonical_form(summands2, cls2, 2, level, context=context2)
-    key2 = _entries_key(cf2.data.entries)
-    m0_key2 = _labels_key(cf2.n0_labels)
+    return _compare_forms(cf1.data, cf1.n0_labels, cf2.data, cf2.n0_labels)
+
+
+def _compare_forms(data1, cleared1, data2, cleared2) -> ClassifyResult:
+    """The relabeling of the acting group carrying one normal form to the other."""
+    key2 = _entries_key(data2.entries)
+    cleared_key2 = _labels_key(cleared2)
     for psi in S3_NAMES:
-        moved = _transport_entries(cf1.data.entries, psi)
-        if _entries_key(moved) == key2 and _labels_key(cf1.n0_labels, psi) == m0_key2:
+        moved = _transport_entries(data1.entries, psi)
+        if _entries_key(moved) == key2 and _labels_key(cleared1, psi) == cleared_key2:
             return ClassifyResult(isomorphic=True, psi=psi)
     return ClassifyResult(isomorphic=False, psi=None)

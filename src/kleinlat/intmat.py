@@ -56,10 +56,6 @@ class IntMatrix:
         n = len(entries)
         return IntMatrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols=cols)
-
     # -- basic queries -------------------------------------------------
 
     def __getitem__(self, ij):
@@ -169,7 +165,15 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
-        m = IntMatrix(obj["data"], cols=obj["cols"])
+        """Read {"rows", "cols", "data"}; every entry must be a JSON integer."""
+        data = obj["data"]
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError("matrix data must be a list of rows")
+        for row in data:
+            for x in row:
+                if type(x) is not int:  # also rejects bools
+                    raise ValueError(f"matrix entry {x!r} is not an integer")
+        m = IntMatrix(data, cols=obj["cols"])
         if m.rows != obj["rows"]:
             raise ValueError("row count disagrees with data")
         return m

@@ -251,9 +251,6 @@ class SharpData:
     def component(self, key: str) -> ZLattice:
         return self.components[SIGN_KEYS.index(key)]
 
-    def projector(self, key: str) -> IntMatrix:
-        return self.projectors[SIGN_KEYS.index(key)]
-
 
 def _projectors(M: KLattice) -> list[IntMatrix]:
     ident = IntMatrix.identity(M.rank)

@@ -14,6 +14,7 @@ building blocks for transporting quiver-level data to honest lattices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -195,12 +196,6 @@ class ZLattice:
             )
         return ZLattice(self.ambient_rank, rows)
 
-    def apply_matrix(self, M: IntMatrix) -> "ZLattice":
-        """Image lattice {M v : v in L} (vectors as columns)."""
-        if M.cols != self.ambient_rank:
-            raise ValueError("matrix incompatible with ambient rank")
-        return ZLattice(M.rows, [M.apply(r) for r in self.basis])
-
     def quotient_invariants(self, sub: "ZLattice") -> tuple:
         """Elementary divisors of self/sub (sub must be contained in self)."""
         self._check(sub)
@@ -259,10 +254,6 @@ def hnf(rows: Iterable[Sequence[int]], ambient_rank: int | None = None) -> ZLatt
             raise ValueError("ambient rank required for an empty generating set")
         ambient_rank = len(rows[0])
     return ZLattice(ambient_rank, rows)
-
-
-def lattice_mod2(L: ZLattice) -> F2Matrix:
-    return F2Matrix(L.basis, cols=L.ambient_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -663,17 +654,8 @@ class FiniteQuotient:
         for d in self.invariants:
             if d == 0:
                 raise ValueError("quotient is infinite")
-            out = out * d // _gcd(out, d)
+            out = out * d // math.gcd(out, d)
         return out
-
-    def is_trivial(self) -> bool:
-        return not self.invariants
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def finite_quotient(K: ZLattice, I: ZLattice, q: int = 0) -> FiniteQuotient:

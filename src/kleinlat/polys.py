@@ -220,10 +220,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def irreducible_check(f: F2Poly) -> bool:
-    return f.is_irreducible()
-
-
 @lru_cache(maxsize=None)
 def irreducibles_of_degree(d: int) -> tuple[F2Poly, ...]:
     """All monic irreducible polynomials of the given degree over GF(2)."""

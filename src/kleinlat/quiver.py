@@ -714,8 +714,12 @@ def _jordan_one(m: int) -> F2Matrix:
 
 def special_tube_rep(lam: str, j: int, n: int) -> LambdaRep:
     """Normal form of the length-n member on branch j of the tube at lam."""
-    if lam not in ("0", "1", "inf") or j not in (1, 2) or n < 1:
+    if lam not in ("0", "1", "inf"):
         raise ValueError("invalid tube id")
+    if j not in (1, 2):
+        raise ValueError(f"special tubes have branches j = 1, 2, not j = {j}")
+    if n < 1:
+        raise ValueError(f"tube length must be >= 1, not m = {n}")
     if n % 2 == 0:
         m = n // 2
         ident = F2Matrix.identity(m)

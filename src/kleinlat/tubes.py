@@ -175,12 +175,12 @@ def tube_module(tube: TubeId, j: Optional[int], m: int, with_chain: bool = True)
     """Construct the length-m member of a tube (branch j if special)."""
     if tube.kind == "special":
         if j not in (1, 2):
-            raise ValueError("invalid tube id")
+            raise ValueError(f"special tubes have branches j = 1, 2, not j = {j}")
     else:
         if j is not None:
-            raise ValueError("invalid tube id")
+            raise ValueError("homogeneous tubes take no branch index")
     if m < 1:
-        raise ValueError("invalid tube id")
+        raise ValueError(f"tube length must be >= 1, not m = {m}")
     label = TubeLabel(tube, j, m)
     model = lattice_of_model(label_rep(label))
     if with_chain:
@@ -199,11 +199,6 @@ def tube_module(tube: TubeId, j: Optional[int], m: int, with_chain: bool = True)
 
 def tube_module_from_label(label: TubeLabel, with_chain: bool = True) -> TubeModule:
     return tube_module(label.tube, label.j, label.m, with_chain=with_chain)
-
-
-def chain_of(T: TubeModule):
-    """The stored chain with its layer labels."""
-    return list(zip(T.chain, list(T.layer_labels) + [None]))
 
 
 # ---------------------------------------------------------------------------

@@ -81,3 +81,40 @@ def test_deterministic_output(capsys, tmp_path):
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args)
     assert out1 == out2
+
+
+def test_json_entries_must_be_exact(tmp_path, capsys):
+    t = tmp_path / "t.json"
+    r = tmp_path / "r.json"
+    run(capsys, "build-tube", "--tube", "special:1", "--j", "1", "--m", "2", "-o", str(t))
+    run(capsys, "phi", "-m", str(t), "-o", str(r))
+    lattice = json.loads(t.read_text())
+    rep = json.loads(r.read_text())
+    for bad in (1.7, 1.0, "1", True):
+        lattice["a"]["data"][0][0] = bad
+        t.write_text(json.dumps(lattice))
+        code, out = run(capsys, "cohomology", "-m", str(t), "-n", "2")
+        assert code == 2 and out == ""
+    for bad in (2, -1, 0.0, False):
+        rep["f"]["pp"]["data"][0][0] = bad
+        r.write_text(json.dumps(rep))
+        code, out = run(capsys, "lattice-of", "-r", str(r))
+        assert code == 2 and out == ""
+
+
+def test_tube_argument_errors_name_the_problem(capsys):
+    code = main(["build-tube", "--tube", "special:1", "--j", "1", "--m", "0"])
+    assert code == 2
+    assert "m = 0" in capsys.readouterr().err
+    code = main(["build-tube", "--tube", "hom:t^2+t+1", "--m", "0"])
+    assert code == 2
+    assert "m = 0" in capsys.readouterr().err
+    code = main(["build-tube", "--tube", "special:1", "--j", "3", "--m", "1"])
+    assert code == 2
+    assert "j = 3" in capsys.readouterr().err
+
+
+def test_fast_verify_all_keeps_a_smaller_max_m(capsys):
+    code, out = run(capsys, "verify-all", "--fast", "--max-m", "1", "--degrees", "1")
+    assert code == 0
+    assert "PASS  dimension formulas: all tubes with m <= 1" in out.splitlines()

@@ -8,12 +8,12 @@ from kleinlat.quiver import TubeId, lattice_of, random_rep_in_R
 from kleinlat.tubes import transport_label, tube_module, tube_module_from_label
 from kleinlat.cohomology import (
     Cochain,
+    CohomologyGroup,
     SumContext,
     TubeCohContext,
     apply_group_automorphism,
     canonical_form,
     coboundary,
-    cohomology_group,
     cohomology_invariants_generic,
     push_class,
     sum_orbit_partition,
@@ -49,17 +49,17 @@ def test_dd_zero_random():
 
 def test_classical_values():
     Z = trivial_lattice(1)
-    assert tuple(sorted(cohomology_group(Z, 2).invariants)) == (2, 2)
+    assert tuple(sorted(CohomologyGroup(Z, 2).invariants)) == (2, 2)
     R = regular_representation()
     for n in (1, 2, 3):
-        assert cohomology_group(R, n).invariants == ()
+        assert CohomologyGroup(R, n).invariants == ()
     T = tube_module(TubeId.special("1"), 1, 1)
-    assert cohomology_group(T.lattice, 1).invariants == ()
-    assert cohomology_group(T.lattice, 2).invariants == (2,)
+    assert CohomologyGroup(T.lattice, 1).invariants == ()
+    assert CohomologyGroup(T.lattice, 2).invariants == (2,)
     for m in (1, 2):
         Tf = tube_module(TubeId.homogeneous(F), None, m)
         for n in (1, 2, 3, 4):
-            assert cohomology_group(Tf.lattice, n).invariants == tuple([2] * (2 * m))
+            assert CohomologyGroup(Tf.lattice, n).invariants == tuple([2] * (2 * m))
 
 
 def test_fast_path_matches_generic():
@@ -67,7 +67,7 @@ def test_fast_path_matches_generic():
     for _ in range(12):
         M = lattice_of(random_rep_in_R(rng, 3))
         n = rng.randint(1, 3)
-        assert tuple(sorted(cohomology_group(M, n).invariants)) == cohomology_invariants_generic(M, n)
+        assert tuple(sorted(CohomologyGroup(M, n).invariants)) == cohomology_invariants_generic(M, n)
 
 
 def test_xi_cocycles_and_iso():
@@ -83,8 +83,8 @@ def test_xi_cocycles_and_iso():
     # parity periodicity of the group orders for regular modules
     Tf = tube_module(TubeId.homogeneous(F), None, 1)
     for n in (1, 2):
-        a = cohomology_group(Tf.lattice, n).order()
-        b = cohomology_group(Tf.lattice, n + 2).order()
+        a = CohomologyGroup(Tf.lattice, n).order()
+        b = CohomologyGroup(Tf.lattice, n + 2).order()
         assert a == b
 
 

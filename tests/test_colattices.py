@@ -5,29 +5,28 @@ from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
 from kleinlat.tubes import tube_module
 from kleinlat.colattices import (
+    ColatticeLevel,
     DualSumContext,
     DualTubeContext,
+    StableDualCohomology,
     co_canonical_form,
-    colattice_cohomology,
     dual_chain,
-    dual_level,
-    dual_sum_orbit_partition,
     eta,
     subgroup_order,
     verify_eta_iso,
 )
-from kleinlat.cohomology import push_class
+from kleinlat.cohomology import push_class, sum_orbit_partition
 
 F = F2Poly.from_string("t^2+t+1")
 
 
 def test_dual_level_basics():
     M = sign_lattice("+", "+")
-    N = dual_level(M, 1)
+    N = ColatticeLevel(M, 1)
     assert N.order() == 2
     assert N.transposed_module().act_a.data == ((1,),)
     T = tube_module(TubeId.special("1"), 1, 2)
-    Nt = dual_level(T.lattice, 3)
+    Nt = ColatticeLevel(T.lattice, 3)
     assert Nt.order() == 8 ** T.lattice.rank
     mod = Nt.transposed_module()
     assert mod.act_a * mod.act_a == __import__("kleinlat.intmat", fromlist=["IntMatrix"]).IntMatrix.identity(T.lattice.rank)
@@ -35,14 +34,14 @@ def test_dual_level_basics():
 
 def test_stable_group_orders():
     Tf1 = tube_module(TubeId.homogeneous(F), None, 1)
-    assert colattice_cohomology(Tf1.lattice, 2).invariants == (2, 2)
+    assert StableDualCohomology(Tf1.lattice, 2).invariants == (2, 2)
     T11 = tube_module(TubeId.special("1"), 1, 1)
-    assert colattice_cohomology(T11.lattice, 1).invariants == (2,)
-    assert colattice_cohomology(T11.lattice, 2).invariants == ()
+    assert StableDualCohomology(T11.lattice, 1).invariants == (2,)
+    assert StableDualCohomology(T11.lattice, 2).invariants == ()
     # parity periodicity
     for n in (1, 2):
-        a = colattice_cohomology(Tf1.lattice, n).order()
-        b = colattice_cohomology(Tf1.lattice, n + 2).order()
+        a = StableDualCohomology(Tf1.lattice, n).order()
+        b = StableDualCohomology(Tf1.lattice, n + 2).order()
         assert a == b
 
 
@@ -61,7 +60,7 @@ def test_eta_iso_small_sweep():
 
 def test_eta_rejects_bad_vector():
     T = tube_module(TubeId.homogeneous(F), None, 1)
-    H = colattice_cohomology(T.lattice, 1)
+    H = StableDualCohomology(T.lattice, 1)
     N = H.colattice
     with pytest.raises(ValueError):
         eta(N, tuple([1] * N.rank), 1, False)
@@ -70,7 +69,7 @@ def test_eta_rejects_bad_vector():
 def test_dual_chain_orthogonality():
     T = tube_module(TubeId.homogeneous(F), None, 2)
     chain = dual_chain(T)
-    N = dual_level(T.lattice, 3)
+    N = ColatticeLevel(T.lattice, 3)
     orders = [subgroup_order(N, L) for L in chain]
     assert orders[0] == 1 and orders[-1] == N.order()
     for k in range(len(orders) - 1):
@@ -99,7 +98,7 @@ def test_dual_positions_and_z_classes():
 def test_co_canonical_fibers_match_orbits():
     T = tube_module(TubeId.homogeneous(F), None, 2)
     sc = DualSumContext([T], 2)
-    orbits = dual_sum_orbit_partition(sc)
+    orbits = sum_orbit_partition(sc)
     fibers = {}
     for cls in sc.H.all_classes():
         cf = co_canonical_form([T], cls, 2, context=sc)
@@ -113,7 +112,7 @@ def test_co_canonical_two_summands():
     T1 = tube_module(TubeId.special("1"), 1, 2)
     T2 = tube_module(TubeId.special("1"), 1, 1)
     sc = DualSumContext([T1, T2], 2)
-    orbits = dual_sum_orbit_partition(sc)
+    orbits = sum_orbit_partition(sc)
     fibers = {}
     for cls in sc.H.all_classes():
         cf = co_canonical_form([T1, T2], cls, 2, context=sc)
@@ -140,4 +139,4 @@ def test_not_stabilized_detection():
     # absurdly low level: the stabilization check must engage (level >= 2)
     T = tube_module(TubeId.homogeneous(F), None, 1)
     with pytest.raises(ValueError):
-        colattice_cohomology(T.lattice, 1, level=1)
+        StableDualCohomology(T.lattice, 1, level=1)

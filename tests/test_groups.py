@@ -8,10 +8,10 @@ from kleinlat.quiver import TubeId
 from kleinlat.resolutions import comparison_maps, poly_differential, twist_chain_maps
 from kleinlat.tubes import transport_label, tube_module, tube_module_from_label
 from kleinlat.cohomology import (
+    CohomologyGroup,
     SumContext,
     apply_group_automorphism,
     canonical_form,
-    cohomology_group,
     transport_class,
 )
 from kleinlat.colattices import DualSumContext, co_canonical_form
@@ -36,7 +36,7 @@ def test_comparison_maps_commute():
     maps = comparison_maps()
     # solved once and asserted inside; also check the round trip on classes
     Z = trivial_lattice(1)
-    H = cohomology_group(Z, 2)
+    H = CohomologyGroup(Z, 2)
     for gen in H.generators:
         cls = H.class_of(gen)
         gamma = bar_cocycle_from_class(cls, Z)
