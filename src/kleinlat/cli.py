@@ -25,30 +25,36 @@ class UsageError(Exception):
     pass
 
 
+def parse_tube_id(text: str) -> TubeId:
+    """Parse a tube without a member: "special:1", "hom:t^2+t+1"."""
+    kind, _, name = text.partition(":")
+    if kind in ("special", "spec") and name:
+        return TubeId.special(name)
+    if kind in ("hom", "homogeneous") and name:
+        return TubeId.homogeneous(F2Poly.from_string(name))
+    raise UsageError(f"cannot parse tube {text!r}")
+
+
 def parse_tube_label(text: str, j=None, m=None) -> TubeLabel:
     """Parse "special:1" / "hom:t^2+t+1" (with --j/--m) or "spec:1:j:m"."""
     parts = text.split(":")
-    if parts[0] in ("special", "spec"):
-        lam = parts[1]
-        rest = parts[2:]
+    tube = parse_tube_id(":".join(parts[:2]))
+    rest = parts[2:]
+    if tube.kind == "special":
         if rest:
             j = int(rest[0])
             if len(rest) > 1:
                 m = int(rest[1])
         if j is None or m is None:
             raise UsageError("special tubes need --j and --m")
-        return TubeLabel(TubeId.special(lam), int(j), int(m))
-    if parts[0] in ("hom", "homogeneous"):
-        poly = F2Poly.from_string(parts[1])
-        rest = parts[2:]
-        if rest:
-            m = int(rest[0])
-        if m is None:
-            raise UsageError("homogeneous tubes need --m")
-        if j is not None:
-            raise UsageError("homogeneous tubes take no branch index")
-        return TubeLabel(TubeId.homogeneous(poly), None, int(m))
-    raise UsageError(f"cannot parse tube {text!r}")
+        return TubeLabel(tube, int(j), int(m))
+    if rest:
+        m = int(rest[0])
+    if m is None:
+        raise UsageError("homogeneous tubes need --m")
+    if j is not None:
+        raise UsageError("homogeneous tubes take no branch index")
+    return TubeLabel(tube, None, int(m))
 
 
 def parse_summands(text: str) -> list[TubeLabel]:
@@ -166,8 +172,12 @@ def cmd_s3(args):
         out = s3_on_polynomial(f, args.which)
         emit({"which": args.which, "poly": str(f), "image": str(out)}, args)
         return 0
-    label = parse_tube_label(args.tube, args.j, args.m) if args.m or ":" in args.tube else None
-    tube = label.tube if label else TubeId.special(args.tube)
+    if args.m or args.tube.count(":") > 1:
+        tube = parse_tube_label(args.tube, args.j, args.m).tube
+    elif ":" in args.tube:
+        tube = parse_tube_id(args.tube)
+    else:
+        tube = TubeId.special(args.tube)
     out = s3_on_tube(tube, args.which)
     emit({"which": args.which, "tube": str(tube), "image": str(out)}, args)
     return 0
@@ -254,6 +264,8 @@ def cmd_classify(args):
 
 
 def cmd_verify_all(args):
+    if args.max_m < 1:
+        raise UsageError(f"--max-m must be at least 1 (got {args.max_m}): the tube sweeps would be empty")
     degrees = tuple(degrees_of(args.degrees))
     results = verification.run_all(args.max_m, degrees, args.seed, fast=args.fast)
     all_ok = True

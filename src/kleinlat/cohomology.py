@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .f2 import F2Matrix, is_invertible
 from .f2 import solve as f2_solve
-from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, solve_int, solve_matrix_exact
+from .intmat import IntMatrix, kernel_basis, solve_int
 from .klein import KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, hnf_mod, kernel_mod, pow2_quotient
 from .quiver import TubeLabel
@@ -391,7 +391,7 @@ class TubeCohContext:
         self._images: Optional[list] = None
         self._e_classes: Optional[list] = None
         self._e_vectors: Optional[list] = None
-        self._gens: Optional[list] = None
+        self._actions: Optional[_ActionMemo] = None
 
     # -- filtration ----------------------------------------------------
 
@@ -466,27 +466,30 @@ class TubeCohContext:
 
     # -- automorphisms ---------------------------------------------------
 
-    def aut_generators(self) -> list[IntMatrix]:
+    def aut_generators(self) -> tuple:
         """Generating family of automorphisms (closed under inverse).
 
-        Unit lifts of invertible quiver endomorphisms (blockwise unimodular
-        {0,1}-lifts) together with the elementary congruent-to-identity
-        units: transvections 1 + 2E_ij inside each sharp block and single
-        sign flips.  Completeness of the family is empirical; the orbit
-        oracle cross-checks it on small cohomology groups.
+        This is T.aut_family (see tubes._aut_generator_family): it depends
+        on the member only, so the member builds it once and the contexts
+        of every degree, on both sides, share it.  Their actions on this
+        context's cohomology are kept here, in actions().
         """
-        if self._gens is None:
-            self._gens = _aut_generator_family(self.T)
-        return self._gens
+        return self.T.aut_family
 
     def class_action(self, U: IntMatrix) -> F2Matrix:
         return _class_action(self.H, U)
 
+    def actions(self) -> "_ActionMemo":
+        """The class action of each generator, built on first use and kept here."""
+        if self._actions is None:
+            self._actions = _ActionMemo(self.aut_generators(), self.class_action)
+        return self._actions
+
     def orbit_partition(self) -> list[set]:
         """Orbits of the generated automorphism group on all of H^n."""
-        gens = [self.class_action(U) for U in self.aut_generators()]
+        acts = self.actions()
         s = len(self.H.invariants)
-        return _orbits([tuple(c) for c in _all_f2(s)], [g.apply for g in gens])
+        return _orbits([tuple(c) for c in _all_f2(s)], [acts[g].apply for g in range(len(acts))])
 
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word carrying src to dst, as one matrix, or None."""
@@ -500,130 +503,82 @@ def _class_action(H: ClassGroup, U: IntMatrix) -> F2Matrix:
     return F2Matrix([[cols[j][i] & 1 for j in range(s)] for i in range(s)], cols=s)
 
 
+class _ActionMemo:
+    """The class actions of a tube context's generators, in generator order.
+
+    Entry g is built by the context's class_action the first time it is
+    read and kept for the life of the context, so each generator's action
+    is computed at most once however many classes are moved.
+    """
+
+    def __init__(self, gens, build):
+        self.gens = gens
+        self._build = build
+        self._acts: list = [None] * len(gens)
+
+    def __len__(self) -> int:
+        return len(self.gens)
+
+    def __getitem__(self, g: int) -> F2Matrix:
+        act = self._acts[g]
+        if act is None:
+            act = self._acts[g] = self._build(self.gens[g])
+        return act
+
+
 def _move_word(ctx, src: CohClass, dst: CohClass, rank: int, modulus: int):
     """Breadth-first search for a word in ctx's generators carrying src to dst.
 
     Returns the word as one matrix (reduced mod modulus unless it is 0), or
     None when dst is not in the generated orbit of src.
+
+    The actions come from ctx.actions(), which keeps them on the context:
+    the search builds only the actions it reaches, and each at most once
+    per context.  Points are expanded in breadth-first order and, at each
+    point, the generators in their order, so the word is the first one
+    that order reaches, whichever actions were built before.  Each point
+    records its parent and generator, and matrices are multiplied only
+    along the path to dst.
     """
     if src == dst:
         return IntMatrix.identity(rank)
-    gens = ctx.aut_generators()
-    actions = [ctx.class_action(U) for U in gens]
+    acts = ctx.actions()
     start = tuple(c & 1 for c in src.coords)
     goal = tuple(c & 1 for c in dst.coords)
-    frontier = {start: IntMatrix.identity(rank)}
-    seen = {start}
+    parent = {start: None}
+    frontier = [start]
     while frontier:
-        new = {}
-        for x, W in frontier.items():
-            for U, act in zip(gens, actions):
-                y = act.apply(x)
-                if y in seen:
+        new = []
+        for x in frontier:
+            for g in range(len(acts)):
+                y = acts[g].apply(x)
+                if y in parent:
                     continue
-                Wy = U * W
-                if modulus:
-                    Wy = Wy.mod(modulus)
+                parent[y] = (x, g)
                 if y == goal:
-                    return Wy
-                seen.add(y)
-                new[y] = Wy
+                    return _word_to(goal, parent, acts.gens, rank, modulus)
+                new.append(y)
         frontier = new
     return None
+
+
+def _word_to(y, parent: dict, gens, rank: int, modulus: int) -> IntMatrix:
+    """The product of the generators on the parent path from the start to y."""
+    path = []
+    while parent[y] is not None:
+        y, g = parent[y]
+        path.append(g)
+    W = IntMatrix.identity(rank)
+    for g in reversed(path):
+        W = gens[g] * W
+        if modulus:
+            W = W.mod(modulus)
+    return W
 
 
 def _all_f2(s: int):
     for mask in range(1 << s):
         yield tuple((mask >> t) & 1 for t in range(s))
-
-
-def _ambient_to_module(T: TubeModule, amb: IntMatrix) -> IntMatrix:
-    """Rewrite an ambient block-diagonal map preserving M in M's coordinates."""
-    Bc = T.model.basis.transpose()
-    U = solve_matrix_exact(Bc, amb * Bc)
-    assert U * T.lattice.act_a == T.lattice.act_a * U
-    assert U * T.lattice.act_b == T.lattice.act_b * U
-    return U
-
-
-def _blockdiag_int(blocks: list[IntMatrix]) -> IntMatrix:
-    n = sum(b.rows for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[off + i][off + j] = b.data[i][j]
-        off += b.rows
-    return IntMatrix(out, cols=n)
-
-
-def _aut_generator_family(T: TubeModule, unit_cap: int = 512) -> list[IntMatrix]:
-    from .lattices import lift_invertible
-    from .quiver import SIGN_KEYS as _KEYS
-    from .quiver import hom_reps, phi
-
-    rep = phi(T.lattice)
-    mult = T.model.ambient_dims
-    n_amb = sum(mult)
-    out = []
-    seen = set()
-
-    def push_ambient(amb: IntMatrix):
-        U = _ambient_to_module(T, amb)
-        if abs(determinant(U)) != 1:
-            return
-        for W in (U, inverse_unimodular(U)):
-            if not W.is_identity() and W.data not in seen:
-                seen.add(W.data)
-                out.append(W)
-
-    # unit lifts of invertible quiver endomorphisms
-    end = hom_reps(rep, rep)
-    combos = []
-    if (1 << len(end)) <= unit_cap:
-        for mask in range(1, 1 << len(end)):
-            e = None
-            for t in range(len(end)):
-                if (mask >> t) & 1:
-                    e = end[t] if e is None else e.add(end[t])
-            combos.append(e)
-    else:
-        import random as _random
-
-        rng = _random.Random(0)
-        combos.extend(end)
-        for _ in range(unit_cap):
-            e = None
-            for c in end:
-                if rng.random() < 0.5:
-                    e = c if e is None else e.add(c)
-            if e is not None:
-                combos.append(e)
-    for e in combos:
-        if not e.is_invertible():
-            continue
-        blocks = [lift_invertible(e.phi[k]) for k in _KEYS]
-        push_ambient(_blockdiag_int(blocks))
-
-    # elementary units congruent to the identity mod 2
-    offs = []
-    off = 0
-    for s in mult:
-        offs.append(off)
-        off += s
-    for t, s in enumerate(mult):
-        for i in range(s):
-            flip = [[1 if a == b else 0 for b in range(n_amb)] for a in range(n_amb)]
-            flip[offs[t] + i][offs[t] + i] = -1
-            push_ambient(IntMatrix(flip, cols=n_amb))
-            for j in range(s):
-                if i == j:
-                    continue
-                tr = [[1 if a == b else 0 for b in range(n_amb)] for a in range(n_amb)]
-                tr[offs[t] + i][offs[t] + j] = 2
-                push_ambient(IntMatrix(tr, cols=n_amb))
-    return out
 
 
 # ---------------------------------------------------------------------------

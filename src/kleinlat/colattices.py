@@ -35,7 +35,7 @@ from .cohomology import (
     CohomologyGroup,
     StandardData,
     SumContext,
-    _aut_generator_family,
+    _ActionMemo,
     _class_action,
     _classes_form_basis,
     _kernel_mod_image,
@@ -335,6 +335,7 @@ class DualTubeContext:
         self._images: Optional[list] = None
         self._z_classes: Optional[list] = None
         self._gens: Optional[list] = None
+        self._actions: Optional[_ActionMemo] = None
 
     def _sub_cohomology_image(self, L_low: ZLattice) -> list[CohClass]:
         """Stable classes visible from the subgroup given at level `level`.
@@ -416,7 +417,13 @@ class DualTubeContext:
     # -- automorphisms -----------------------------------------------------
 
     def aut_generators(self) -> list[IntMatrix]:
-        """Units of the dual endomorphisms mod 2^k (transposed family)."""
+        """Units of the dual endomorphisms mod 2^k (transposed family).
+
+        Built once per context from T.aut_family, which the member keeps for
+        every degree and for the lattice side, and from the units
+        1 + 2 E^T over T.endomorphisms, which it keeps too.  Their actions on this context's
+        cohomology are kept here, in actions().
+        """
         if self._gens is None:
             q = self.N.modulus
             out = []
@@ -432,17 +439,21 @@ class DualTubeContext:
                         seen.add(Vm.data)
                         out.append(Vm)
 
-            for U in _aut_generator_family(self.T):
+            for U in self.T.aut_family:
                 push(U.transpose())
-            from .tubes import end_klattice
-
-            for E in end_klattice(self.T.lattice):
+            for E in self.T.endomorphisms:
                 push(IntMatrix.identity(self.N.rank) + E.transpose().scale(2))
             self._gens = out
         return self._gens
 
     def class_action(self, U: IntMatrix):
         return _class_action(self.H, U)
+
+    def actions(self) -> _ActionMemo:
+        """The class action of each generator, built on first use and kept here."""
+        if self._actions is None:
+            self._actions = _ActionMemo(self.aut_generators(), self.class_action)
+        return self._actions
 
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word mod 2^k carrying src to dst, or None."""

@@ -551,9 +551,14 @@ class Pow2Quotient:
     _U: IntMatrix
 
     def coords(self, vec) -> tuple:
-        q = 1 << self.k
-        y = self._U.apply(vec)
-        return tuple(y[p] % d for p, d in zip(self.positions, self.invariants))
+        """Coordinates of vec: the rows of _U at positions, each mod its order."""
+        if len(vec) != self.s:
+            raise ValueError("vector length mismatch")
+        rows = self._U.data
+        return tuple(
+            sum(a * v for a, v in zip(rows[p], vec)) % d
+            for p, d in zip(self.positions, self.invariants)
+        )
 
 
 def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:

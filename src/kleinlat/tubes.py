@@ -15,12 +15,13 @@ which keeps the linear algebra word-sized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .f2 import F2Matrix, rank as f2_rank
-from .intmat import IntMatrix, determinant, kernel_basis, smith_form, solve_matrix_exact
-from .klein import GROUP, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
-from .lattices import ZLattice, hnf, kernel_mod
+from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
+from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
+from .lattices import ZLattice, hnf, kernel_mod, lift_invertible
 from .polys import F2Poly, companion_matrix
 from .quiver import (
     NON_REGULAR,
@@ -74,6 +75,21 @@ class TubeModule:
     @property
     def m(self) -> int:
         return self.label.m
+
+    @cached_property
+    def aut_family(self) -> tuple:
+        """Generating family of automorphisms of the lattice, closed under inverse.
+
+        It depends on the member alone, so it is built once, on first use,
+        and kept on the member for the cohomology contexts of every degree
+        on both sides.  See _aut_generator_family.
+        """
+        return _aut_generator_family(self)
+
+    @cached_property
+    def endomorphisms(self) -> tuple:
+        """Integer basis of End_K of the lattice, built once on first use."""
+        return tuple(end_klattice(self.lattice))
 
 
 def _surjective_combo(homs, W: LambdaRep, cap: int = 4096):
@@ -274,6 +290,99 @@ def hom_klattices(M: KLattice, N: KLattice, dM: PhiData | None = None, dN: PhiDa
 def end_klattice(M: KLattice, dM: PhiData | None = None):
     dM = dM or phi_data(M)
     return hom_klattices(M, M, dM, dM)
+
+
+def _ambient_to_module(T: TubeModule, amb: IntMatrix) -> IntMatrix:
+    """Rewrite an ambient block-diagonal map preserving M in M's coordinates."""
+    Bc = T.model.basis.transpose()
+    U = solve_matrix_exact(Bc, amb * Bc)
+    assert U * T.lattice.act_a == T.lattice.act_a * U
+    assert U * T.lattice.act_b == T.lattice.act_b * U
+    return U
+
+
+def _blockdiag_int(blocks: list[IntMatrix]) -> IntMatrix:
+    n = sum(b.rows for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                out[off + i][off + j] = b.data[i][j]
+        off += b.rows
+    return IntMatrix(out, cols=n)
+
+
+def _aut_generator_family(T: TubeModule, unit_cap: int = 512) -> tuple:
+    """Generating family of automorphisms of T's lattice (closed under inverse).
+
+    Unit lifts of invertible quiver endomorphisms (blockwise unimodular
+    {0,1}-lifts) together with the elementary congruent-to-identity units:
+    transvections 1 + 2E_ij inside each sharp block and single sign flips.
+    Completeness of the family is empirical; the orbit oracle cross-checks
+    it on small cohomology groups.  Read it through TubeModule.aut_family.
+    """
+    rep = phi(T.lattice)
+    mult = T.model.ambient_dims
+    n_amb = sum(mult)
+    out = []
+    seen = set()
+
+    def push_ambient(amb: IntMatrix):
+        U = _ambient_to_module(T, amb)
+        if abs(determinant(U)) != 1:
+            return
+        for W in (U, inverse_unimodular(U)):
+            if not W.is_identity() and W.data not in seen:
+                seen.add(W.data)
+                out.append(W)
+
+    # unit lifts of invertible quiver endomorphisms
+    end = hom_reps(rep, rep)
+    combos = []
+    if (1 << len(end)) <= unit_cap:
+        for mask in range(1, 1 << len(end)):
+            e = None
+            for t in range(len(end)):
+                if (mask >> t) & 1:
+                    e = end[t] if e is None else e.add(end[t])
+            combos.append(e)
+    else:
+        import random as _random
+
+        rng = _random.Random(0)
+        combos.extend(end)
+        for _ in range(unit_cap):
+            e = None
+            for c in end:
+                if rng.random() < 0.5:
+                    e = c if e is None else e.add(c)
+            if e is not None:
+                combos.append(e)
+    for e in combos:
+        if not e.is_invertible():
+            continue
+        blocks = [lift_invertible(e.phi[k]) for k in SIGN_KEYS]
+        push_ambient(_blockdiag_int(blocks))
+
+    # elementary units congruent to the identity mod 2
+    offs = []
+    off = 0
+    for s in mult:
+        offs.append(off)
+        off += s
+    for t, s in enumerate(mult):
+        for i in range(s):
+            flip = [[1 if a == b else 0 for b in range(n_amb)] for a in range(n_amb)]
+            flip[offs[t] + i][offs[t] + i] = -1
+            push_ambient(IntMatrix(flip, cols=n_amb))
+            for j in range(s):
+                if i == j:
+                    continue
+                tr = [[1 if a == b else 0 for b in range(n_amb)] for a in range(n_amb)]
+                tr[offs[t] + i][offs[t] + j] = 2
+                push_ambient(IntMatrix(tr, cols=n_amb))
+    return tuple(out)
 
 
 def hom_cross_tube_check(Mt: TubeModule, Nt: TubeModule) -> bool:

@@ -221,7 +221,7 @@ def check_end_rings(max_hom_m: int = 2, max_special_m: int = 3):
                 T = _tube(TubeLabel(TubeId.special(lam), j, m))
                 if not end_ring_check(T):
                     return False, f"T[{lam},{j}]_{m}: order mismatch"
-    return True, "homogeneous m <= 2 (two lifts) and special m <= 3"
+    return True, f"homogeneous m <= {max_hom_m} (two lifts) and special m <= {max_special_m}"
 
 
 def check_cross_tube(pair_count: int = 20, seed: int = 0):
@@ -424,7 +424,13 @@ def check_groups(pair_count: int = 1000, seed: int = 0):
 
 
 def run_all(max_m: int = 3, degrees=(1, 2, 3, 4), seed: int = 0, fast: bool = False):
-    """Run every criterion; returns a list of (name, ok, detail)."""
+    """Run every criterion; returns a list of (name, ok, detail).
+
+    max_m must be at least 1: below it the tube sweeps are empty and their
+    criteria would pass without checking anything.
+    """
+    if max_m < 1:
+        raise ValueError(f"max_m = {max_m}: the tube sweeps need max_m >= 1")
     random_count = 50 if fast else 200
     aut_count = 100 if fast else 500
     pair_count = 200 if fast else 1000

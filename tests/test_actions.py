@@ -1,0 +1,180 @@
+"""The automorphism actions behind the stratum moves, on both sides.
+
+Each tube context builds the class action of a generator at most once, and
+each tube member builds its unit family and endomorphism basis once; the
+moves they make land on the stratum representatives.
+"""
+
+import itertools
+
+import pytest
+
+from kleinlat import cohomology, colattices, tubes
+from kleinlat.cohomology import SumContext, _ActionMemo, _move_word, canonical_form, push_class
+from kleinlat.colattices import DualSumContext, co_canonical_form
+from kleinlat.f2 import F2Matrix
+from kleinlat.intmat import IntMatrix
+from kleinlat.polys import F2Poly
+from kleinlat.quiver import TubeId
+from kleinlat.tubes import tube_module
+
+SIDES = [(SumContext, canonical_form), (DualSumContext, co_canonical_form)]
+SIDE_IDS = ["lattice", "dual"]
+
+
+def _members():
+    hom = TubeId.homogeneous(F2Poly.from_string("t^2+t+1"))
+    return [tube_module(hom, None, 2), tube_module(TubeId.special("1"), 1, 2)]
+
+
+@pytest.mark.parametrize("context", [SumContext, DualSumContext], ids=SIDE_IDS)
+def test_move_to_lands_on_the_stratum_representative(context):
+    sc = context(_members(), 2)
+    moved = 0
+    for i, ctx in enumerate(sc.ctxs):
+        for src in ctx.H.all_classes():
+            if src.is_zero():
+                continue
+            rep = sc.representative(i, ctx.filtration_position(src))
+            W = ctx.move_to(src, rep)
+            assert W is not None
+            assert push_class(W, src, ctx.H) == rep
+            moved += 1
+    assert moved == 16
+
+
+@pytest.mark.parametrize("context,form", SIDES, ids=SIDE_IDS)
+def test_class_actions_are_built_once_per_context(context, form, monkeypatch):
+    built = []
+    real = cohomology._class_action
+
+    def counting(H, U):
+        built.append(H)
+        return real(H, U)
+
+    monkeypatch.setattr(cohomology, "_class_action", counting)
+    monkeypatch.setattr(colattices, "_class_action", counting)
+    members = _members()
+    sc = context(members, 2)
+    classes = list(sc.H.all_classes())
+    first = [form(members, cls, 2, context=sc) for cls in classes]
+    after_first = len(built)
+    assert after_first > 0
+    second = [form(members, cls, 2, context=sc) for cls in classes]
+    assert len(built) == after_first
+    assert [cf.witness for cf in second] == [cf.witness for cf in first]
+    for ctx in sc.ctxs:
+        assert sum(H is ctx.H for H in built) <= len(ctx.aut_generators())
+
+
+def test_unit_family_is_built_once_per_member(monkeypatch):
+    families, ends = [], []
+    real_family, real_end = tubes._aut_generator_family, tubes.end_klattice
+
+    def family(T):
+        families.append(T)
+        return real_family(T)
+
+    def end(M):
+        ends.append(M)
+        return real_end(M)
+
+    monkeypatch.setattr(tubes, "_aut_generator_family", family)
+    monkeypatch.setattr(tubes, "end_klattice", end)
+    members = _members()
+    for n in (2, 3):
+        for sc in (SumContext(members, n), DualSumContext(members, n)):
+            for ctx in sc.ctxs:
+                assert ctx.aut_generators()
+    assert [id(T) for T in families] == [id(T) for T in members]
+    assert [id(M) for M in ends] == [id(T.lattice) for T in members]
+
+
+class _Point:
+    """Stands in for a class: the search reads only coords and equality."""
+
+    def __init__(self, coords):
+        self.coords = tuple(coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords
+
+
+class _MatrixContext:
+    """Generators acting on GF(2)^3 through their reductions mod 2."""
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.built = []
+        self._actions = None
+
+    def aut_generators(self):
+        return self.gens
+
+    def class_action(self, U):
+        self.built.append(U)
+        return F2Matrix([[a & 1 for a in row] for row in U.data], cols=U.cols)
+
+    def actions(self):
+        if self._actions is None:
+            self._actions = _ActionMemo(self.aut_generators(), self.class_action)
+        return self._actions
+
+
+def _expanded_word(ctx, src, dst, rank, modulus):
+    """The search that multiplies out the word of every point it finds."""
+    if src == dst:
+        return IntMatrix.identity(rank)
+    gens = ctx.aut_generators()
+    actions = [ctx.class_action(U) for U in gens]
+    goal = tuple(c & 1 for c in dst.coords)
+    start = tuple(c & 1 for c in src.coords)
+    frontier = {start: IntMatrix.identity(rank)}
+    seen = {start}
+    while frontier:
+        new = {}
+        for x, W in frontier.items():
+            for U, act in zip(gens, actions):
+                y = act.apply(x)
+                if y in seen:
+                    continue
+                Wy = U * W
+                if modulus:
+                    Wy = Wy.mod(modulus)
+                if y == goal:
+                    return Wy
+                seen.add(y)
+                new[y] = Wy
+        frontier = new
+    return None
+
+
+# a swap of the last two coordinates, a signed 3-cycle and a sign flip: the
+# words between basis vectors have length two, their letters do not commute,
+# and mod 8 the sign shows whether each step was reduced
+_GENS = [
+    IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]], cols=3),
+    IntMatrix([[0, 0, -1], [1, 0, 0], [0, 1, 0]], cols=3),
+    IntMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], cols=3),
+]
+
+
+@pytest.mark.parametrize("modulus", [0, 8])
+def test_parent_pointer_words_equal_the_expanded_search(modulus):
+    points = [_Point(p) for p in itertools.product((0, 1), repeat=3) if any(p)]
+    for src, dst in itertools.product(points, repeat=2):
+        W = _move_word(_MatrixContext(_GENS), src, dst, 3, modulus)
+        assert W == _expanded_word(_MatrixContext(_GENS), src, dst, 3, modulus)
+        if W is not None:
+            assert tuple(c & 1 for c in W.apply(src.coords)) == dst.coords
+    W = _move_word(_MatrixContext(_GENS), _Point((1, 0, 0)), _Point((0, 0, 1)), 3, modulus)
+    expected = _GENS[0] * _GENS[1]
+    assert W == (expected.mod(modulus) if modulus else expected)
+
+
+def test_the_search_builds_only_the_actions_it_reaches():
+    ctx = _MatrixContext(_GENS)
+    assert _move_word(ctx, _Point((1, 1, 0)), _Point((1, 0, 1)), 3, 0) == _GENS[0]
+    assert ctx.built == [_GENS[0]]
+    _move_word(ctx, _Point((1, 0, 0)), _Point((0, 0, 1)), 3, 0)
+    assert ctx.built == _GENS

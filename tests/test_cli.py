@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kleinlat.cli import main
 
 
@@ -118,3 +120,31 @@ def test_fast_verify_all_keeps_a_smaller_max_m(capsys):
     code, out = run(capsys, "verify-all", "--fast", "--max-m", "1", "--degrees", "1")
     assert code == 0
     assert "PASS  dimension formulas: all tubes with m <= 1" in out.splitlines()
+
+
+def test_verify_all_refuses_an_empty_sweep(capsys):
+    from kleinlat.verification import run_all
+
+    assert main(["verify-all", "--fast", "--max-m", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-m" in captured.err
+    with pytest.raises(ValueError):
+        run_all(max_m=0)
+
+
+def test_end_ring_detail_names_the_sizes_it_ran():
+    from kleinlat.verification import check_end_rings
+
+    ok, detail = check_end_rings(1, 1)
+    assert ok
+    assert detail == "homogeneous m <= 1 (two lifts) and special m <= 1"
+
+
+def test_s3_takes_a_bare_tube_id(capsys):
+    code, bare = run(capsys, "s3", "--which", "t2", "--tube", "1")
+    assert code == 0
+    code, out = run(capsys, "s3", "--which", "t2", "--tube", "special:1")
+    assert code == 0 and out == bare
+    code, out = run(capsys, "s3", "--which", "t3", "--tube", "hom:t^2+t+1")
+    assert code == 0
+    assert json.loads(out)["image"] == "t^2+t+1"

@@ -266,6 +266,23 @@ def test_pow2_quotient_against_finite_quotient():
         assert tuple(sorted(pq.invariants)) == tuple(sorted(fq.invariants))
 
 
+def test_pow2_quotient_coords_match_the_full_transform():
+    rng = random.Random(6)
+    for _ in range(40):
+        s = rng.randint(1, 6)
+        k = rng.randint(1, 4)
+        gens = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(rng.randint(0, 5))]
+        C = IntMatrix(gens, cols=s) if gens else IntMatrix.zero(0, s)
+        pq = pow2_quotient(C, s, k)
+        for _ in range(5):
+            v = [rng.randint(-50, 50) for _ in range(s)]
+            full = pq._U.apply(v)
+            assert pq.coords(v) == tuple(full[p] % d for p, d in zip(pq.positions, pq.invariants))
+        for bad in (s - 1, s + 1):
+            with pytest.raises(ValueError):
+                pq.coords([1] * bad)
+
+
 def test_inv_mod_2k():
     rng = random.Random(5)
     for _ in range(30):

@@ -68,7 +68,7 @@ CASES = [
      "db2741faa224ac0a3f589b9ac8882f4f15b2a847cd9dbc9ec1e87e567b38581e", None),
     (("canonical", "--summands", "special:1:1:2", "--coords", "1,1,1"), 2, EMPTY, None),
     (("verify-all", "--fast", "--max-m", "2", "--degrees", "1..2"), 0,
-     "17ea875796abe2977058cf164a59553ed451f652e7150bf6648965a1ef9e68fe", None),
+     "db702100704022b409b4ba19d45953ea5f5e42a3c17cdd8c62e736edd388936a", None),
 ]
 
 
