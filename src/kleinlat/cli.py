@@ -67,15 +67,12 @@ def load_klattice(path: str) -> KLattice:
 
 
 def emit(obj, args):
-    out = json.dumps(obj, indent=2) if args.format == "json" else obj
+    out = json.dumps(obj, indent=2) if args.format == "json" else str(obj)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            if args.format == "json":
-                fh.write(out + "\n")
-            else:
-                fh.write(str(out) + "\n")
+            fh.write(out + "\n")
     else:
-        print(out if args.format == "json" else out)
+        print(out)
 
 
 def degrees_of(text: str) -> list[int]:
@@ -282,10 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def tube_args(sp, need_m=True):
+    def tube_args(sp):
         sp.add_argument("--tube", required=True, help="special:LAM or hom:POLY")
         sp.add_argument("--j", type=int, default=None)
-        sp.add_argument("--m", type=int, default=None if not need_m else None)
+        sp.add_argument("--m", type=int, default=None)
 
     sp = sub.add_parser("build-tube", help="construct a tube member lattice")
     tube_args(sp)

@@ -952,12 +952,11 @@ def _orbits(points, moves) -> list[set]:
 # ---------------------------------------------------------------------------
 
 
-def transport_class(Msrc: KLattice, cls: CohClass, dst_group: CohomologyGroup,
-                    seed: int = 0) -> CohClass:
+def transport_class(Msrc: KLattice, cls: CohClass, dst_group: CohomologyGroup) -> CohClass:
     """Map a class through a lifted isomorphism Msrc -> module of dst_group."""
     from .quiver import lift_morphism, phi, reps_isomorphic
 
-    iso = reps_isomorphic(phi(Msrc), phi(dst_group.module), seed=seed)
+    iso = reps_isomorphic(phi(Msrc), phi(dst_group.module))
     assert iso is not None, "modules are not isomorphic"
     psi = lift_morphism(iso, Msrc, dst_group.module)
     return push_class(psi, cls, dst_group)

@@ -13,12 +13,12 @@ from .intmat import IntMatrix
 
 
 class F2Matrix:
-    """Immutable matrix over GF(2); entries are 0/1 ints."""
+    """Immutable matrix over GF(2); entries are 0/1 ints (given ints, reduced by & 1)."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Sequence[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) & 1 for x in row) for row in data)
+        rows = tuple(tuple(x & 1 for x in row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -18,12 +18,16 @@ from typing import Iterable, Sequence
 
 
 class IntMatrix:
-    """Immutable matrix over the integers."""
+    """Immutable matrix over the integers.
+
+    Entries are stored as given, so they must already be ints; input from
+    outside the program goes through from_json, which checks them.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Sequence[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

@@ -12,6 +12,15 @@ kernel and image, recurse.  identify_tube() names a regular indecomposable
 by its point on the projective line: special patterns are read off dimension
 vectors, homogeneous ones through the characteristic polynomial of the
 associated matrix pencil, with explicit isomorphism testing as the fallback.
+
+Every search over the GF(2) span of a hom basis reads it through
+_span_elements: decompose's splitting, reps_isomorphic,
+endomorphism_local_data and, in tubes, the surjection onto a quasi-simple
+top and the unit family.  Up to an exhaustive limit (12 basis elements; 9
+for the unit family) the search sees the whole span; above it, the basis
+and a fixed number of seeded random combinations (64 here, 256 for the
+surjection, 512 for the unit family), so answers there can depend on the
+seed.
 """
 
 from __future__ import annotations
@@ -204,39 +213,48 @@ def hom_reps(V: LambdaRep, W: LambdaRep) -> list[RepMorphism]:
     return out
 
 
-def _invertible_search(cands: list[RepMorphism], cap: int, seed: int):
-    """Scan combinations of a hom basis for an invertible element."""
-    n = len(cands)
-    if n == 0:
-        return None
-    if n <= 12:
+# decompose, reps_isomorphic and endomorphism_local_data see the whole span of
+# a hom basis up to this many elements (see _span_elements).
+_EXHAUSTIVE_BITS = 12
+
+
+def _span_elements(basis: list[RepMorphism], exhaustive_bits: int, tries: int = 0, seed: int = 0):
+    """The nonzero GF(2) combinations of a hom basis, in a fixed order.
+
+    With at most exhaustive_bits elements: every combination, in increasing
+    bit-mask order (bit t selects basis[t]).  Each is the previous one plus
+    the elements whose bits flipped from mask - 1 to mask, so a step costs
+    about two additions.  Above that: each basis element, then ``tries``
+    draws from random.Random(seed), one coin per element, empty draws
+    skipped.  Callers stop reading at their first hit.
+    """
+    n = len(basis)
+    if n <= exhaustive_bits:
+        cur = None
         for mask in range(1, 1 << n):
-            phi = None
-            for t in range(n):
-                if (mask >> t) & 1:
-                    phi = cands[t] if phi is None else phi.add(cands[t])
-            if phi.is_invertible():
-                return phi
-        return None
+            for t in range((mask ^ (mask - 1)).bit_length()):
+                cur = basis[t] if cur is None else cur.add(basis[t])
+            yield cur
+        return
+    yield from basis
     rng = random.Random(seed)
-    for c in cands:
-        if c.is_invertible():
-            return c
-    for _ in range(cap):
-        phi = None
-        for c in cands:
+    for _ in range(tries):
+        cur = None
+        for c in basis:
             if rng.random() < 0.5:
-                phi = c if phi is None else phi.add(c)
-        if phi is not None and phi.is_invertible():
-            return phi
-    return None
+                cur = c if cur is None else cur.add(c)
+        if cur is not None:
+            yield cur
 
 
 def reps_isomorphic(V: LambdaRep, W: LambdaRep, seed: int = 0) -> Optional[RepMorphism]:
     """An isomorphism V -> W, or None."""
     if V.dims != W.dims:
         return None
-    return _invertible_search(hom_reps(V, W), cap=64, seed=seed)
+    for phi_m in _span_elements(hom_reps(V, W), _EXHAUSTIVE_BITS, tries=64, seed=seed):
+        if phi_m.is_invertible():
+            return phi_m
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +276,14 @@ class PhiData:
     sharp: SharpData
     comp_coords: tuple  # four IntMatrix, d_ab x rank
     two_msharp: ZLattice
+
+
+def _embedding_matrix(d: PhiData) -> IntMatrix:
+    """The four component coordinate matrices stacked: M into its sharp blocks."""
+    E = IntMatrix.zero(0, d.comp_coords[0].cols)
+    for Q in d.comp_coords:
+        E = E.vstack(Q)
+    return E
 
 
 def _component_coord_matrix(M: KLattice, sh: SharpData, idx: int) -> IntMatrix:
@@ -354,17 +380,8 @@ def lift_morphism(phi_m: RepMorphism, M: KLattice, N: KLattice) -> IntMatrix:
     dN = phi_data(N)
     if not is_morphism(phi_m, dM.rep, dN.rep):
         raise ValueError("morphism incompatible with representations")
-    E_M = IntMatrix.zero(0, M.rank)
-    for Q in dM.comp_coords:
-        E_M = E_M.vstack(Q)
-    E_N = IntMatrix.zero(0, N.rank)
-    for Q in dN.comp_coords:
-        E_N = E_N.vstack(Q)
-    blocks = []
-    for key in SIGN_KEYS:
-        blocks.append(phi_m.phi[key].to_int())
-    L = _blockdiag(blocks)
-    psi = solve_matrix_exact(E_N, L * E_M)
+    L = _blockdiag([phi_m.phi[key].to_int() for key in SIGN_KEYS])
+    psi = solve_matrix_exact(_embedding_matrix(dN), L * _embedding_matrix(dM))
     assert psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi
     return psi
 
@@ -539,30 +556,10 @@ def _find_splitting(V: LambdaRep, end: list[RepMorphism], seed: int):
             return None
         return (Wim, Wker)
 
-    if n <= 12:
-        for mask in range(1, 1 << n):
-            e = None
-            for t in range(n):
-                if (mask >> t) & 1:
-                    e = end[t] if e is None else e.add(end[t])
-            got = try_element(e)
-            if got is not None:
-                return got
-        return None
-    rng = random.Random(seed)
-    for e in end:
+    for e in _span_elements(end, _EXHAUSTIVE_BITS, tries=64, seed=seed):
         got = try_element(e)
         if got is not None:
             return got
-    for _ in range(64):
-        e = None
-        for c in end:
-            if rng.random() < 0.5:
-                e = c if e is None else e.add(c)
-        if e is not None:
-            got = try_element(e)
-            if got is not None:
-                return got
     return None
 
 
@@ -576,18 +573,11 @@ def endomorphism_local_data(V: LambdaRep, seed: int = 0):
     n = len(end)
     if n == 0:
         return (True, 0)
-    if n > 12:
+    if n > _EXHAUSTIVE_BITS:
         return (_find_splitting(V, end, seed) is None, None)
-    nil = 0
+    nil = 1  # the zero endomorphism
     dim_total = 1 << n
-    for mask in range(dim_total):
-        e = None
-        for t in range(n):
-            if (mask >> t) & 1:
-                e = end[t] if e is None else e.add(end[t])
-        if e is None:
-            nil += 1
-            continue
+    for e in _span_elements(end, _EXHAUSTIVE_BITS):
         pi = _fitting_power(e)
         if all(m.is_zero() for m in _vertex_matrices(pi)):
             nil += 1

@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .f2 import F2Matrix, rank as f2_rank
+from .f2 import F2Matrix, nullspace as f2_nullspace, rank as f2_rank
 from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
 from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
+from .klein import sharp, two_msharp_in_m
 from .lattices import ZLattice, hnf, kernel_mod, lift_invertible
 from .polys import F2Poly, companion_matrix
 from .quiver import (
@@ -30,6 +31,9 @@ from .quiver import (
     PhiData,
     TubeId,
     TubeLabel,
+    _blockdiag,
+    _embedding_matrix,
+    _span_elements,
     decompose,
     hom_reps,
     identify_tube,
@@ -92,38 +96,12 @@ class TubeModule:
         return tuple(end_klattice(self.lattice))
 
 
-def _surjective_combo(homs, W: LambdaRep, cap: int = 4096):
+def _surjective_combo(homs, W: LambdaRep):
     """First combination of hom basis elements surjective at every vertex."""
-    n = len(homs)
-    if n == 0:
-        return None
-
-    def surjective(phi_m):
-        if f2_rank(phi_m.phi_dot) != W.dims.d_dot:
-            return False
-        return all(f2_rank(phi_m.phi[k]) == W.dims.component(k) for k in ("pp", "pm", "mp", "mm"))
-
-    if (1 << n) <= cap:
-        for mask in range(1, 1 << n):
-            cand = None
-            for t in range(n):
-                if (mask >> t) & 1:
-                    cand = homs[t] if cand is None else cand.add(homs[t])
-            if surjective(cand):
-                return cand
-        return None
-    for cand in homs:
-        if surjective(cand):
-            return cand
-    import random as _random
-
-    rng = _random.Random(0)
-    for _ in range(256):
-        cand = None
-        for c in homs:
-            if rng.random() < 0.5:
-                cand = c if cand is None else cand.add(c)
-        if cand is not None and surjective(cand):
+    for cand in _span_elements(homs, 12, tries=256, seed=0):
+        if f2_rank(cand.phi_dot) == W.dims.d_dot and all(
+            f2_rank(cand.phi[k]) == W.dims.component(k) for k in SIGN_KEYS
+        ):
             return cand
     return None
 
@@ -132,7 +110,7 @@ def _quasi_simple_label(tube: TubeId, branch: Optional[int]) -> TubeLabel:
     return TubeLabel(tube, branch, 1)
 
 
-def _chain_for(module: KLattice, label: TubeLabel, seed: int = 0):
+def _chain_for(module: KLattice, label: TubeLabel):
     """Submodule chain M_0 > M_1 > ... > M_m = 0 with layer labels."""
     n_amb = module.rank
     chain = [ZLattice.full(n_amb)]
@@ -174,7 +152,7 @@ def _chain_for(module: KLattice, label: TubeLabel, seed: int = 0):
         chain.append(hnf(sub_rows, n_amb))
         chain_modules.append(sub)
         chain_embeds.append(embed_total)
-        sub_label = identify_tube(phi(sub), seed=seed)
+        sub_label = identify_tube(phi(sub))
         assert sub_label != NON_REGULAR and sub_label.tube == cur_label.tube
         assert sub_label.m == cur_label.m - 1
         cur = sub
@@ -220,13 +198,6 @@ def tube_module_from_label(label: TubeLabel, with_chain: bool = True) -> TubeMod
 # ---------------------------------------------------------------------------
 # integer hom spaces
 # ---------------------------------------------------------------------------
-
-
-def _embedding_matrix(d: PhiData) -> IntMatrix:
-    E = IntMatrix.zero(0, d.comp_coords[0].cols)
-    for Q in d.comp_coords:
-        E = E.vstack(Q)
-    return E
 
 
 def _block_slots(dimsN, dimsM):
@@ -301,24 +272,14 @@ def _ambient_to_module(T: TubeModule, amb: IntMatrix) -> IntMatrix:
     return U
 
 
-def _blockdiag_int(blocks: list[IntMatrix]) -> IntMatrix:
-    n = sum(b.rows for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[off + i][off + j] = b.data[i][j]
-        off += b.rows
-    return IntMatrix(out, cols=n)
-
-
-def _aut_generator_family(T: TubeModule, unit_cap: int = 512) -> tuple:
+def _aut_generator_family(T: TubeModule) -> tuple:
     """Generating family of automorphisms of T's lattice (closed under inverse).
 
     Unit lifts of invertible quiver endomorphisms (blockwise unimodular
     {0,1}-lifts) together with the elementary congruent-to-identity units:
     transvections 1 + 2E_ij inside each sharp block and single sign flips.
+    The quiver endomorphisms tried are the whole span of End up to 9 basis
+    elements, else the basis and 512 draws with seed 0 (_span_elements).
     Completeness of the family is empirical; the orbit oracle cross-checks
     it on small cohomology groups.  Read it through TubeModule.aut_family.
     """
@@ -338,32 +299,10 @@ def _aut_generator_family(T: TubeModule, unit_cap: int = 512) -> tuple:
                 out.append(W)
 
     # unit lifts of invertible quiver endomorphisms
-    end = hom_reps(rep, rep)
-    combos = []
-    if (1 << len(end)) <= unit_cap:
-        for mask in range(1, 1 << len(end)):
-            e = None
-            for t in range(len(end)):
-                if (mask >> t) & 1:
-                    e = end[t] if e is None else e.add(end[t])
-            combos.append(e)
-    else:
-        import random as _random
-
-        rng = _random.Random(0)
-        combos.extend(end)
-        for _ in range(unit_cap):
-            e = None
-            for c in end:
-                if rng.random() < 0.5:
-                    e = c if e is None else e.add(c)
-            if e is not None:
-                combos.append(e)
-    for e in combos:
+    for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
         if not e.is_invertible():
             continue
-        blocks = [lift_invertible(e.phi[k]) for k in SIGN_KEYS]
-        push_ambient(_blockdiag_int(blocks))
+        push_ambient(_blockdiag([lift_invertible(e.phi[k]) for k in SIGN_KEYS]))
 
     # elementary units congruent to the identity mod 2
     offs = []
@@ -394,8 +333,6 @@ def hom_cross_tube_check(Mt: TubeModule, Nt: TubeModule) -> bool:
     """
     if Mt.label.tube == Nt.label.tube:
         raise ValueError("same tube")
-    from .klein import sharp, two_msharp_in_m
-
     N = Nt.lattice
     L = two_msharp_in_m(N, sharp(N))
     assert L is not None
@@ -422,11 +359,11 @@ def hom_cross_tube_strict_2n(Mt: TubeModule, Nt: TubeModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def is_regular(M: KLattice, seed: int = 0) -> bool:
+def is_regular(M: KLattice) -> bool:
     if not is_A_lattice(M):
         return False
-    for W, _mult in decompose(phi(M), seed=seed):
-        if identify_tube(W, seed=seed) == NON_REGULAR:
+    for W, _mult in decompose(phi(M)):
+        if identify_tube(W) == NON_REGULAR:
             return False
     return True
 
@@ -476,8 +413,6 @@ def _free_module(copies: int) -> KLattice:
 def _member_conditions_mod2(model: LatticeModel) -> F2Matrix:
     """Rows h with: x in M  iff  h . x = 0 mod 2 (for x in the ambient)."""
     B2 = F2Matrix(model.basis.data, cols=model.basis.cols)
-    from .f2 import nullspace as f2_nullspace
-
     # rows of B2 span M mod 2; the conditions are the kernel of B2 (as rows)
     rel = f2_nullspace(B2)
     return F2Matrix([list(v) for v in rel], cols=model.basis.cols)
@@ -498,8 +433,6 @@ def end_order_lattice(model: LatticeModel) -> ZLattice:
                 if hrow[a] & v[b] & 1:
                     eq[idx] ^= 1
             rows.append(eq)
-    from .f2 import nullspace as f2_nullspace
-
     if rows:
         sols = f2_nullspace(F2Matrix(rows, cols=u))
     else:
@@ -682,13 +615,13 @@ def _word(which: str) -> list[str]:
 _TRANSPORT_CACHE: dict = {}
 
 
-def transport_label(label: TubeLabel, which: str, seed: int = 0) -> TubeLabel:
+def transport_label(label: TubeLabel, which: str) -> TubeLabel:
     """Label of the twisted module, computed from an actual twist."""
     key = (label.tube, label.j, label.m, which)
     got = _TRANSPORT_CACHE.get(key)
     if got is None:
         M = lattice_of_model(label_rep(label)).module
-        got = identify_tube(phi(twist_module(M, which)), seed=seed)
+        got = identify_tube(phi(twist_module(M, which)))
         assert got != NON_REGULAR
         _TRANSPORT_CACHE[key] = got
     return got

@@ -1,7 +1,8 @@
 """The acceptance battery: one callable per criterion.
 
 Each check returns (ok, detail).  The CLI command verify-all and the
-acceptance test module both run these; tolerances are exact throughout.
+acceptance test module both run these at the sizes criteria() lists;
+tolerances are exact throughout.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _tube(label: TubeLabel):
     return _TUBE_CACHE[key]
 
 
-def check_round_trip(max_m: int = 3, random_count: int = 200, seed: int = 0):
+def check_round_trip(max_m: int, random_count: int, seed: int):
     """Criterion 1: the functor and its quasi-inverse are mutually inverse."""
     rng = random.Random(seed)
     for label in _sweep(max_m):
@@ -97,7 +98,7 @@ def check_round_trip(max_m: int = 3, random_count: int = 200, seed: int = 0):
     return True, f"tube sweep (m <= {max_m}) and {random_count} random objects"
 
 
-def check_dimensions(max_m: int = 3):
+def check_dimensions(max_m: int):
     """Criterion 2: dimension vectors match the closed forms exactly."""
     for label in _sweep(max_m):
         T = _tube(label)
@@ -126,7 +127,7 @@ def check_dimensions(max_m: int = 3):
     return True, f"all tubes with m <= {max_m}"
 
 
-def check_cohomology(max_m: int = 3, degrees=(1, 2, 3, 4)):
+def check_cohomology(max_m: int, degrees):
     """Criterion 3: H^n elementary abelian of the predicted rank, xi a basis."""
     for label in _sweep(max_m):
         T = _tube(label)
@@ -141,7 +142,7 @@ def check_cohomology(max_m: int = 3, degrees=(1, 2, 3, 4)):
     return True, f"sweep x degrees {list(degrees)}"
 
 
-def check_dual_cohomology(max_m: int = 3, degrees=(1, 2, 3, 4)):
+def check_dual_cohomology(max_m: int, degrees):
     """Criterion 4: stabilized dual cohomology with eta bases."""
     for label in _sweep(max_m):
         T = _tube(label)
@@ -151,7 +152,7 @@ def check_dual_cohomology(max_m: int = 3, degrees=(1, 2, 3, 4)):
     return True, f"sweep x degrees {list(degrees)}, levels 3 vs 4"
 
 
-def check_torsion_bounds(seed: int = 0):
+def check_torsion_bounds(seed: int):
     """Criterion 5: exponent bounds and the classical H^2(K, Z)."""
     Z = trivial_lattice(1)
     if tuple(sorted(cohomology_invariants_generic(Z, 2))) != (2, 2):
@@ -177,7 +178,7 @@ def check_torsion_bounds(seed: int = 0):
     return True, "exponent | 4 everywhere, | 2 on regulars, H^2(K,Z) = (Z/2)^2"
 
 
-def check_syzygy(max_m: int = 3):
+def check_syzygy(max_m: int):
     """Criterion 6: syzygy dimension law, label behavior, involutivity."""
     for label in _sweep(max_m):
         T = _tube(label)
@@ -205,7 +206,7 @@ def check_syzygy(max_m: int = 3):
     return True, f"sweep m <= {max_m}"
 
 
-def check_end_rings(max_hom_m: int = 2, max_special_m: int = 3):
+def check_end_rings(max_hom_m: int, max_special_m: int):
     """Criterion 7: endomorphism orders, independent of the integer lift."""
     f = F2Poly.from_string("t^2+t+1")
     for m in range(1, max_hom_m + 1):
@@ -224,7 +225,7 @@ def check_end_rings(max_hom_m: int = 2, max_special_m: int = 3):
     return True, f"homogeneous m <= {max_hom_m} (two lifts) and special m <= {max_special_m}"
 
 
-def check_cross_tube(pair_count: int = 20, seed: int = 0):
+def check_cross_tube(pair_count: int, seed: int):
     """Criterion 8: cross-tube homomorphisms land in twice the overlattice."""
     rng = random.Random(seed)
     labels = [l for l in _sweep(2) if l.m <= 2]
@@ -279,7 +280,7 @@ def _random_sum_automorphism(sc: SumContext, rng: random.Random) -> IntMatrix:
     return out
 
 
-def check_orbits(aut_count: int = 500, seed: int = 0):
+def check_orbits(aut_count: int, seed: int):
     """Criterion 9: canonical forms are orbit invariants, fibers are orbits."""
     rng = random.Random(seed)
     for labels in _orbit_cases():
@@ -317,7 +318,7 @@ def check_orbits(aut_count: int = 500, seed: int = 0):
     return True, f"fibers = orbits on small cases; invariance over {aut_count} automorphisms x2 cases"
 
 
-def check_s3(max_m: int = 3):
+def check_s3(max_m: int):
     """Criterion 10: the symmetric-group action on labels."""
     f2 = F2Poly.from_string("t^2+t+1")
     f3 = F2Poly.from_string("t^3+t+1")
@@ -350,7 +351,7 @@ def check_s3(max_m: int = 3):
     return True, f"involutions, order-3 composite, twist transport on the sweep (m <= {max_m})"
 
 
-def check_groups(pair_count: int = 1000, seed: int = 0):
+def check_groups(pair_count: int, seed: int):
     """Criterion 11: extensions, presentations, classification."""
     rng = random.Random(seed)
     f = F2Poly.from_string("t^2+t+1")
@@ -423,28 +424,37 @@ def check_groups(pair_count: int = 1000, seed: int = 0):
     return True, f"{pair_count} associative extensions; presentations verified; classification checks"
 
 
+def criteria(max_m: int = 3, degrees=(1, 2, 3, 4), seed: int = 0, fast: bool = False):
+    """The battery's one table of sizes: (name, check_* function name, kwargs).
+
+    With the defaults these are the full sizes; fast caps the tube sweeps at
+    m <= 2 and shrinks the sample counts.  Checks are named rather than held,
+    so run_all calls whatever the module binds under that name when it runs.
+    """
+    mm = min(max_m, 2) if fast else max_m
+    return [
+        ("round-trip equivalence", "check_round_trip",
+         {"max_m": mm, "random_count": 50 if fast else 200, "seed": seed}),
+        ("dimension formulas", "check_dimensions", {"max_m": mm}),
+        ("cohomology and xi bases", "check_cohomology", {"max_m": mm, "degrees": degrees}),
+        ("dual cohomology and eta bases", "check_dual_cohomology", {"max_m": mm, "degrees": degrees}),
+        ("torsion bounds", "check_torsion_bounds", {"seed": seed}),
+        ("syzygy laws", "check_syzygy", {"max_m": mm}),
+        ("endomorphism rings", "check_end_rings", {"max_hom_m": 2, "max_special_m": mm}),
+        ("cross-tube homomorphisms", "check_cross_tube", {"pair_count": 20, "seed": seed}),
+        ("orbits and canonical forms", "check_orbits", {"aut_count": 100 if fast else 500, "seed": seed}),
+        ("symmetric-group action", "check_s3", {"max_m": mm}),
+        ("group constructions", "check_groups", {"pair_count": 200 if fast else 1000, "seed": seed}),
+    ]
+
+
 def run_all(max_m: int = 3, degrees=(1, 2, 3, 4), seed: int = 0, fast: bool = False):
-    """Run every criterion; returns a list of (name, ok, detail).
+    """Run every criterion of criteria(); returns a list of (name, ok, detail).
 
     max_m must be at least 1: below it the tube sweeps are empty and their
     criteria would pass without checking anything.
     """
     if max_m < 1:
         raise ValueError(f"max_m = {max_m}: the tube sweeps need max_m >= 1")
-    random_count = 50 if fast else 200
-    aut_count = 100 if fast else 500
-    pair_count = 200 if fast else 1000
-    mm = min(max_m, 2) if fast else max_m
-    results = []
-    results.append(("round-trip equivalence",) + check_round_trip(mm, random_count, seed))
-    results.append(("dimension formulas",) + check_dimensions(mm))
-    results.append(("cohomology and xi bases",) + check_cohomology(mm, degrees))
-    results.append(("dual cohomology and eta bases",) + check_dual_cohomology(mm, degrees))
-    results.append(("torsion bounds",) + check_torsion_bounds(seed))
-    results.append(("syzygy laws",) + check_syzygy(mm))
-    results.append(("endomorphism rings",) + check_end_rings(2, mm))
-    results.append(("cross-tube homomorphisms",) + check_cross_tube(20, seed))
-    results.append(("orbits and canonical forms",) + check_orbits(aut_count, seed))
-    results.append(("symmetric-group action",) + check_s3(mm))
-    results.append(("group constructions",) + check_groups(pair_count, seed))
-    return results
+    return [(name,) + globals()[check](**kwargs)
+            for name, check, kwargs in criteria(max_m, degrees, seed, fast)]

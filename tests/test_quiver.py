@@ -7,6 +7,7 @@ from kleinlat.klein import DimVector, dim_vector
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import (
     NON_REGULAR,
+    _span_elements,
     LambdaRep,
     RepMorphism,
     TubeId,
@@ -218,3 +219,54 @@ def test_tube_id_validation():
         TubeId.homogeneous(F2Poly.from_string("t^2+1"))  # reducible
     with pytest.raises(ValueError):
         TubeId.special("2")
+
+
+def _end_basis():
+    """A real hom basis with 16 elements: End of four copies of a quasi-simple."""
+    S = special_tube_rep("1", 1, 1)
+    V = S.direct_sum(S).direct_sum(S).direct_sum(S)
+    basis = hom_reps(V, V)
+    assert len(basis) == 16
+    return basis
+
+
+def _fallback_reference(basis, tries, seed):
+    """The random fallback as each search once wrote it out inline."""
+    out = list(basis)
+    rng = random.Random(seed)
+    for _ in range(tries):
+        e = None
+        for c in basis:
+            if rng.random() < 0.5:
+                e = c if e is None else e.add(c)
+        if e is not None:
+            out.append(e)
+    return out
+
+
+def test_span_elements_exhaustive_in_mask_order():
+    full = _end_basis()
+    for n in range(9):
+        basis = full[:n]
+        want = []
+        for mask in range(1, 1 << n):
+            e = None
+            for t in range(n):
+                if (mask >> t) & 1:
+                    e = basis[t] if e is None else e.add(basis[t])
+            want.append(e)
+        # n == exhaustive_bits is still exhaustive; seed and tries are unread
+        assert list(_span_elements(basis, n, tries=64, seed=3)) == want
+        assert list(_span_elements(basis, 12)) == want
+
+
+def test_span_elements_fallback_matches_the_inline_loop():
+    full = _end_basis()
+    for n in (13, 14):
+        basis = full[:n]
+        for seed in range(5):
+            for bits, tries in ((12, 64), (12, 256), (9, 512)):
+                got = list(_span_elements(basis, bits, tries=tries, seed=seed))
+                assert got == _fallback_reference(basis, tries, seed)
+    # one past the limit leaves the exhaustive order for the seeded draws
+    assert list(_span_elements(full[:10], 9, tries=5, seed=0)) == _fallback_reference(full[:10], 5, 0)
