@@ -188,10 +188,6 @@ def _sum_and_class(args, dual=False):
     else:
         sc = SumContext(summands, args.degree)
     coords = [int(x) for x in args.coords.split(",")] if args.coords else []
-    if len(coords) != len(sc.H.invariants):
-        raise UsageError(
-            f"class needs {len(sc.H.invariants)} coordinates (invariants {list(sc.H.invariants)})"
-        )
     return summands, sc, sc.H.from_coords(coords)
 
 

@@ -160,6 +160,11 @@ class ClassGroup:
         return CohClass(self, tuple(0 for _ in self.invariants))
 
     def from_coords(self, coords: Sequence[int]) -> "CohClass":
+        if len(coords) != len(self.invariants):
+            raise ValueError(
+                f"class needs {len(self.invariants)} coordinates (invariants "
+                f"{list(self.invariants)}), got {len(coords)}"
+            )
         return CohClass(
             self, tuple(c % d for c, d in zip(coords, self.invariants))
         )

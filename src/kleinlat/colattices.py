@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .intmat import IntMatrix, solve_int
 from .klein import KLattice, SignPair
-from .lattices import ZLattice, hnf_mod, intersection_mod, inv_mod_2k, kernel_mod, pow2_quotient
+from .lattices import ZLattice, hnf_mod, intersection_mod, kernel_mod, pow2_quotient
 from .cohomology import (
     ClassGroup,
     CohClass,
@@ -417,32 +417,21 @@ class DualTubeContext:
     # -- automorphisms -----------------------------------------------------
 
     def aut_generators(self) -> list[IntMatrix]:
-        """Units of the dual endomorphisms mod 2^k (transposed family).
+        """The transposes mod 2^k of T.aut_family, without repeats, in its order.
 
-        Built once per context from T.aut_family, which the member keeps for
-        every degree and for the lattice side, and from the units
-        1 + 2 E^T over T.endomorphisms, which it keeps too.  Their actions on this context's
-        cohomology are kept here, in actions().
+        The family is closed under inverse, so this list is too.  Built once
+        per context; their actions on this context's cohomology are kept
+        here, in actions().
         """
         if self._gens is None:
             q = self.N.modulus
             out = []
             seen = set()
-
-            def push(U):
-                Um = U.mod(q)
+            for U in self.T.aut_family:
+                Um = U.transpose().mod(q)
                 if Um.data not in seen:
                     seen.add(Um.data)
                     out.append(Um)
-                    Vm = inv_mod_2k(Um, self.N.level)
-                    if Vm.data not in seen:
-                        seen.add(Vm.data)
-                        out.append(Vm)
-
-            for U in self.T.aut_family:
-                push(U.transpose())
-            for E in self.T.endomorphisms:
-                push(IntMatrix.identity(self.N.rank) + E.transpose().scale(2))
             self._gens = out
         return self._gens
 

@@ -151,15 +151,6 @@ class F2Poly:
             a, b = b, a % b
         return a
 
-    def evaluate(self, x: int) -> int:
-        """Value at x in GF(2)."""
-        x &= 1
-        out = 0
-        for i, c in enumerate(self.coeffs):
-            if c and (x or i == 0):
-                out ^= 1
-        return out
-
     def compose_frac(self, num: "F2Poly", den: "F2Poly") -> "F2Poly":
         """den^deg * f(num/den), the homogenized substitution."""
         d = self.degree()

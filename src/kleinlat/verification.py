@@ -262,7 +262,8 @@ def _orbit_cases():
     ]
 
 
-def _random_sum_automorphism(sc: SumContext, rng: random.Random) -> IntMatrix:
+def _sum_automorphism_generators(sc: SumContext) -> list[IntMatrix]:
+    """The summands' families in their blocks, then identity + theta between summands."""
     from .tubes import hom_klattices
 
     gens = []
@@ -274,7 +275,11 @@ def _random_sum_automorphism(sc: SumContext, rng: random.Random) -> IntMatrix:
             if i != j:
                 for th in hom_klattices(sc.summands[i].lattice, sc.summands[j].lattice):
                     gens.append(sc.unipotent_witness(i, j, th))
-    out = IntMatrix.identity(sc.module.rank)
+    return gens
+
+
+def _random_sum_automorphism(gens: list[IntMatrix], rank: int, rng: random.Random) -> IntMatrix:
+    out = IntMatrix.identity(rank)
     for _ in range(rng.randint(1, 6)):
         out = rng.choice(gens) * out
     return out
@@ -307,9 +312,10 @@ def check_orbits(aut_count: int, seed: int):
         summands = [_tube(l) for l in labels]
         sc = SumContext(summands, 2)
         classes = list(sc.H.all_classes())
+        gens = _sum_automorphism_generators(sc)
         for trial in range(aut_count):
             cls = classes[rng.randrange(len(classes))]
-            U = _random_sum_automorphism(sc, rng)
+            U = _random_sum_automorphism(gens, sc.module.rank, rng)
             moved = push_class(U, cls, sc.H)
             a = canonical_form(summands, cls, 2, context=sc)
             b = canonical_form(summands, moved, 2, context=sc)

@@ -1,8 +1,9 @@
 """The automorphism actions behind the stratum moves, on both sides.
 
 Each tube context builds the class action of a generator at most once, and
-each tube member builds its unit family and endomorphism basis once; the
-moves they make land on the stratum representatives.
+each tube member builds its unit family once; the moves they make land on
+the stratum representatives.  The units congruent to the identity mod 2,
+which the family leaves out, act as the identity on H^n.
 """
 
 import itertools
@@ -13,7 +14,7 @@ from kleinlat import cohomology, colattices, tubes
 from kleinlat.cohomology import SumContext, _ActionMemo, _move_word, canonical_form, push_class
 from kleinlat.colattices import DualSumContext, co_canonical_form
 from kleinlat.f2 import F2Matrix
-from kleinlat.intmat import IntMatrix
+from kleinlat.intmat import IntMatrix, inverse_unimodular
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
 from kleinlat.tubes import tube_module
@@ -68,26 +69,58 @@ def test_class_actions_are_built_once_per_context(context, form, monkeypatch):
 
 
 def test_unit_family_is_built_once_per_member(monkeypatch):
-    families, ends = [], []
-    real_family, real_end = tubes._aut_generator_family, tubes.end_klattice
+    families = []
+    real_family = tubes._aut_generator_family
 
     def family(T):
         families.append(T)
         return real_family(T)
 
-    def end(M):
-        ends.append(M)
-        return real_end(M)
-
     monkeypatch.setattr(tubes, "_aut_generator_family", family)
-    monkeypatch.setattr(tubes, "end_klattice", end)
     members = _members()
     for n in (2, 3):
         for sc in (SumContext(members, n), DualSumContext(members, n)):
             for ctx in sc.ctxs:
                 assert ctx.aut_generators()
     assert [id(T) for T in families] == [id(T) for T in members]
-    assert [id(M) for M in ends] == [id(T.lattice) for T in members]
+
+
+def _congruence_units(T):
+    """Single sign flips and 1 + 2E_ij inside each sharp block, on T's lattice."""
+    n_amb = sum(T.model.ambient_dims)
+    off = 0
+    for s in T.model.ambient_dims:
+        for i in range(off, off + s):
+            for j in range(off, off + s):
+                amb = [[int(a == b) for b in range(n_amb)] for a in range(n_amb)]
+                amb[i][j] = -1 if i == j else 2
+                yield tubes._ambient_to_module(T, IntMatrix(amb, cols=n_amb))
+        off += s
+
+
+def _guard_members():
+    homs = [("t^2+t+1", 1), ("t^3+t+1", 1), ("t^2+t+1", 2)]
+    return [tube_module(TubeId.special(lam), j, m)
+            for lam in ("0", "1", "inf") for j in (1, 2) for m in (1, 2, 3)] + [
+        tube_module(TubeId.homogeneous(F2Poly.from_string(f)), None, m) for f, m in homs]
+
+
+def test_congruence_units_act_trivially_and_the_family_is_closed_under_inverse():
+    for T in _guard_members():
+        family = {U.data for U in T.aut_family}
+        assert {inverse_unimodular(U).data for U in T.aut_family} == family
+        units = list(_congruence_units(T))
+        one = IntMatrix.identity(T.lattice.rank)
+        dual_units = [U.transpose() for U in units]
+        dual_units += [one + E.transpose().scale(2) for E in tubes.hom_klattices(T.lattice, T.lattice)]
+        for n in (1, 2):
+            ctx = cohomology.TubeCohContext(T, n)
+            ident = F2Matrix.identity(len(ctx.H.invariants))
+            assert all(ctx.class_action(U) == ident for U in units), (T.label, n)
+            dual = colattices.DualTubeContext(T, n)
+            q = dual.N.modulus
+            ident = F2Matrix.identity(len(dual.H.invariants))
+            assert all(dual.class_action(U.mod(q)) == ident for U in dual_units), (T.label, n)
 
 
 class _Point:

@@ -76,6 +76,9 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "canonical", "--summands", "special:1:1:2", "--coords", "1,1,1")
     assert code == 2
+    code, _ = run(capsys, "classify", "--summands1", "special:1:1:1", "--coords1", "1",
+                  "--summands2", "special:1:1:1", "--coords2", "1,1,1")
+    assert code == 2
 
 
 def test_deterministic_output(capsys, tmp_path):
