@@ -1,46 +1,98 @@
-"""Dense linear algebra over the two-element field.
+"""Linear algebra over the two-element field, one Python int per row.
 
-F2Matrix mirrors IntMatrix but keeps entries reduced mod 2.  The solver
-routines (rank, rref, nullspace, solve) are plain Gaussian elimination;
-everything here is deterministic.
+F2Matrix mirrors IntMatrix, but row i is the int ``bits[i]``, bit j holding
+column j, so adding rows is one XOR (the word-wise rows of M4RI: Albrecht,
+Bard & Hart, ACM TOMS 37(1), 2010).  ``data``, the 0/1 row tuples, is built on
+first read.  The solvers (rank, rref, nullspace, solve, inverse) eliminate to
+the reduced row echelon form, which is unique, so every answer is
+deterministic.
 """
 
 from __future__ import annotations
 
+from operator import xor
 from typing import Iterable, Sequence
 
 from .intmat import IntMatrix
 
+_DIGITS = bytes(48 + (b & 1) for b in range(256))  # byte b -> ASCII digit of b mod 2
+_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+_set = object.__setattr__
+
+
+def _digits(row: Sequence[int]) -> bytes:
+    """A row's entries mod 2 as ASCII digits, column 0 first."""
+    if not isinstance(row, (tuple, list)):
+        if isinstance(row, int):
+            raise TypeError("matrix rows must be sequences")
+        row = tuple(row)  # a one-shot iterator must survive the fallback below
+    try:
+        return bytes(row).translate(_DIGITS)
+    except (TypeError, ValueError):  # entries outside 0..255
+        return bytes([x & 1 for x in row]).translate(_DIGITS)
+
+
+def _unpack(bits: int, width: int) -> tuple:
+    # the marker bit at position width keeps the leading zeros; [:0:-1] drops it
+    return tuple(format(bits | 1 << width, "b")[:0:-1].encode().translate(_VALUES))
+
+
+def _make(bits: tuple, cols: int) -> "F2Matrix":
+    """An F2Matrix of row ints already known to lie below 2**cols."""
+    m = object.__new__(F2Matrix)
+    _set(m, "rows", len(bits))
+    _set(m, "cols", cols)
+    _set(m, "bits", bits)
+    _set(m, "_data", None)
+    return m
+
 
 class F2Matrix:
-    """Immutable matrix over GF(2); entries are 0/1 ints (given ints, reduced by & 1)."""
+    """Immutable matrix over GF(2); entries are given as ints and reduced mod 2."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "bits", "_data")
 
     def __init__(self, data: Iterable[Sequence[int]], cols: int | None = None):
-        rows = tuple(tuple(x & 1 for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+        digits = [_digits(r) for r in data]
+        if digits:
+            width = len(digits[0])
+            if any(len(d) != width for d in digits):
                 raise ValueError("ragged rows")
+            if cols is not None and cols != width:
+                raise ValueError("explicit cols does not match row length")
         else:
             width = 0 if cols is None else cols
-        if cols is not None and rows and cols != width:
-            raise ValueError("explicit cols does not match row length")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", rows)
+        bits = tuple(int(d[::-1] or b"0", 2) for d in digits)
+        _set(self, "rows", len(digits))
+        _set(self, "cols", width)
+        _set(self, "bits", bits)
+        _set(self, "_data", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("F2Matrix is immutable")
 
     @staticmethod
+    def from_bits(bits: Iterable[int], cols: int) -> "F2Matrix":
+        """The matrix whose row i is the int bits[i] (bit j = column j)."""
+        bits = tuple(bits)
+        if bits and (min(bits) < 0 or max(bits) >> cols):
+            raise ValueError(f"row ints must lie in [0, 2**{cols})")
+        return _make(bits, cols)
+
+    @property
+    def data(self) -> tuple:
+        """The entries as a tuple of 0/1 row tuples."""
+        if self._data is None:
+            _set(self, "_data", tuple(_unpack(b, self.cols) for b in self.bits))
+        return self._data
+
+    @staticmethod
     def identity(n: int) -> "F2Matrix":
-        return F2Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _make(tuple(1 << i for i in range(n)), n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "F2Matrix":
-        return F2Matrix([[0] * cols for _ in range(rows)], cols=cols)
+        return _make((0,) * rows, cols)
 
     @staticmethod
     def from_int(M: IntMatrix) -> "F2Matrix":
@@ -50,26 +102,16 @@ class F2Matrix:
         """The {0,1} integer lift."""
         return IntMatrix(self.data, cols=self.cols)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, F2Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.bits == other.bits
         )
 
     def __hash__(self):
-        return hash(("F2", self.rows, self.cols, self.data))
+        return hash(("F2", self.rows, self.cols, self.bits))
 
     def __repr__(self):
         return f"F2Matrix({[list(r) for r in self.data]!r})"
@@ -77,57 +119,51 @@ class F2Matrix:
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return F2Matrix(
-            [[a ^ b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-            cols=self.cols,
-        )
+        return _make(tuple(map(xor, self.bits, other.bits)), self.cols)
 
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        od = other.data
+        ob = other.bits
         out = []
-        for r in self.data:
-            row = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    ork = od[k]
-                    for j in range(other.cols):
-                        row[j] ^= ork[j]
-            out.append(row)
-        return F2Matrix(out, cols=other.cols)
+        for r in self.bits:
+            acc = 0
+            while r:
+                low = r & -r
+                acc ^= ob[low.bit_length() - 1]
+                r ^= low
+            out.append(acc)
+        return _make(tuple(out), other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for r in self.data:
-            s = 0
-            for a, v in zip(r, vec):
-                s ^= a & v & 1
-            out.append(s)
-        return tuple(out)
+        v = int(_digits(vec)[::-1] or b"0", 2)
+        return tuple((r & v).bit_count() & 1 for r in self.bits)
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out = [0] * self.cols
+        for i, r in enumerate(self.bits):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
+        return _make(tuple(out), self.rows)
 
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return F2Matrix(
-            [r1 + r2 for r1, r2 in zip(self.data, other.data)], cols=self.cols + other.cols
-        )
+        c = self.cols
+        return _make(tuple(a | (b << c) for a, b in zip(self.bits, other.bits)), c + other.cols)
 
     def vstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.cols != other.cols:
             raise ValueError("col count mismatch")
-        return F2Matrix(self.data + other.data, cols=self.cols)
+        return _make(self.bits + other.bits, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.bits)
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "data": [list(r) for r in self.data]}
@@ -141,59 +177,75 @@ class F2Matrix:
         return F2Matrix(m.data, cols=m.cols)
 
 
+def _pivot_rows(rows: Iterable[int]) -> dict:
+    """An echelon basis of the span of some row ints, each under its lowest bit."""
+    piv = {}
+    for x in rows:
+        while x:
+            low = x & -x
+            p = piv.get(low)
+            if p is None:
+                piv[low] = x
+                break
+            x ^= p
+    return piv
+
+
+def _reduced_rows(rows: Iterable[int]) -> dict:
+    """The reduced row echelon basis of the span: no row holds another's pivot bit."""
+    piv = _pivot_rows(rows)
+    done = 0  # pivot bits above the current one; their rows are already reduced
+    for low in sorted(piv, reverse=True):
+        x = piv[low]
+        hit = x & done
+        while hit:
+            b = hit & -hit
+            x ^= piv[b]
+            hit ^= b
+        piv[low] = x
+        done |= low
+    return piv
+
+
 def rref(A: F2Matrix) -> tuple["F2Matrix", list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = [list(r) for r in A.data]
-    rows, cols = A.rows, A.cols
-    pivots = []
-    r = 0
-    for j in range(cols):
-        if r >= rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if m[i][j]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(rows):
-            if i != r and m[i][j]:
-                m[i] = [a ^ b for a, b in zip(m[i], m[r])]
-        pivots.append(j)
-        r += 1
-    return F2Matrix(m, cols=cols), pivots
+    piv = _reduced_rows(A.bits)
+    order = sorted(piv)
+    rows = tuple(piv[b] for b in order) + (0,) * (A.rows - len(order))
+    return _make(rows, A.cols), [b.bit_length() - 1 for b in order]
 
 
 def rank(A: F2Matrix) -> int:
-    return len(rref(A)[1])
+    return len(_pivot_rows(A.bits))
+
+
+def nullspace_bits(A: F2Matrix) -> list[int]:
+    """nullspace(A) as row ints."""
+    piv = _reduced_rows(A.bits)
+    free = ((1 << A.cols) - 1) ^ sum(piv)
+    out = []
+    while free:
+        b = free & -free
+        out.append(b | sum(low for low, x in piv.items() if x & b))
+        free ^= b
+    return out
 
 
 def nullspace(A: F2Matrix) -> list[tuple]:
-    """Basis of {x : A x = 0} over GF(2)."""
-    R, pivots = rref(A)
-    free = [j for j in range(A.cols) if j not in pivots]
-    basis = []
-    for j in free:
-        vec = [0] * A.cols
-        vec[j] = 1
-        for r, pj in enumerate(pivots):
-            vec[pj] = R.data[r][j]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of {x : A x = 0} over GF(2): for each free column j in turn, the
+    solution with x_j = 1 and every other free coordinate 0."""
+    return [_unpack(v, A.cols) for v in nullspace_bits(A)]
 
 
 def solve(A: F2Matrix, b: Sequence[int]):
     """One solution of A x = b over GF(2), or None."""
-    aug = A.hstack(F2Matrix([[v] for v in b], cols=1) if A.rows else F2Matrix([], cols=1))
-    R, pivots = rref(aug)
-    if A.cols in pivots:
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length does not match the row count")
+    top = 1 << A.cols
+    piv = _reduced_rows(r | top if v & 1 else r for r, v in zip(A.bits, b))
+    if top in piv:
         return None
-    x = [0] * A.cols
-    for r, pj in enumerate(pivots):
-        x[pj] = R.data[r][A.cols]
-    return tuple(x)
+    return _unpack(sum(low for low, x in piv.items() if x & top), A.cols)
 
 
 def inverse(A: F2Matrix) -> F2Matrix:
@@ -201,10 +253,10 @@ def inverse(A: F2Matrix) -> F2Matrix:
     if A.rows != A.cols:
         raise ValueError("not square")
     n = A.rows
-    R, pivots = rref(A.hstack(F2Matrix.identity(n)))
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+    piv = _reduced_rows(r | (1 << (n + i)) for i, r in enumerate(A.bits))
+    if n and max(piv) >> n:
         raise ValueError("matrix not invertible over GF(2)")
-    return F2Matrix([r[n:] for r in R.data], cols=n)
+    return _make(tuple(piv[1 << i] >> n for i in range(n)), n)
 
 
 def is_invertible(A: F2Matrix) -> bool:

@@ -115,9 +115,13 @@ class DimVector:
 
 
 class KLattice:
-    """Free Z-module with commuting involutions act_a, act_b."""
+    """Free Z-module with commuting involutions act_a, act_b.
 
-    __slots__ = ("rank", "act_a", "act_b")
+    The lattice is immutable, so sharp(M) and quiver.phi_data(M) are kept on
+    it (in _sharp and _phi) from their first call.
+    """
+
+    __slots__ = ("rank", "act_a", "act_b", "_sharp", "_phi")
 
     def __init__(self, act_a: IntMatrix, act_b: IntMatrix):
         n = act_a.rows
@@ -131,6 +135,8 @@ class KLattice:
         object.__setattr__(self, "rank", n)
         object.__setattr__(self, "act_a", act_a)
         object.__setattr__(self, "act_b", act_b)
+        object.__setattr__(self, "_sharp", None)
+        object.__setattr__(self, "_phi", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("KLattice is immutable")
@@ -264,11 +270,12 @@ def _projectors(M: KLattice) -> list[IntMatrix]:
 
 def sharp(M: KLattice) -> SharpData:
     """M^# and its four eigencomponents, scaled by a common denominator."""
+    if M._sharp is not None:
+        return M._sharp
     projs = _projectors(M)
     raw_components = []  # lattices 4 e_i M
-    for P in projs:
-        rows = [P.apply(v) for v in ZLattice.full(M.rank).basis]
-        raw_components.append(hnf(rows, M.rank))
+    for P in projs:  # 4 e_i M is spanned by the columns of P
+        raw_components.append(hnf(P.transpose().data, M.rank))
     # smallest d | 4 with (4/d) dividing every component entrywise
     denom = 4
     for cand in (1, 2, 4):
@@ -288,6 +295,7 @@ def sharp(M: KLattice) -> SharpData:
     msharp = hnf(msharp_rows, M.rank) if msharp_rows else ZLattice.zero(M.rank)
     data = SharpData(denom=denom, msharp=msharp, components=components, projectors=tuple(projs))
     assert sum(L.rank() for L in components) == M.rank == msharp.rank()
+    object.__setattr__(M, "_sharp", data)
     return data
 
 

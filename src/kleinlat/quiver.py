@@ -29,7 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .f2 import F2Matrix, is_invertible, nullspace, rank as f2_rank, rref, solve as f2_solve
+from .checks import ensure
+from .f2 import F2Matrix, is_invertible, nullspace_bits, rank as f2_rank, rref, solve as f2_solve
 from .f2 import inverse as f2_inverse
 from .intmat import IntMatrix, solve_matrix_exact
 from .klein import (
@@ -73,10 +74,7 @@ class LambdaRep:
         return f"LambdaRep(dims={self.dims})"
 
     def stacked(self) -> F2Matrix:
-        out = F2Matrix.zero(0, self.dims.d_dot)
-        for key in SIGN_KEYS:
-            out = out.vstack(self.f[key])
-        return out
+        return F2Matrix.from_bits([r for k in SIGN_KEYS for r in self.f[k].bits], self.dims.d_dot)
 
     def direct_sum(self, other: "LambdaRep") -> "LambdaRep":
         dims = DimVector(
@@ -86,12 +84,8 @@ class LambdaRep:
         f = {}
         for key in SIGN_KEYS:
             m1, m2 = self.f[key], other.f[key]
-            rows = []
-            for r in m1.data:
-                rows.append(list(r) + [0] * m2.cols)
-            for r in m2.data:
-                rows.append([0] * m1.cols + list(r))
-            f[key] = F2Matrix(rows, cols=m1.cols + m2.cols)
+            rows = m1.bits + tuple(r << m1.cols for r in m2.bits)
+            f[key] = F2Matrix.from_bits(rows, m1.cols + m2.cols)
         return LambdaRep(dims, f)
 
     def to_json(self) -> dict:
@@ -108,10 +102,8 @@ class LambdaRep:
 
 def in_category_R(V: LambdaRep) -> bool:
     """All maps surjective and the stacked map injective."""
-    for key in SIGN_KEYS:
-        if f2_rank(V.f[key]) != V.dims.component(key):
-            return False
-    return f2_rank(V.stacked()) == V.dims.d_dot
+    surjective = all(f2_rank(V.f[k]) == V.dims.component(k) for k in SIGN_KEYS)
+    return surjective and f2_rank(V.stacked()) == V.dims.d_dot
 
 
 @dataclass(frozen=True)
@@ -161,56 +153,41 @@ class RepMorphism:
 
 
 def is_morphism(phi: RepMorphism, V: LambdaRep, W: LambdaRep) -> bool:
-    for key in SIGN_KEYS:
-        if phi.phi[key] * V.f[key] != W.f[key] * phi.phi_dot:
-            return False
-    return True
+    return all(phi.phi[k] * V.f[k] == W.f[k] * phi.phi_dot for k in SIGN_KEYS)
 
 
 def hom_reps(V: LambdaRep, W: LambdaRep) -> list[RepMorphism]:
     """GF(2)-basis of the space of morphisms V -> W."""
     dd, dd2 = V.dims.d_dot, W.dims.d_dot
-    sizes = [(W.dims.component(k), V.dims.component(k)) for k in SIGN_KEYS]
-    # unknown layout: vec(phi_dot) then vec(phi_pp), ... row-major
-    offs = [dd2 * dd]
-    for r, c in sizes:
-        offs.append(offs[-1] + r * c)
-    total = offs[-1]
+    # one bit per unknown: phi_dot[k][j] is bit k*dd + j, then phi_key[i][k]
+    # is bit offs[key] + i*c + k, each block row-major
+    offs = {}
+    total = dd2 * dd
+    for key in SIGN_KEYS:
+        offs[key] = total
+        total += W.f[key].rows * V.f[key].rows
     rows = []
-    for idx, key in enumerate(SIGN_KEYS):
-        fV, fW = V.f[key], W.f[key]
-        r, c = sizes[idx]
-        base = offs[idx]
-        for i in range(r):
-            for j in range(dd):
-                eq = [0] * total
-                # (phi_key * fV)[i][j]
-                for k in range(c):
-                    if fV.data[k][j]:
-                        eq[base + i * c + k] ^= 1
-                # (fW * phi_dot)[i][j]
-                for k in range(dd2):
-                    if fW.data[i][k]:
-                        eq[k * dd + j] ^= 1
-                rows.append(eq)
-    if not rows:
-        sols = [tuple(1 if t == s else 0 for t in range(total)) for s in range(total)]
-    else:
-        sols = nullspace(F2Matrix(rows, cols=total))
-    out = []
-    for vec in sols:
-        phi_dot = F2Matrix(
-            [[vec[i * dd + j] for j in range(dd)] for i in range(dd2)], cols=dd
+    for key in SIGN_KEYS:
+        c = V.f[key].rows
+        cols_v = V.f[key].transpose().bits  # column j of f_V; bit k is f_V[k][j]
+        for i, w in enumerate(W.f[key].bits):
+            # (phi_key f_V + f_W phi_dot)[i][j] = 0 for each j: row i of f_W,
+            # spread to stride dd, selects column j of phi_dot once shifted by j
+            spread = sum(1 << (k * dd) for k in range(dd2) if w >> k & 1)
+            shift = offs[key] + i * c
+            rows.extend((v << shift) | (spread << j) for j, v in enumerate(cols_v))
+
+    def block(v: int, base: int, r: int, c: int) -> F2Matrix:
+        mask = (1 << c) - 1
+        return F2Matrix.from_bits([(v >> (base + i * c)) & mask for i in range(r)], c)
+
+    return [
+        RepMorphism(
+            block(v, 0, dd2, dd),
+            {k: block(v, offs[k], W.f[k].rows, V.f[k].rows) for k in SIGN_KEYS},
         )
-        phi = {}
-        for idx, key in enumerate(SIGN_KEYS):
-            r, c = sizes[idx]
-            base = offs[idx]
-            phi[key] = F2Matrix(
-                [[vec[base + i * c + j] for j in range(c)] for i in range(r)], cols=c
-            )
-        out.append(RepMorphism(phi_dot, phi))
-    return out
+        for v in nullspace_bits(F2Matrix.from_bits(rows, total))
+    ]
 
 
 # decompose, reps_isomorphic and endomorphism_local_data see the whole span of
@@ -291,11 +268,9 @@ def _component_coord_matrix(M: KLattice, sh: SharpData, idx: int) -> IntMatrix:
     P = sh.projectors[idx]
     scale = 4 // sh.denom
     cols = []
-    for t in range(M.rank):
-        w = P.apply(tuple(1 if s == t else 0 for s in range(M.rank)))
-        w = tuple(x // scale for x in w)
-        c = comp.coords(w)
-        assert c is not None
+    for w in zip(*P.data):  # column t of P: the projection of the t-th basis vector
+        c = comp.coords(tuple(x // scale for x in w))
+        ensure(c is not None, "projection of M not in its sharp component")
         cols.append(c)
     return IntMatrix(
         [[cols[t][i] for t in range(M.rank)] for i in range(comp.rank())], cols=M.rank
@@ -303,34 +278,36 @@ def _component_coord_matrix(M: KLattice, sh: SharpData, idx: int) -> IntMatrix:
 
 
 def phi_data(M: KLattice) -> PhiData:
-    """Full data of the quiver representation attached to an A-lattice."""
+    """Full data of the quiver representation attached to an A-lattice.
+
+    Built on the first call and kept on M.
+    """
+    if M._phi is not None:
+        return M._phi
     sh = sharp(M)
     L = two_msharp_in_m(M, sh)
     if L is None:
         raise ValueError("not an A-lattice")
     fq = finite_quotient(ZLattice.full(M.rank), L)
-    assert all(d == 2 for d in fq.invariants)
+    ensure(all(d == 2 for d in fq.invariants), "M / 2 M^# is not elementary abelian")
     u_vectors = fq.generators
-    d_dot = len(u_vectors)
     comp_coords = tuple(_component_coord_matrix(M, sh, i) for i in range(4))
-    dims = DimVector(d_dot, *(sh.components[i].rank() for i in range(4)))
-    f = {}
-    for i, key in enumerate(SIGN_KEYS):
-        Q = comp_coords[i]
-        cols = [Q.apply(u) for u in u_vectors]
-        f[key] = F2Matrix(
-            [[cols[j][r] & 1 for j in range(d_dot)] for r in range(dims.component(key))],
-            cols=d_dot,
-        )
+    dims = DimVector(len(u_vectors), *(sh.components[i].rank() for i in range(4)))
+    f = {
+        key: F2Matrix([Q.apply(u) for u in u_vectors], cols=Q.rows).transpose()
+        for key, Q in zip(SIGN_KEYS, comp_coords)
+    }
     rep = LambdaRep(dims, f)
-    assert in_category_R(rep)
-    return PhiData(
+    ensure(in_category_R(rep), "phi(M) is not in category R")
+    data = PhiData(
         rep=rep,
         u_vectors=tuple(u_vectors),
         sharp=sh,
         comp_coords=comp_coords,
         two_msharp=L,
     )
+    object.__setattr__(M, "_phi", data)
+    return data
 
 
 def phi(M: KLattice) -> LambdaRep:
@@ -359,11 +336,9 @@ def lattice_of_model(V: LambdaRep) -> LatticeModel:
     mult = tuple(dims.component(k) for k in SIGN_KEYS)
     ambient = diagonal_sign_lattice(mult)
     rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    stacked = V.stacked()
-    for k in range(dims.d_dot):
-        rows.append([stacked.data[i][k] for i in range(n)])
+    rows.extend(V.stacked().transpose().data)
     B = hnf(rows, n).basis_matrix()
-    assert B.rows == n
+    ensure(B.rows == n, "the lattice of V does not have full rank")
     Bc = B.transpose()  # basis vectors as columns
     act_a = solve_matrix_exact(Bc, ambient.act_a * Bc)
     act_b = solve_matrix_exact(Bc, ambient.act_b * Bc)
@@ -382,7 +357,10 @@ def lift_morphism(phi_m: RepMorphism, M: KLattice, N: KLattice) -> IntMatrix:
         raise ValueError("morphism incompatible with representations")
     L = _blockdiag([phi_m.phi[key].to_int() for key in SIGN_KEYS])
     psi = solve_matrix_exact(_embedding_matrix(dN), L * _embedding_matrix(dM))
-    assert psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi
+    ensure(
+        psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi,
+        "lifted map is not K-equivariant",
+    )
     return psi
 
 
@@ -391,14 +369,8 @@ def reduce_morphism(psi: IntMatrix, M: KLattice, N: KLattice) -> RepMorphism:
     dM = phi_data(M)
     dN = phi_data(N)
     # centre component: classes of psi(u_k)
-    cols = []
-    for u in dM.u_vectors:
-        v = psi.apply(u)
-        cols.append(_center_coords(dN, v))
-    phi_dot = F2Matrix(
-        [[cols[j][i] for j in range(len(cols))] for i in range(dN.rep.dims.d_dot)],
-        cols=dM.rep.dims.d_dot,
-    )
+    cols = [_center_coords(dN, psi.apply(u)) for u in dM.u_vectors]
+    phi_dot = F2Matrix(cols, cols=dN.rep.dims.d_dot).transpose()
     phi = {}
     for idx, key in enumerate(SIGN_KEYS):
         compM = dM.sharp.components[idx]
@@ -410,29 +382,22 @@ def reduce_morphism(psi: IntMatrix, M: KLattice, N: KLattice) -> RepMorphism:
             if num % den == 0:
                 x = tuple(v * (num // den) for v in x)
             else:
-                assert all(v % (den // num) == 0 for v in x)
+                ensure(all(v % (den // num) == 0 for v in x), "image not divisible by the scale")
                 x = tuple(v // (den // num) for v in x)
             c = compN.coords(x)
-            assert c is not None
+            ensure(c is not None, "image not in the target's sharp component")
             cols.append(c)
-        phi[key] = F2Matrix(
-            [[cols[j][i] & 1 for j in range(len(cols))] for i in range(compN.rank())],
-            cols=compM.rank(),
-        )
+        phi[key] = F2Matrix(cols, cols=compN.rank()).transpose()
     return RepMorphism(phi_dot, phi)
 
 
 def _center_coords(d: PhiData, vec) -> tuple:
     """Class of a module vector in M / 2 M^#, as 0/1 coordinates."""
     # solve [u_1 ... u_d | basis of 2M^#] x = vec over GF(2)
-    n = len(vec)
-    gens = [list(u) for u in d.u_vectors] + [list(r) for r in d.two_msharp.basis]
-    Amat = F2Matrix(
-        [[gens[g][i] for g in range(len(gens))] for i in range(n)], cols=len(gens)
-    )
-    sol = f2_solve(Amat, [x & 1 for x in vec])
-    assert sol is not None
-    return tuple(sol[: len(d.u_vectors)])
+    gens = list(d.u_vectors) + list(d.two_msharp.basis)
+    sol = f2_solve(F2Matrix(gens, cols=len(vec)).transpose(), vec)
+    ensure(sol is not None, "vector outside the span of M / 2 M^#")
+    return sol[: len(d.u_vectors)]
 
 
 def _blockdiag(blocks: list[IntMatrix]) -> IntMatrix:
@@ -469,34 +434,35 @@ def _fitting_power(e: RepMorphism) -> RepMorphism:
     return cur
 
 
-def _subspace_basis(rows: list[tuple], width: int) -> list[tuple]:
-    R, piv = rref(F2Matrix(rows, cols=width) if rows else F2Matrix([], cols=width))
-    return [R.data[i] for i in range(len(piv))]
+def _subspace_basis(rows, width: int) -> tuple:
+    """The reduced row echelon basis, as row ints, of the span of some row ints."""
+    R, piv = rref(F2Matrix.from_bits(rows, width))
+    return R.bits[: len(piv)]
 
 
-def _restrict(V: LambdaRep, bases: dict) -> tuple[LambdaRep, dict]:
-    """Subrepresentation spanned by given row bases at each vertex."""
-    dd = len(bases["dot"])
-    dims = DimVector(dd, *(len(bases[k]) for k in SIGN_KEYS))
+def _restrict(V: LambdaRep, bases: dict) -> LambdaRep:
+    """Subrepresentation spanned by given row bases at each vertex.
+
+    Each basis is a sequence of row ints in reduced row echelon form, as
+    _subspace_basis gives it, so a vector's coordinates in it are the
+    vector's bits at the pivots (the lowest bit of each basis row).
+    """
+    dims = DimVector(len(bases["dot"]), *(len(bases[k]) for k in SIGN_KEYS))
+    S = F2Matrix.from_bits(bases["dot"], V.dims.d_dot)
     f = {}
     for key in SIGN_KEYS:
-        rows_out = []
         Bv = bases[key]
-        Amat = F2Matrix(
-            [[Bv[g][i] for g in range(len(Bv))] for i in range(V.dims.component(key))],
-            cols=len(Bv),
-        )
         cols = []
-        for s in bases["dot"]:
-            w = V.f[key].apply(s)
-            sol = f2_solve(Amat, w)
-            assert sol is not None, "subspaces not compatible with the maps"
-            cols.append(sol)
-        f[key] = F2Matrix(
-            [[cols[j][i] for j in range(dd)] for i in range(len(Bv))], cols=dd
-        )
-    sub = LambdaRep(dims, f)
-    return sub, bases
+        for w in (S * V.f[key].transpose()).bits:  # f_key(s) for each s in the dot basis
+            x = acc = 0
+            for g, b in enumerate(Bv):
+                if w & b & -b:
+                    x |= 1 << g
+                    acc ^= b
+            ensure(acc == w, "subspaces not compatible with the maps")
+            cols.append(x)
+        f[key] = F2Matrix.from_bits(cols, len(Bv)).transpose()
+    return LambdaRep(dims, f)
 
 
 def decompose(V: LambdaRep, seed: int = 0) -> list[tuple[LambdaRep, int]]:
@@ -504,13 +470,11 @@ def decompose(V: LambdaRep, seed: int = 0) -> list[tuple[LambdaRep, int]]:
     pieces = _split_completely(V, seed)
     groups: list[list] = []
     for W in pieces:
-        placed = False
         for g in groups:
             if reps_isomorphic(g[0], W, seed=seed) is not None:
                 g.append(W)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([W])
     out = [(g[0], len(g)) for g in groups]
     out.sort(key=lambda t: (t[0].dims.as_tuple(), _rep_sort_key(t[0])))
@@ -545,13 +509,9 @@ def _find_splitting(V: LambdaRep, end: list[RepMorphism], seed: int):
         if all(r == 0 for r in ranks) or ranks == full:
             return None
         keys = ["dot"] + list(SIGN_KEYS)
-        im_bases = {}
-        ker_bases = {}
-        for key, m in zip(keys, mats):
-            im_bases[key] = _subspace_basis([m.col(j) for j in range(m.cols)], m.rows)
-            ker_bases[key] = _subspace_basis(list(nullspace(m)), m.cols)
-        Wim, _ = _restrict(V, im_bases)
-        Wker, _ = _restrict(V, ker_bases)
+        im = {k: _subspace_basis(m.transpose().bits, m.rows) for k, m in zip(keys, mats)}
+        ker = {k: _subspace_basis(nullspace_bits(m), m.cols) for k, m in zip(keys, mats)}
+        Wim, Wker = _restrict(V, im), _restrict(V, ker)
         if Wim.dims.d_plus + Wim.dims.d_dot == 0 or Wker.dims.d_plus + Wker.dims.d_dot == 0:
             return None
         return (Wim, Wker)
@@ -694,12 +654,7 @@ def tube_rep(f: F2Poly, m: int) -> LambdaRep:
 
 def _jordan_one(m: int) -> F2Matrix:
     """m x m unipotent Jordan block, nilpotent part on the subdiagonal."""
-    out = [[0] * m for _ in range(m)]
-    for i in range(m):
-        out[i][i] = 1
-        if i:
-            out[i][i - 1] = 1
-    return F2Matrix(out, cols=m)
+    return F2Matrix.from_bits([(1 << i) | (1 << i >> 1) for i in range(m)], m)
 
 
 def special_tube_rep(lam: str, j: int, n: int) -> LambdaRep:
@@ -721,29 +676,16 @@ def special_tube_rep(lam: str, j: int, n: int) -> LambdaRep:
             ident.hstack(_jordan_one(m)),
         ]
     else:
-        m = (n + 1) // 2
-        w = n  # = 2m - 1 columns, blocks (m-1) + (m-1) + 1
-        t = m - 1
-
-        def mat(rows):
-            return F2Matrix(rows, cols=w)
-
-        f1 = [[1 if c == r else 0 for c in range(w)] for r in range(t)]
-        f1.append([1 if c == w - 1 else 0 for c in range(w)])
-        f2 = [[1 if c == t + r else 0 for c in range(w)] for r in range(t)]
-        f2.append([1 if c == w - 1 else 0 for c in range(w)])
-        f3 = [[1 if (c == r or c == t + r) else 0 for c in range(w)] for r in range(t)]
-        J = _jordan_one(t) if t else F2Matrix([], cols=0)
-        f4 = []
-        for r in range(t):
-            row = [0] * w
-            row[r] = 1
-            for c in range(t):
-                row[t + c] = J.data[r][c]
-            if r == t - 1:
-                row[w - 1] ^= 1
-            f4.append(row)
-        maps = [mat(f1), mat(f2), mat(f3), mat(f4)]
+        t = (n - 1) // 2  # n = 2t + 1 columns, blocks t + t + 1
+        last = 1 << (n - 1)
+        J = _jordan_one(t).bits
+        rows = (
+            [1 << r for r in range(t)] + [last],
+            [1 << (t + r) for r in range(t)] + [last],
+            [(1 << r) | (1 << (t + r)) for r in range(t)],
+            [(1 << r) | (J[r] << t) | (last if r == t - 1 else 0) for r in range(t)],
+        )
+        maps = [F2Matrix.from_bits(b, n) for b in rows]
     if j == 2:
         maps = [maps[2], maps[3], maps[0], maps[1]]
     if lam == "0":
@@ -767,11 +709,11 @@ def _pencil_matrix(V: LambdaRep):
     if not is_invertible(g):
         return None
     W = V.f["mp"].vstack(V.f["mm"]) * f2_inverse(g)
+    mask = (1 << q) - 1
     blocks = {}
     for bi, bj, name in ((0, 0, "11"), (0, 1, "12"), (1, 0, "21"), (1, 1, "22")):
-        blocks[name] = F2Matrix(
-            [[W.data[bi * q + i][bj * q + j] for j in range(q)] for i in range(q)], cols=q
-        )
+        rows = W.bits[bi * q : (bi + 1) * q]
+        blocks[name] = F2Matrix.from_bits([(r >> (bj * q)) & mask for r in rows], q)
     for name in ("11", "12", "21"):
         if not is_invertible(blocks[name]):
             return None
@@ -808,7 +750,7 @@ def identify_tube(V: LambdaRep, seed: int = 0):
         if len(fac) == 1:
             f, e = fac[0]
             if f not in (F2Poly.t(), F2Poly.from_string("t+1")):
-                assert f.degree() * e == q
+                ensure(f.degree() * e == q, "pencil degree does not match the dimension")
                 return TubeLabel(TubeId.homogeneous(f), None, e)
     # special even tube: try the six candidates
     for lam in ("0", "1", "inf"):

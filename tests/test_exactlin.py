@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kleinlat.intmat import (
     IntMatrix,
@@ -10,7 +10,7 @@ from kleinlat.intmat import (
     smith_form,
     solve_int,
 )
-from kleinlat.f2 import F2Matrix, inverse, is_invertible, nullspace, rank, solve
+from kleinlat.f2 import F2Matrix, inverse, is_invertible, nullspace, rank, rref, solve
 from kleinlat.lattices import (
     ZLattice,
     finite_quotient,
@@ -228,6 +228,140 @@ def test_f2_basics():
     assert x is not None and A.apply(x) == (1, 1, 0)
     B = F2Matrix([[1, 1], [0, 1]])
     assert inverse(B) * B == F2Matrix.identity(2)
+
+
+def test_f2_solve_and_apply_check_lengths():
+    with pytest.raises(ValueError):
+        solve(F2Matrix([], cols=2), [1])
+    with pytest.raises(ValueError):
+        solve(F2Matrix([[1, 0], [0, 1]]), [1])
+    with pytest.raises(ValueError):
+        solve(F2Matrix([[1, 0]]), [1, 0])
+    with pytest.raises(ValueError):
+        F2Matrix([[1, 0]]).apply([1])
+    assert solve(F2Matrix([], cols=2), []) == (0, 0)
+
+
+# Reference implementations: the dense list-of-lists elimination that F2Matrix
+# used before its rows were packed into ints.
+
+
+def _dense_rref(rows, cols):
+    m = [[x & 1 for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for j in range(cols):
+        if r >= len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][j]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][j]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[r])]
+        pivots.append(j)
+        r += 1
+    return m, pivots
+
+
+def _dense_nullspace(rows, cols):
+    R, pivots = _dense_rref(rows, cols)
+    basis = []
+    for j in range(cols):
+        if j in pivots:
+            continue
+        vec = [0] * cols
+        vec[j] = 1
+        for r, pj in enumerate(pivots):
+            vec[pj] = R[r][j]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _dense_solve(rows, cols, b):
+    R, pivots = _dense_rref([list(r) + [v] for r, v in zip(rows, b)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [0] * cols
+    for r, pj in enumerate(pivots):
+        x[pj] = R[r][cols]
+    return tuple(x)
+
+
+def _dense_inverse(rows, n):
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    R, pivots = _dense_rref([list(r) + e for r, e in zip(rows, ident)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in R)
+
+
+def _dense_mul(a, b, cols):
+    return tuple(
+        tuple(sum(x & y for x, y in zip(r, (c[j] for c in b))) & 1 for j in range(cols))
+        for r in a
+    )
+
+
+# widths around the 64-bit word size; entries of any sign and size, reduced mod 2
+_f2_entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def _f2_cases(draw):
+    """An n x m matrix, a right-hand side, a vector and an m x k matrix."""
+    n = draw(st.integers(0, 6))
+    m = draw(st.sampled_from([0, 1, 2, 3, 5, 63, 64, 65, 70]))
+    k = draw(st.sampled_from([0, 1, 4, 66]))
+
+    def vec(c):
+        return st.lists(_f2_entries, min_size=c, max_size=c)
+
+    def mat(r, c):
+        return st.lists(vec(c), min_size=r, max_size=r)
+
+    return draw(mat(n, m)), m, draw(vec(n)), draw(vec(m)), draw(mat(m, k)), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(_f2_cases())
+@example(([], 70, [], [1] * 70, [[1]] * 70, 1))  # 0 x n
+@example(([[], [], []], 0, [1, 0, -1], [], [], 4))  # n x 0
+@example(([[3, -(2**70)] * 33] * 2, 66, [5, 2**65], [-1] * 66, [[1, 0]] * 66, 2))
+def test_packed_f2_matches_the_dense_reference(case):
+    rows, cols, b, x, other, k = case
+    dense = tuple(tuple(x & 1 for x in r) for r in rows)
+    A = F2Matrix(rows, cols=cols)
+    assert (A.rows, A.cols, A.data) == (len(rows), cols, dense)
+    again = F2Matrix(A.data, cols=cols)
+    assert again == A and hash(again) == hash(A)
+    assert A.transpose().data == tuple(tuple(r[j] for r in dense) for j in range(cols))
+    assert A.is_zero() == (not any(map(any, dense)))
+
+    R, pivots = rref(A)
+    R_ref, pivots_ref = _dense_rref(rows, cols)
+    assert pivots == pivots_ref and R.data == tuple(map(tuple, R_ref))
+    assert rank(A) == len(pivots_ref)
+    assert nullspace(A) == _dense_nullspace(rows, cols)
+    assert solve(A, b) == _dense_solve(rows, cols, b)
+    assert A.apply(x) == tuple(sum(a & v for a, v in zip(r, x)) & 1 for r in dense)
+
+    B = F2Matrix(other, cols=k)
+    assert (A * B).data == _dense_mul(dense, B.data, k)
+    assert A.hstack(F2Matrix.zero(A.rows, k)).data == tuple(r + (0,) * k for r in dense)
+    assert (A + A).is_zero() and A.vstack(A).data == dense + dense
+
+    n = min(len(rows), cols)
+    square = [r[:n] for r in rows[:n]]
+    want = _dense_inverse(square, n)
+    S = F2Matrix(square, cols=n)
+    assert is_invertible(S) == (want is not None)
+    if want is None:
+        with pytest.raises(ValueError):
+            inverse(S)
+    else:
+        assert inverse(S).data == want
 
 
 def test_mod_2k_machinery():

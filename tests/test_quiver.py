@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kleinlat
+
 from kleinlat.f2 import F2Matrix
-from kleinlat.klein import DimVector, dim_vector
+from kleinlat.klein import DimVector, dim_vector, sharp
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import (
     NON_REGULAR,
@@ -270,3 +275,27 @@ def test_span_elements_fallback_matches_the_inline_loop():
                 assert got == _fallback_reference(basis, tries, seed)
     # one past the limit leaves the exhaustive order for the seeded draws
     assert list(_span_elements(full[:10], 9, tries=5, seed=0)) == _fallback_reference(full[:10], 5, 0)
+
+
+def test_phi_data_and_sharp_are_kept_on_the_lattice():
+    M = lattice_of(tube_rep(F2Poly.from_string("t^2+t+1"), 2))
+    assert phi_data(M) is phi_data(M) and sharp(M) is sharp(M)
+    assert phi_data(M).sharp is sharp(M)
+
+
+def test_failed_check_raises_under_python_O():
+    # the checks in quiver are not asserts, so python -O keeps them
+    code = (
+        "from kleinlat.polys import F2Poly\n"
+        "from kleinlat.quiver import _restrict, tube_rep\n"
+        "V = tube_rep(F2Poly.from_string('t^2+t+1'), 1)\n"
+        "_restrict(V, {'dot': [1], 'pp': [], 'pm': [], 'mp': [], 'mm': []})\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: subspaces not compatible with the maps" in out.stderr
