@@ -387,11 +387,11 @@ def _classes_form_basis(H: ClassGroup, vectors, cocycle) -> bool:
 class TubeCohContext:
     """Cohomology of one tube member with its filtration and orbit data."""
 
-    def __init__(self, T: TubeModule, n: int):
+    def __init__(self, T: TubeModule, n: int, H: CohomologyGroup | None = None):
         self.T = T
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
-        self.H = CohomologyGroup(T.lattice, n)
+        self.H = H if H is not None else CohomologyGroup(T.lattice, n)
         assert all(d == 2 for d in self.H.invariants)
         self._images: Optional[list] = None
         self._e_classes: Optional[list] = None
@@ -666,15 +666,18 @@ class SumContext:
             self.offsets.append(off)
             off += T.lattice.rank
         self.H = self._cohomology()
-        self.ctxs = [self._tube_context(T) for T in summands]
+        # a sum of one member has the member's lattice as its module, so its
+        # group is the tube context's group: built once, shared
+        shared = self.H if len(summands) == 1 else None
+        self.ctxs = [self._tube_context(T, shared) for T in summands]
 
     # -- what a side supplies ----------------------------------------------
 
     def _cohomology(self) -> ClassGroup:
         return CohomologyGroup(self.module, self.n)
 
-    def _tube_context(self, T: TubeModule):
-        return TubeCohContext(T, self.n)
+    def _tube_context(self, T: TubeModule, H=None):
+        return TubeCohContext(T, self.n, H)
 
     def representative(self, i: int, k: int):
         """Fixed class of stratum k of summand i, or None."""

@@ -22,9 +22,10 @@ costandard length order (lengths increasing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .checks import VerificationError, ensure
 from .intmat import IntMatrix, solve_int
 from .klein import KLattice, SignPair
 from .lattices import ZLattice, hnf_mod, intersection_mod, kernel_mod, pow2_quotient
@@ -53,10 +54,15 @@ DEFAULT_LEVEL = 3
 
 @dataclass(frozen=True)
 class ColatticeLevel:
-    """Hom(M, 2^-k Z / Z) as (Z/2^k)^rank with the contragredient action."""
+    """Hom(M, 2^-k Z / Z) as (Z/2^k)^rank with the contragredient action.
+
+    The divisible two-torsion lattice of each sign component is kept in
+    _torsion, by sign key, from its first use.
+    """
 
     base: KLattice
     level: int
+    _torsion: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:
@@ -71,7 +77,7 @@ class ColatticeLevel:
         return 1 << self.level
 
     def transposed_module(self) -> KLattice:
-        return KLattice(self.base.act_a.transpose(), self.base.act_b.transpose())
+        return self.base.transposed()
 
     def order(self) -> int:
         return self.modulus ** self.rank
@@ -88,19 +94,21 @@ def _image_gens(Hlow: CohomologyGroup, Hhigh: CohomologyGroup) -> list[CohClass]
     return [Hhigh.class_of(g.scale(2)) for g in Hlow.generators]
 
 
-def _subgroup_order_from_gens(gens: list[CohClass], zero: CohClass) -> int:
-    seen = {tuple(zero.coords)}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x.add(g)
-                if tuple(y.coords) not in seen:
-                    seen.add(tuple(y.coords))
-                    new.append(y)
-        frontier = new
-    return len(seen)
+def _subgroup_order(H: ClassGroup, gens: list[CohClass]) -> int:
+    """Order of the subgroup of H = sum of Z/d_i generated by gens.
+
+    With c_j the coordinates of the generators it is the product of the d_i
+    over the index of span(c_j) + sum of d_i Z in Z^s; that index is the
+    product of the pivots of one Hermite form mod the exponent of H.
+    """
+    moduli = H.invariants
+    s = len(moduli)
+    rows = [list(g.coords) for g in gens]
+    rows.extend([d if t == i else 0 for t in range(s)] for i, d in enumerate(moduli))
+    index = 1
+    for i, row in enumerate(hnf_mod(rows, s, H.exponent()).basis):
+        index *= row[i]
+    return H.order() // index
 
 
 class StableDualCohomology(ClassGroup):
@@ -118,15 +126,15 @@ class StableDualCohomology(ClassGroup):
         self.level = level
         self.colattice = ColatticeLevel(M, level + 1)
         self.modulus = self.colattice.modulus
-        self._H_low = ColatticeLevel(M, level).cohomology(n)
+        # the two lower levels are needed only here, so they are not kept
+        H_low = ColatticeLevel(M, level).cohomology(n)
         self.carrier = self.colattice.cohomology(n)
         self.module = self.carrier.module
-        gens = _image_gens(self._H_low, self.carrier)
+        gens = _image_gens(H_low, self.carrier)
         # stabilization: one level lower must give a subgroup of the same order
         H_lower = ColatticeLevel(M, level - 1).cohomology(n)
-        gens_prev = _image_gens(H_lower, self._H_low)
-        if _subgroup_order_from_gens(gens_prev, self._H_low.zero()) != \
-                _subgroup_order_from_gens(gens, self.carrier.zero()):
+        gens_prev = _image_gens(H_lower, H_low)
+        if _subgroup_order(H_low, gens_prev) != _subgroup_order(self.carrier, gens):
             raise ValueError("not stabilized")
         self._gens = gens
         g = len(gens)
@@ -145,7 +153,8 @@ class StableDualCohomology(ClassGroup):
             W = IntMatrix(rows, cols=g)
             lam = kernel_mod(W, 4)
             self._rel_q = pow2_quotient(lam.basis_matrix(), g, 3)
-            assert all(4 % d == 0 for d in self._rel_q.invariants)
+            ensure(all(4 % d == 0 for d in self._rel_q.invariants),
+                   "stable dual cohomology has an invariant not dividing 4")
             self.invariants = self._rel_q.invariants
             G = IntMatrix([list(x.coords) for x in gens], cols=s).transpose()
             self._solve_matrix = G.hstack(IntMatrix.diagonal(list(moduli)))
@@ -157,7 +166,8 @@ class StableDualCohomology(ClassGroup):
                         cls = cls.add(img)
                 new_gens.append(cls)
             self.generators = tuple(new_gens)
-        assert all(4 % d == 0 for d in self.invariants)
+        ensure(all(4 % d == 0 for d in self.invariants),
+               "stable dual cohomology has an invariant not dividing 4")
 
     def _coords_of_carrier(self, cls: CohClass) -> tuple:
         if not self.invariants:
@@ -191,12 +201,10 @@ def _sign_value(key: str):
 def eigen_congruence_lattice(N: ColatticeLevel, key: str) -> ZLattice:
     """Lattice of x with the sign conditions mod 2^k, containing qZ^r."""
     q = N.modulus
-    r = N.rank
     sa, sb = _sign_value(key)
-    ident = IntMatrix.identity(r)
-    At = N.base.act_a.transpose()
-    Bt = N.base.act_b.transpose()
-    stacked = (At - ident.scale(sa)).vstack(Bt - ident.scale(sb))
+    ident = IntMatrix.identity(N.rank)
+    mod = N.transposed_module()
+    stacked = (mod.act_a - ident.scale(sa)).vstack(mod.act_b - ident.scale(sb))
     return kernel_mod(stacked, q)
 
 
@@ -206,11 +214,15 @@ def divisible_two_torsion_lattice(N: ColatticeLevel, key: str) -> ZLattice:
     On bare two-torsion the sign of an involution is invisible; the honest
     component is reached by scaling the full mod-2^k eigencomponent by
     2^(k-1), which keeps exactly the part divisible all the way down.
+    Kept on N from the first call for each key.
     """
-    q = N.modulus
-    L = eigen_congruence_lattice(N, key)
-    rows = [[(x * (q // 2)) % q for x in row] for row in L.basis]
-    return hnf_mod(rows, N.rank, q)
+    got = N._torsion.get(key)
+    if got is None:
+        q = N.modulus
+        L = eigen_congruence_lattice(N, key)
+        rows = [[(x * (q // 2)) % q for x in row] for row in L.basis]
+        got = N._torsion[key] = hnf_mod(rows, N.rank, q)
+    return got
 
 
 def dual_component_key(n: int, in_infinity: bool) -> str:
@@ -254,7 +266,8 @@ def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cocha
     values[slot] = tuple(x % q for x in u)
     gamma = Cochain(n, tuple(values))
     mod = N.transposed_module()
-    assert all(x % q == 0 for v in coboundary(gamma, mod).values for x in v)
+    ensure(all(x % q == 0 for v in coboundary(gamma, mod).values for x in v),
+           "eta is not a cocycle mod 2^k")
     return gamma
 
 
@@ -323,13 +336,15 @@ def _cochains_in(L: ZLattice, slots: int, r: int) -> list[list[int]]:
 class DualTubeContext:
     """Stable cohomology of the dual of one tube member, with filtration."""
 
-    def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL):
+    def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
+                 H: StableDualCohomology | None = None):
         self.T = T
         self.n = n
         self.level = level
-        self.H = StableDualCohomology(T.lattice, n, level)
+        self.H = H if H is not None else StableDualCohomology(T.lattice, n, level)
         self.N = self.H.colattice  # carrier level
-        assert all(d == 2 for d in self.H.invariants)
+        ensure(all(d == 2 for d in self.H.invariants),
+               "stable dual cohomology of a tube member is not elementary abelian")
         self.in_inf = is_infinity_tube(T.label)
         self._chain = dual_chain(T, self.N.level)
         self._images: Optional[list] = None
@@ -377,7 +392,7 @@ class DualTubeContext:
         for k in range(1, len(images)):
             if in_span(images[k], cls):
                 return k - 1
-        raise AssertionError("class not even in the image of the full module")
+        raise VerificationError("class not even in the image of the full module")
 
     # -- canonical z elements --------------------------------------------
 
@@ -410,29 +425,23 @@ class DualTubeContext:
             if z is None:
                 return None
             cls = self.H.class_of(eta(self.N, z, self.n, self.in_inf))
-            assert self.filtration_position(cls) == k
+            ensure(self.filtration_position(cls) == k,
+                   "z class does not sit at its filtration position")
             self._z_classes[k] = cls
         return self._z_classes[k]
 
     # -- automorphisms -----------------------------------------------------
 
-    def aut_generators(self) -> list[IntMatrix]:
+    def aut_generators(self) -> "_TransposedFamily":
         """The transposes mod 2^k of T.aut_family, without repeats, in its order.
 
-        The family is closed under inverse, so this list is too.  Built once
-        per context; their actions on this context's cohomology are kept
-        here, in actions().
+        The family is closed under inverse, so this sequence is too.  It is
+        chosen once per context and keeps only which members of the family
+        it lists; their actions on this context's cohomology are kept here,
+        in actions().
         """
         if self._gens is None:
-            q = self.N.modulus
-            out = []
-            seen = set()
-            for U in self.T.aut_family:
-                Um = U.transpose().mod(q)
-                if Um.data not in seen:
-                    seen.add(Um.data)
-                    out.append(Um)
-            self._gens = out
+            self._gens = _TransposedFamily(self.T.aut_family, self.N.modulus)
         return self._gens
 
     def class_action(self, U: IntMatrix):
@@ -449,13 +458,44 @@ class DualTubeContext:
         return _move_word(self, src, dst, self.N.rank, self.N.modulus)
 
 
+class _TransposedFamily(Sequence):
+    """The distinct transposes mod q of a family of matrices, in its order.
+
+    Only the indices of the members listed are kept; a transpose is made
+    again when it is read.  The search reads each generator about once, to
+    build its action, so this costs little time and keeps the family's
+    matrices from being held twice, once as given and once transposed.
+    """
+
+    def __init__(self, family, q: int):
+        self._family = family
+        self._q = q
+        seen = set()
+        keep = []
+        for i, U in enumerate(family):
+            data = self._make(U).data
+            if data not in seen:
+                seen.add(data)
+                keep.append(i)
+        self._keep = tuple(keep)
+
+    def _make(self, U: IntMatrix) -> IntMatrix:
+        return U.transpose().mod(self._q)
+
+    def __len__(self) -> int:
+        return len(self._keep)
+
+    def __getitem__(self, g: int) -> IntMatrix:
+        return self._make(self._family[self._keep[g]])
+
+
 def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
     """Generators of the equivariant maps N1 -> N2 mod 2^k."""
-    assert N1.level == N2.level
+    ensure(N1.level == N2.level, "dual homomorphisms between different levels")
     q = N1.modulus
     r1, r2 = N1.rank, N2.rank
-    A1, B1 = N1.base.act_a.transpose(), N1.base.act_b.transpose()
-    A2, B2 = N2.base.act_a.transpose(), N2.base.act_b.transpose()
+    M1, M2 = N1.transposed_module(), N2.transposed_module()
+    A1, B1, A2, B2 = M1.act_a, M1.act_b, M2.act_a, M2.act_b
     rows = []
     for (Am, An) in ((A1, A2), (B1, B2)):
         for i in range(r2):
@@ -498,8 +538,8 @@ class DualSumContext(SumContext):
     def _cohomology(self) -> StableDualCohomology:
         return StableDualCohomology(self.module, self.n, self.level)
 
-    def _tube_context(self, T: TubeModule) -> DualTubeContext:
-        return DualTubeContext(T, self.n, self.level)
+    def _tube_context(self, T: TubeModule, H=None) -> DualTubeContext:
+        return DualTubeContext(T, self.n, self.level, H)
 
     def representative(self, i: int, k: int):
         return self.ctxs[i].z_class(k)

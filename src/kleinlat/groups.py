@@ -15,10 +15,12 @@ relabelings of the acting group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
+from .checks import ensure
 from .intmat import IntMatrix, solve_int
-from .klein import GROUP, GroupElt, KLattice, dim_vector
+from .klein import GROUP, A, B, E, GroupElt, KLattice, dim_vector
 from .quiver import TubeLabel
 from .resolutions import comparison_maps, r_apply
 from .tubes import TubeModule, transport_label, tube_module_from_label
@@ -42,8 +44,22 @@ for _i, _g in enumerate(_NONTRIV):
         BAR2_INDEX[(_g, _h)] = 3 * _i + _j
 
 
+def _index(g: GroupElt) -> int:
+    """a^i b^j sits at index i + 2j of GROUP, so products are xors of indices."""
+    return g.i | g.j << 1
+
+
+def _moved(rows, vec) -> tuple:
+    """The matrix with the given row tuples times vec."""
+    return tuple([sum(map(mul, row, vec)) for row in rows])
+
+
 class BarCocycle:
-    """Normalized 2-cocycle table K x K -> module vectors."""
+    """Normalized 2-cocycle table K x K -> module vectors.
+
+    table holds the values as given; values[s][t] is the value on
+    (GROUP[s], GROUP[t]), reduced mod the modulus.
+    """
 
     def __init__(self, rank: int, table: dict, modulus: int = 0):
         self.rank = rank
@@ -54,33 +70,35 @@ class BarCocycle:
             for h in GROUP:
                 full[(g, h)] = tuple(table.get((g, h), zero))
         for g in GROUP:
-            if any(full[(GroupElt(0, 0), g)]) or any(full[(g, GroupElt(0, 0))]):
+            if any(full[(E, g)]) or any(full[(g, E)]):
                 raise ValueError("table is not normalized")
         self.table = full
+        self.values = tuple(
+            tuple(
+                tuple(x % modulus for x in full[(g, h)]) if modulus else full[(g, h)]
+                for h in GROUP
+            )
+            for g in GROUP
+        )
 
     def value(self, g: GroupElt, h: GroupElt) -> tuple:
-        v = self.table[(g, h)]
-        if self.modulus:
-            return tuple(x % self.modulus for x in v)
-        return v
+        return self.values[_index(g)][_index(h)]
 
-    def is_cocycle(self, module) -> bool:
-        """The 2-cocycle identity over all triples."""
-        for g in GROUP:
-            for h in GROUP:
-                for k in GROUP:
-                    lhs = module.applied(g, self.value(h, k))
+    def is_cocycle(self, module: "ModuleOps") -> bool:
+        """The 2-cocycle identity over all triples, read from the tables."""
+        gam = self.values
+        q = self.modulus
+        for s in range(4):
+            for t in range(4):
+                gst = gam[s][t]
+                for u in range(4):
+                    lhs = module.applied(GROUP[s], gam[t][u])
                     v = [
                         a - b + c - d
-                        for a, b, c, d in zip(
-                            lhs,
-                            self.value(g * h, k),
-                            self.value(g, h * k),
-                            self.value(g, h),
-                        )
+                        for a, b, c, d in zip(lhs, gam[s ^ t][u], gam[s][t ^ u], gst)
                     ]
-                    if self.modulus:
-                        if any(x % self.modulus for x in v):
+                    if q:
+                        if any(x % q for x in v):
                             return False
                     elif any(v):
                         return False
@@ -88,21 +106,25 @@ class BarCocycle:
 
 
 class ModuleOps:
-    """Uniform vector arithmetic for lattice or finite-level dual bases."""
+    """Uniform vector arithmetic for lattice or finite-level dual bases.
+
+    acts[t] is the matrix of GROUP[t] as row tuples, built once.
+    """
 
     def __init__(self, acting: KLattice, modulus: int = 0):
         self.acting = acting
         self.modulus = modulus
         self.rank = acting.rank
+        self.acts = (
+            IntMatrix.identity(acting.rank).data,
+            acting.act_a.data,
+            acting.act_b.data,
+            (acting.act_a * acting.act_b).data,
+        )
 
     def applied(self, g: GroupElt, vec):
-        out = self.acting.apply(g, vec)
-        if self.modulus:
-            out = tuple(x % self.modulus for x in out)
-        return out
-
-    def add(self, u, v):
-        out = tuple(a + b for a, b in zip(u, v))
+        t = _index(g)
+        out = _moved(self.acts[t], vec) if t else tuple(vec)
         if self.modulus:
             out = tuple(x % self.modulus for x in out)
         return out
@@ -120,25 +142,43 @@ class ExtensionGroup:
     def __init__(self, ops: ModuleOps, gamma: BarCocycle):
         if gamma.rank != ops.rank:
             raise ValueError("rank mismatch")
+        if gamma.modulus != ops.modulus:
+            raise ValueError("modulus mismatch")
         self.ops = ops
         self.gamma = gamma
+
+    def _product(self, u, s: int, v, t: int) -> tuple:
+        """The vector of (u, GROUP[s]) (v, GROUP[t])."""
+        gv = _moved(self.ops.acts[s], v) if s else v
+        q = self.ops.modulus
+        if q:
+            return tuple([(a + b + c) % q for a, b, c in zip(u, gv, self.gamma.values[s][t])])
+        return tuple([a + b + c for a, b, c in zip(u, gv, self.gamma.values[s][t])])
 
     def mul(self, x, y):
         u, g = x
         v, h = y
-        w = self.ops.add(self.ops.add(u, self.ops.applied(g, v)), self.gamma.value(g, h))
-        return (self.ops.reduce(w), g * h)
+        s, t = _index(g), _index(h)
+        return (self._product(u, s, v, t), GROUP[s ^ t])
 
     def identity(self):
-        return (self.ops.zero(), GroupElt(0, 0))
+        return (self.ops.zero(), E)
 
     def associativity_check(self, samples) -> bool:
+        """(xy)z = x(yz) for x, y, z over each sample and all triples in K.
+
+        x.y is formed once per (g, h) and y.z once per (h, k); the element of
+        K is the same on both sides, so only the vectors are compared.
+        """
+        prod = self._product
+        R = range(4)
         for (u, v, w) in samples:
-            for g in GROUP:
-                for h in GROUP:
-                    for k in GROUP:
-                        x, y, z = (u, g), (v, h), (w, k)
-                        if self.mul(self.mul(x, y), z) != self.mul(x, self.mul(y, z)):
+            xy = [[prod(u, s, v, t) for t in R] for s in R]
+            yz = [[prod(v, t, w, r) for r in R] for t in R]
+            for s in R:
+                for t in R:
+                    for r in R:
+                        if prod(xy[s][t], s ^ t, w, r) != prod(u, s, yz[t][r], t ^ r):
                             return False
         return True
 
@@ -178,7 +218,7 @@ def _extension(acting: KLattice, cls: CohClass, modulus: int) -> ExtensionGroup:
     gamma = bar_cocycle_from_class(cls, acting, modulus=modulus)
     ops = ModuleOps(acting, modulus=modulus)
     ext = ExtensionGroup(ops, gamma)
-    assert gamma.is_cocycle(ops)
+    ensure(gamma.is_cocycle(ops), "the bar table of the class is not a 2-cocycle")
     return ext
 
 
@@ -246,13 +286,13 @@ def _data_class_and_vectors(sc: SumContext, entries):
             continue
         k = positions.pop(key)
         v = sc.representative_vector(i, k)
-        assert v is not None
+        ensure(v is not None, "no stratum representative at the data's position")
         off = sc.offsets[i]
         target = vinf if is_infinity_tube(T.label) else v0
         for t, x in enumerate(v):
             target[off + t] += x
         comps.append(sc.representative(i, k))
-    assert not positions, "the data does not match the summands"
+    ensure(not positions, "the data does not match the summands")
     return sc.merge(comps), tuple(v0), tuple(vinf)
 
 
@@ -267,7 +307,7 @@ def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> 
     cls, e0, einf = _data_class_and_vectors(sc, data.entries)
     ext = extension_from_class(sc.module, cls)
     section = _solve_section(ext, e0, einf)
-    assert section is not None, "constructed extension does not satisfy the relations"
+    ensure(section is not None, "constructed extension does not satisfy the relations")
     w_a, w_b = section
     gens = ("abar", "bbar") + tuple(f"w{i+1}" for i in range(sc.module.rank))
     rels = (
@@ -295,7 +335,6 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     ops = ext.ops
     r = ops.rank
     g = ext.gamma
-    A_ELT, B_ELT = GroupElt(1, 0), GroupElt(0, 1)
     ident = IntMatrix.identity(r)
     Aact = ops.acting.act_a
     Bact = ops.acting.act_b
@@ -305,17 +344,17 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     top = (ident + Aact).hstack(IntMatrix.zero(r, r))
     for i in range(r):
         rows.append(list(top.data[i]))
-    rhs.extend(x - y for x, y in zip(e0, g.value(A_ELT, A_ELT)))
+    rhs.extend(x - y for x, y in zip(e0, g.value(A, A)))
     # (1 + b) w_b = einf - gamma(b,b)
     mid = IntMatrix.zero(r, r).hstack(ident + Bact)
     for i in range(r):
         rows.append(list(mid.data[i]))
-    rhs.extend(x - y for x, y in zip(einf, g.value(B_ELT, B_ELT)))
+    rhs.extend(x - y for x, y in zip(einf, g.value(B, B)))
     # commutation: (1 - b) w_a - (1 - a) w_b = gamma(b,a) - gamma(a,b)
     bot = (ident - Bact).hstack((Aact - ident))
     for i in range(r):
         rows.append(list(bot.data[i]))
-    rhs.extend(x - y for x, y in zip(g.value(B_ELT, A_ELT), g.value(A_ELT, B_ELT)))
+    rhs.extend(x - y for x, y in zip(g.value(B, A), g.value(A, B)))
     Amat = IntMatrix(rows, cols=2 * r)
     if ops.modulus:
         q = ops.modulus
@@ -331,13 +370,13 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     w_a = tuple(ops.reduce(w[:r]))
     w_b = tuple(ops.reduce(w[r:2 * r]))
     # verify mechanically
-    a_lift = (w_a, A_ELT)
-    b_lift = (w_b, B_ELT)
+    a_lift = (w_a, A)
+    b_lift = (w_b, B)
     sq_a = ext.mul(a_lift, a_lift)
     sq_b = ext.mul(b_lift, b_lift)
-    if sq_a != (ops.reduce(e0), GroupElt(0, 0)):
+    if sq_a != (ops.reduce(e0), E):
         return None
-    if sq_b != (ops.reduce(einf), GroupElt(0, 0)):
+    if sq_b != (ops.reduce(einf), E):
         return None
     if ext.mul(a_lift, b_lift) != ext.mul(b_lift, a_lift):
         return None
@@ -365,7 +404,7 @@ def ch_presentation(data: StandardData, n0_labels: Sequence[TubeLabel] = (),
     cls, z0, zinf = _data_class_and_vectors(sc, data.entries)
     ext = extension_from_dual_class(cls)
     section = _solve_section(ext, z0, zinf)
-    assert section is not None, "constructed extension does not satisfy the relations"
+    ensure(section is not None, "constructed extension does not satisfy the relations")
     w_a, w_b = section
 
     def dyadic(vec):
@@ -405,7 +444,7 @@ def _transport_entries(entries, which: str):
             if new_tube is None:
                 new_tube = lab.tube
             else:
-                assert new_tube == lab.tube
+                ensure(new_tube == lab.tube, "one tube's labels moved to different tubes")
             moved.append(StandardEntry(lab.j, e.m, e.k))
         out.append((new_tube, tuple(moved)))
     out.sort(key=lambda p: str(p[0]))

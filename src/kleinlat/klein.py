@@ -117,11 +117,12 @@ class DimVector:
 class KLattice:
     """Free Z-module with commuting involutions act_a, act_b.
 
-    The lattice is immutable, so sharp(M) and quiver.phi_data(M) are kept on
-    it (in _sharp and _phi) from their first call.
+    The lattice is immutable, so sharp(M), quiver.phi_data(M) and
+    M.transposed() are kept on it (in _sharp, _phi and _transposed) from their
+    first call.
     """
 
-    __slots__ = ("rank", "act_a", "act_b", "_sharp", "_phi")
+    __slots__ = ("rank", "act_a", "act_b", "_sharp", "_phi", "_transposed")
 
     def __init__(self, act_a: IntMatrix, act_b: IntMatrix):
         n = act_a.rows
@@ -137,6 +138,7 @@ class KLattice:
         object.__setattr__(self, "act_b", act_b)
         object.__setattr__(self, "_sharp", None)
         object.__setattr__(self, "_phi", None)
+        object.__setattr__(self, "_transposed", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("KLattice is immutable")
@@ -153,6 +155,13 @@ class KLattice:
 
     def __repr__(self):
         return f"KLattice(rank={self.rank})"
+
+    def transposed(self) -> "KLattice":
+        """The lattice with the transposed actions (the contragredient module)."""
+        if self._transposed is None:
+            t = KLattice(self.act_a.transpose(), self.act_b.transpose())
+            object.__setattr__(self, "_transposed", t)
+        return self._transposed
 
     def act(self, g: GroupElt) -> IntMatrix:
         m = IntMatrix.identity(self.rank)

@@ -411,8 +411,12 @@ def hnf_mod(rows: Iterable[Sequence[int]], n: int, q: int) -> ZLattice:
     Entries are reduced mod q throughout, so this stays fast for the
     mod 2^k computations; the result is a full-rank lattice containing qZ^n.
     """
-    reduced = _hnf_rows_mod([list(r) for r in rows], n, q)
-    return ZLattice(n, reduced)
+    mat = [list(r) for r in rows]
+    for r in mat:
+        if len(r) != n:
+            raise ValueError("row length differs from ambient rank")
+    # the reduced rows are the Hermite form already
+    return ZLattice(n, _hnf_rows_mod(mat, n, q), _canonical=True)
 
 
 def _val2(x: int, k: int) -> int:
@@ -540,7 +544,8 @@ class Pow2Quotient:
     """Z^s modulo (row space of C + 2^k Z^s), with coordinates.
 
     invariants are the cyclic orders (powers of two, > 1); generators[i] is a
-    vector of Z^s generating the i-th factor.
+    vector of Z^s generating the i-th factor.  Of the left Smith transform U
+    only the rows at positions are kept, in _rows: coordinates read no other.
     """
 
     s: int
@@ -548,16 +553,15 @@ class Pow2Quotient:
     invariants: tuple
     positions: tuple
     generators: tuple
-    _U: IntMatrix
+    _rows: tuple
 
     def coords(self, vec) -> tuple:
-        """Coordinates of vec: the rows of _U at positions, each mod its order."""
+        """Coordinates of vec: the rows of U at positions, each mod its order."""
         if len(vec) != self.s:
             raise ValueError("vector length mismatch")
-        rows = self._U.data
         return tuple(
-            sum(a * v for a, v in zip(rows[p], vec)) % d
-            for p, d in zip(self.positions, self.invariants)
+            sum(a * v for a, v in zip(row, vec)) % d
+            for row, d in zip(self._rows, self.invariants)
         )
 
 
@@ -587,7 +591,7 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
         invariants=tuple(invariants),
         positions=tuple(positions),
         generators=tuple(gens),
-        _U=U,
+        _rows=tuple(U.data[p] for p in positions),
     )
 
 

@@ -284,6 +284,10 @@ def _aut_generator_family(T: TubeModule) -> tuple:
     rep = phi(T.lattice)
     out = []
     seen = set()
+    # the member keeps the family for its lifetime, and most rows recur
+    # across its matrices (about 60% on the rank-24 members), so the
+    # matrices share one tuple per distinct row
+    rows: dict = {}
 
     def push(U: IntMatrix):
         if abs(determinant(U)) != 1:
@@ -291,7 +295,7 @@ def _aut_generator_family(T: TubeModule) -> tuple:
         for W in (U, inverse_unimodular(U)):
             if not W.is_identity() and W.data not in seen:
                 seen.add(W.data)
-                out.append(W)
+                out.append(IntMatrix([rows.setdefault(r, r) for r in W.data], cols=W.cols))
 
     for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
         if e.is_invertible():

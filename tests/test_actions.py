@@ -211,3 +211,47 @@ def test_the_search_builds_only_the_actions_it_reaches():
     assert ctx.built == [_GENS[0]]
     _move_word(ctx, _Point((1, 0, 0)), _Point((0, 0, 1)), 3, 0)
     assert ctx.built == _GENS
+
+
+@pytest.mark.parametrize("context,form", SIDES, ids=SIDE_IDS)
+def test_a_one_member_sum_shares_its_group_with_the_tube_context(context, form):
+    T = _members()[0]
+    sc = context([T], 2)
+    assert sc.ctxs[0].H is sc.H
+    # the forms agree with those of a sum whose tube context has its own group
+    apart = context([T], 2)
+    apart.ctxs = [type(apart.ctxs[0])(T, 2)]
+    assert apart.ctxs[0].H is not apart.H
+    assert apart.ctxs[0].H.invariants == sc.H.invariants
+    classes = [c for c in sc.H.all_classes() if not c.is_zero()]
+    assert classes
+    for cls in classes:
+        shared = form([T], cls, 2, context=sc)
+        own = form([T], apart.H.from_coords(cls.coords), 2, context=apart)
+        assert shared.data == own.data
+        assert shared.witness == own.witness
+        assert shared.canonical_class.coords == own.canonical_class.coords
+        assert shared.positions == own.positions
+
+
+def test_dual_generators_are_the_distinct_transposes_mod_q():
+    for T in _members():
+        for n in (2, 3):
+            ctx = colattices.DualTubeContext(T, n)
+            q = ctx.N.modulus
+            expected = []
+            for U in T.aut_family:
+                Um = U.transpose().mod(q)
+                if Um not in expected:
+                    expected.append(Um)
+            gens = ctx.aut_generators()
+            assert gens is ctx.aut_generators()
+            assert len(gens) == len(expected)
+            assert list(gens) == expected
+            assert gens[-1] == expected[-1]
+
+
+def test_the_family_matrices_share_their_equal_rows():
+    for T in _guard_members():
+        rows = [r for U in T.aut_family for r in U.data]
+        assert len({id(r) for r in rows}) == len(set(rows)), T.label

@@ -1,21 +1,26 @@
+import random
+
 import pytest
 
 from kleinlat.klein import sign_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
-from kleinlat.tubes import tube_module
+from kleinlat.tubes import sweep_labels, tube_module, tube_module_from_label
 from kleinlat.colattices import (
     ColatticeLevel,
     DualSumContext,
     DualTubeContext,
     StableDualCohomology,
+    _image_gens,
+    _subgroup_order,
     co_canonical_form,
     dual_chain,
+    dual_target_basis,
     eta,
     subgroup_order,
     verify_eta_iso,
 )
-from kleinlat.cohomology import push_class, sum_orbit_partition
+from kleinlat.cohomology import ClassGroup, push_class, sum_orbit_partition
 
 F = F2Poly.from_string("t^2+t+1")
 
@@ -140,3 +145,64 @@ def test_not_stabilized_detection():
     T = tube_module(TubeId.homogeneous(F), None, 1)
     with pytest.raises(ValueError):
         StableDualCohomology(T.lattice, 1, level=1)
+
+
+def _subgroup_order_by_enumeration(gens, zero):
+    """Reference: every element of the subgroup, reached breadth-first."""
+    seen = {tuple(zero.coords)}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x.add(g)
+                if tuple(y.coords) not in seen:
+                    seen.add(tuple(y.coords))
+                    new.append(y)
+        frontier = new
+    return len(seen)
+
+
+class _Group(ClassGroup):
+    def __init__(self, invariants):
+        self.invariants = tuple(invariants)
+
+
+def test_subgroup_order_by_index_matches_enumeration():
+    rng = random.Random(11)
+    for _ in range(200):
+        H = _Group(1 << rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
+        gens = [
+            H.from_coords([rng.randrange(-20, 20) for _ in H.invariants])
+            for _ in range(rng.randint(0, 4))
+        ]
+        assert _subgroup_order(H, gens) == _subgroup_order_by_enumeration(gens, H.zero())
+
+
+def test_subgroup_order_on_the_stabilization_images():
+    for label in sweep_labels(2):
+        M = tube_module_from_label(label).lattice
+        for n in (1, 2, 3):
+            H = StableDualCohomology(M, n)
+            H_low = ColatticeLevel(M, H.level).cohomology(n)
+            H_lower = ColatticeLevel(M, H.level - 1).cohomology(n)
+            for low, high in ((H_lower, H_low), (H_low, H.carrier)):
+                gens = _image_gens(low, high)
+                want = _subgroup_order_by_enumeration(gens, high.zero())
+                assert _subgroup_order(high, gens) == want, (label, n)
+
+
+def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
+    T = tube_module(TubeId.homogeneous(F), None, 2)
+    H = StableDualCohomology(T.lattice, 2)
+    N = H.colattice
+    assert N.transposed_module() is T.lattice.transposed()
+    assert H.module is N.transposed_module()
+    basis = dual_target_basis(N, 2, False)
+    kept = dict(N._torsion)
+    assert list(kept) == ["mp"]
+    for u in basis:
+        eta(N, u, 2, False)
+    assert N._torsion == kept and N._torsion["mp"] is kept["mp"]
+    # equality and hashing ignore what is kept
+    assert N == ColatticeLevel(T.lattice, N.level) and hash(N) == hash(ColatticeLevel(T.lattice, N.level))

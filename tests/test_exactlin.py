@@ -105,6 +105,38 @@ def test_hnf_idempotent_and_mixing_invariant(data, rng):
         assert hnf(mixed, n) == L
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+                min_size=0,
+                max_size=6,
+            ),
+            st.integers(1, 5),
+        )
+    )
+)
+@example((0, [], 1))
+@example((3, [], 4))
+@example((2, [[-1, -7], [6, 5]], 3))
+def test_hnf_mod_is_the_hermite_form_of_rows_plus_q(case):
+    # hnf_mod builds its lattice without a second Hermite reduction, so its
+    # rows must already be the canonical basis of span(rows) + q Z^n
+    n, rows, k = case
+    q = 1 << k
+    full = [list(r) for r in rows] + [[q if i == j else 0 for j in range(n)] for i in range(n)]
+    assert hnf_mod(rows, n, q).basis == ZLattice(n, full).basis
+
+
+def test_hnf_mod_checks_row_lengths():
+    for bad in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            hnf_mod([bad], 3, 4)
+
+
 def test_lattice_ops_examples():
     full = ZLattice.full(2)
     two = full.scale(2)
@@ -401,6 +433,8 @@ def test_pow2_quotient_against_finite_quotient():
 
 
 def test_pow2_quotient_coords_match_the_full_transform():
+    # the quotient keeps only the rows of U it reads; the reference is the
+    # whole left transform of smith_mod_2k
     rng = random.Random(6)
     for _ in range(40):
         s = rng.randint(1, 6)
@@ -408,9 +442,10 @@ def test_pow2_quotient_coords_match_the_full_transform():
         gens = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(rng.randint(0, 5))]
         C = IntMatrix(gens, cols=s) if gens else IntMatrix.zero(0, s)
         pq = pow2_quotient(C, s, k)
+        U, _vals, _V = smith_mod_2k(C.transpose() if gens else IntMatrix.zero(s, 0), k)
         for _ in range(5):
             v = [rng.randint(-50, 50) for _ in range(s)]
-            full = pq._U.apply(v)
+            full = U.apply(v)
             assert pq.coords(v) == tuple(full[p] % d for p, d in zip(pq.positions, pq.invariants))
         for bad in (s - 1, s + 1):
             with pytest.raises(ValueError):

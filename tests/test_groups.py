@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from kleinlat.klein import A, B, E, trivial_lattice
+import kleinlat
+from kleinlat.klein import A, B, C, E, GROUP, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
 from kleinlat.resolutions import comparison_maps, poly_differential, twist_chain_maps
@@ -91,21 +95,145 @@ def test_extension_associativity_and_negative_control():
         ]
         for s in samples:
             assert ext.associativity_check([s])
-    # corrupting one table entry breaks the cocycle identity
-    cls = sc.H.from_coords([1, 0])
-    good = extension_from_class(sc.module, cls)
-    table = {
-        (g, h): v
-        for (g, h), v in good.gamma.table.items()
-        if g != E and h != E
-    }
-    key = (A, B)
-    table[key] = tuple(x + 1 for x in table[key])
-    bad = BarCocycle(sc.module.rank, table)
-    assert not bad.is_cocycle(good.ops)
-    bad_ext = ExtensionGroup(good.ops, bad)
-    sample = [tuple(tuple(rng.randint(-2, 2) for _ in range(sc.module.rank)) for _ in range(3))]
-    assert not bad_ext.associativity_check(sample)
+    # corrupting one table entry breaks the cocycle identity: on the lattice
+    # side and at a finite dual level, in each kind of entry
+    Td = tube_module(TubeId.homogeneous(F), None, 2)
+    dsc = DualSumContext([Td], 2)
+    goods = [
+        extension_from_class(sc.module, sc.H.from_coords([1, 0])),
+        extension_from_class(sc.module, sc.H.zero()),
+        extension_from_dual_class(dsc.merge([dsc.ctxs[0].z_class(1)])),
+    ]
+    for good in goods:
+        r, q = good.ops.rank, good.ops.modulus
+        for key in ((A, B), (B, A), (A, A), (C, C), (C, A)):
+            for t in (0, r - 1):
+                table = {
+                    (g, h): v
+                    for (g, h), v in good.gamma.table.items()
+                    if g != E and h != E
+                }
+                table[key] = tuple(x + (i == t) for i, x in enumerate(table[key]))
+                bad = BarCocycle(r, table, modulus=q)
+                assert not bad.is_cocycle(good.ops), (q, key, t)
+                bad_ext = ExtensionGroup(good.ops, bad)
+                sample = [
+                    tuple(tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(3))
+                ]
+                assert not bad_ext.associativity_check(sample), (q, key, t)
+
+
+# The product and the checks as they were written before the extension tables:
+# one group action per product and every triple of K recomputed.  They are the
+# reference for the table-driven ones.
+
+
+def _reference_mul(acting, q, table, x, y):
+    u, g = x
+    v, h = y
+    w = [a + b + c for a, b, c in zip(u, acting.apply(g, v), table[(g, h)])]
+    return (tuple(c % q for c in w) if q else tuple(w), g * h)
+
+
+def _reference_is_cocycle(acting, q, table):
+    for g in GROUP:
+        for h in GROUP:
+            for k in GROUP:
+                lhs = acting.apply(g, table[(h, k)])
+                v = [
+                    a - b + c - d
+                    for a, b, c, d in zip(lhs, table[(g * h, k)], table[(g, h * k)], table[(g, h)])
+                ]
+                if any(x % q for x in v) if q else any(v):
+                    return False
+    return True
+
+
+def _reference_associative(acting, q, table, samples):
+    for (u, v, w) in samples:
+        for g in GROUP:
+            for h in GROUP:
+                for k in GROUP:
+                    x, y, z = (u, g), (v, h), (w, k)
+                    xy = _reference_mul(acting, q, table, x, y)
+                    yz = _reference_mul(acting, q, table, y, z)
+                    if _reference_mul(acting, q, table, xy, z) != \
+                            _reference_mul(acting, q, table, x, yz):
+                        return False
+    return True
+
+
+def test_extension_tables_match_the_reference_product_and_checks():
+    rng = random.Random(13)
+    Td = tube_module(TubeId.homogeneous(F), None, 2)
+    dsc = DualSumContext([Td], 2)
+    sc = SumContext([tube_module(TubeId.special("1"), 1, 1), tube_module(TubeId.special("1"), 2, 1)], 2)
+    goods = [extension_from_class(sc.module, c) for c in list(sc.H.all_classes())[:4]]
+    goods += [extension_from_dual_class(c) for c in list(dsc.H.all_classes())[-3:]]
+    # the dual module at level 4 gives modulus 16; reduce it to 2, 4 and 8
+    for k in (1, 2, 3):
+        q = 1 << k
+        base = goods[-1]
+        table = {key: tuple(x % q for x in v) for key, v in base.gamma.table.items()}
+        goods.append(ExtensionGroup(ModuleOps(base.ops.acting, q), BarCocycle(base.ops.rank, table, q)))
+    cases = []
+    for good in goods:
+        r, q = good.ops.rank, good.ops.modulus
+        cases.append(good)
+        for _ in range(4):
+            # random normalized tables, mostly not cocycles, and small
+            # perturbations of a cocycle
+            table = dict(good.gamma.table)
+            for g in GROUP[1:]:
+                for h in GROUP[1:]:
+                    if rng.random() < 0.3:
+                        table[(g, h)] = tuple(x + rng.randint(-3, 3) for x in table[(g, h)])
+            bad = BarCocycle(r, table, modulus=q)
+            cases.append(ExtensionGroup(good.ops, bad))
+    seen = set()
+    for ext in cases:
+        acting, q, rank = ext.ops.acting, ext.ops.modulus, ext.ops.rank
+        table = {key: tuple(x % q for x in v) if q else v for key, v in ext.gamma.table.items()}
+        cocycle = ext.gamma.is_cocycle(ext.ops)
+        assert cocycle == _reference_is_cocycle(acting, q, table)
+        bound = 2 * q if q else 5
+        for _ in range(3):
+            samples = [
+                tuple(tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(3))
+                for _ in range(rng.randint(1, 2))
+            ]
+            got = ext.associativity_check(samples)
+            assert got == _reference_associative(acting, q, table, samples)
+            seen.add((q, cocycle, got))
+            u, v = samples[0][0], samples[0][1]
+            for g in GROUP:
+                for h in GROUP:
+                    assert ext.mul((u, g), (v, h)) == _reference_mul(acting, q, table, (u, g), (v, h))
+    # both answers of both checks were compared, at modulus 0 and 2^k
+    assert {(c, a) for (_, c, a) in seen} == {(True, True), (False, False)}
+    assert {q for (q, _, _) in seen} == {0, 2, 4, 8, 16}
+
+
+def test_failing_extension_check_survives_python_O():
+    # the checks in groups are not asserts, so python -O keeps them
+    code = (
+        "import kleinlat.groups as G\n"
+        "from kleinlat.cohomology import CohomologyGroup\n"
+        "from kleinlat.klein import A, B, trivial_lattice\n"
+        "Z = trivial_lattice(1)\n"
+        "H = CohomologyGroup(Z, 2)\n"
+        "G.bar_cocycle_from_class = lambda cls, acting, modulus=0: "
+        "G.BarCocycle(1, {(A, B): (1,)}, modulus)\n"
+        "G._extension(Z, H.zero(), 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: the bar table of the class is not a 2-cocycle" in out.stderr
 
 
 def test_cr_presentation_infinity_entry():
