@@ -5,8 +5,8 @@ monomial x^j y^(n-j) sitting at index j.  H^n is computed exactly from the
 polynomial resolution by Smith reduction of kernel modulo image; every class
 carries coordinates against the computed cyclic generators.
 
-The same cohomology group serves the finite levels of the dual side: with
-a modulus 2^k the cochains are taken mod 2^k (see colattices).
+The dual side (colattices) reaches its classes through the integral group
+one degree up.
 
 For a tube member the submodule chain induces a filtration of H^n whose
 strata are the automorphism orbits.  One normal-form engine serves lattices
@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .checks import ensure
 from .f2 import F2Matrix, is_invertible
 from .f2 import solve as f2_solve
 from .intmat import IntMatrix, kernel_basis, solve_int
 from .klein import KLattice, SignPair, eigencomponent
-from .lattices import ZLattice, finite_quotient, hnf, hnf_mod, kernel_mod, pow2_quotient
+from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
 from .resolutions import r_apply, twist_chain_maps
 from .tubes import TubeModule, hom_klattices, s3_images
@@ -140,8 +141,9 @@ def differential_matrix(M: KLattice, n: int) -> IntMatrix:
 class ClassGroup:
     """A finite group of cohomology classes, coordinates mod the invariants.
 
-    Subclasses set invariants, generators, n, module and modulus (0 when
-    cochains are integral), and define class_of.
+    Subclasses set invariants, generators (a cocycle for each cyclic
+    factor), n, module and modulus (0 when cochains are integral), and
+    define class_of.
     """
 
     def order(self) -> int:
@@ -169,15 +171,11 @@ class ClassGroup:
             self, tuple(c % d for c, d in zip(coords, self.invariants))
         )
 
-    def generator_cochain(self, g) -> Cochain:
-        """A cocycle of the generator g."""
-        return g
-
     def cochain_of(self, cls: "CohClass") -> Cochain:
         out = Cochain.zero(self.n, self.module.rank)
         for c, g in zip(cls.coords, self.generators):
             if c:
-                out = out.add(self.generator_cochain(g).scale(c))
+                out = out.add(g.scale(c))
         return out.reduce(self.modulus)
 
     def all_classes(self):
@@ -196,42 +194,34 @@ class ClassGroup:
 class CohomologyGroup(ClassGroup):
     """H^n(K, M) with explicit generator cocycles and coordinates.
 
-    Kernel modulo image of the cochain complex, over Z (modulus 0) or mod a
-    modulus 2^k, which gives the cohomology of a colattice level when M is
-    the transposed module.  Since the exponent divides four, the quotient is
-    taken by fast 2-adic reduction (mod 8 over Z, mod 2^k at a level), and an
-    assertion confirms no invariant 8 shows up.
+    Kernel modulo image of the integral cochain complex.  Since the exponent
+    divides four, the quotient is taken by fast 2-adic reduction mod 8, and a
+    check confirms no invariant 8 shows up.
     """
 
-    def __init__(self, M: KLattice, n: int, modulus: int = 0):
+    modulus = 0
+
+    def __init__(self, M: KLattice, n: int):
         if n < 1:
             raise ValueError("degree must be >= 1")
         self.module = M
         self.n = n
-        self.modulus = modulus
         r = M.rank
         width = (n + 1) * r
         D = differential_matrix(M, n)
         Dprev = differential_matrix(M, n - 1)
-        image = [Dprev.col(j) for j in range(Dprev.cols)]
-        if modulus:
-            ker = kernel_mod(D, modulus)
-            image = hnf_mod([list(v) for v in image], width, modulus).basis
-        else:
-            ker = hnf([list(v) for v in kernel_basis(D)], width)
+        ker = hnf([list(v) for v in kernel_basis(D)], width)
         self._kernel = ker
-        self._q, flats = _kernel_mod_image(ker, image, modulus.bit_length() - 1 if modulus else 3)
-        assert all(4 % d == 0 for d in self._q.invariants), self._q.invariants
+        self._q, flats = _kernel_mod_image(ker, [Dprev.col(j) for j in range(Dprev.cols)], 3)
+        ensure(all(4 % d == 0 for d in self._q.invariants),
+               f"H^{n} has an invariant not dividing 4: {self._q.invariants}")
         self.invariants = self._q.invariants
-        self.generators = tuple(Cochain.unflatten(n, r, f).reduce(modulus) for f in flats)
+        self.generators = tuple(Cochain.unflatten(n, r, f) for f in flats)
 
     def class_of(self, gamma: Cochain) -> "CohClass":
-        flat = gamma.flatten()
-        if self.modulus:
-            flat = [x % self.modulus for x in flat]
-        c = self._kernel.coords(flat)
+        c = self._kernel.coords(gamma.flatten())
         if c is None:
-            raise ValueError(f"not a cocycle mod {self.modulus}" if self.modulus else "not a cocycle")
+            raise ValueError("not a cocycle")
         return CohClass(self, self._q.coords(c))
 
 
@@ -245,7 +235,7 @@ def _kernel_mod_image(ker: ZLattice, image, level: int):
     coords = []
     for v in image:
         c = ker.coords(v)
-        assert c is not None, "image not inside the kernel"
+        ensure(c is not None, "image not inside the kernel")
         coords.append(list(c))
     C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
     quotient = pow2_quotient(C, s, level)
@@ -283,7 +273,7 @@ class CohClass:
         return all(c == 0 for c in self.coords)
 
     def add(self, other: "CohClass") -> "CohClass":
-        assert self.group is other.group
+        ensure(self.group is other.group, "classes of different groups added")
         return self.group.from_coords(
             tuple(a + b for a, b in zip(self.coords, other.coords))
         )
@@ -354,7 +344,7 @@ def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool) -> Cochain:
     values = [tuple([0] * M.rank) for _ in range(n + 1)]
     values[slot] = tuple(v)
     gamma = Cochain(n, tuple(values))
-    assert all(x == 0 for w in coboundary(gamma, M).values for x in w)
+    ensure(all(x == 0 for w in coboundary(gamma, M).values for x in w), "xi is not a cocycle")
     return gamma
 
 
@@ -392,7 +382,8 @@ class TubeCohContext:
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
         self.H = H if H is not None else CohomologyGroup(T.lattice, n)
-        assert all(d == 2 for d in self.H.invariants)
+        ensure(all(d == 2 for d in self.H.invariants),
+               "cohomology of a tube member is not elementary abelian")
         self._images: Optional[list] = None
         self._e_classes: Optional[list] = None
         self._e_vectors: Optional[list] = None
@@ -465,7 +456,8 @@ class TubeCohContext:
             if v is None:
                 return None
             cls = self.H.class_of(xi(self.T.lattice, v, self.n, self.in_inf))
-            assert self.filtration_position(cls) == k
+            ensure(self.filtration_position(cls) == k,
+                   "e class does not sit at its filtration position")
             self._e_classes[k] = cls
         return self._e_classes[k]
 
@@ -504,7 +496,7 @@ class TubeCohContext:
 def _class_action(H: ClassGroup, U: IntMatrix) -> F2Matrix:
     """The action of U on H mod 2, computed on the generator cocycles."""
     s = len(H.invariants)
-    cols = [H.class_of(H.generator_cochain(g).map_values(U)).coords for g in H.generators]
+    cols = [H.class_of(g.map_values(U)).coords for g in H.generators]
     return F2Matrix([[cols[j][i] & 1 for j in range(s)] for i in range(s)], cols=s)
 
 
@@ -786,7 +778,7 @@ def _normal_form(sc: SumContext, cls: CohClass, n: int, descending: bool, form):
     form is the result type, built from (data, cleared labels, witness,
     canonical class, positions).
     """
-    assert cls.group is sc.H
+    ensure(cls.group is sc.H, "class is not in the group of the sum context")
     comps = sc.split(cls)
     witness = IntMatrix.identity(sc.module.rank)
 
@@ -796,9 +788,9 @@ def _normal_form(sc: SumContext, cls: CohClass, n: int, descending: bool, form):
             continue
         k = ctx.filtration_position(comps[i])
         target = sc.representative(i, k)
-        assert target is not None, "stratum without a fixed representative"
+        ensure(target is not None, "stratum without a fixed representative")
         W = ctx.move_to(comps[i], target)
-        assert W is not None, "class not in the orbit of its stratum representative"
+        ensure(W is not None, "class not in the orbit of its stratum representative")
         witness = sc.reduce(sc.block_witness(i, W) * witness)
         comps[i] = target
 
@@ -808,7 +800,7 @@ def _normal_form(sc: SumContext, cls: CohClass, n: int, descending: bool, form):
     while changed:
         changed = False
         guard += 1
-        assert guard <= 4 * len(sc.summands) ** 2 + 4
+        ensure(guard <= 4 * len(sc.summands) ** 2 + 4, "cancellation sweep does not terminate")
         for i in range(len(sc.summands)):
             if comps[i].is_zero():
                 continue
@@ -846,7 +838,8 @@ def _normal_form(sc: SumContext, cls: CohClass, n: int, descending: bool, form):
     parity = "none" if not special else ("even" if n % 2 == 0 else "odd")
     data = StandardData(entries=tuple(entries), parity=parity)
     canonical = sc.merge(comps)
-    assert push_class(witness, cls, sc.H) == canonical
+    ensure(push_class(witness, cls, sc.H) == canonical,
+           "witness does not carry the class to its canonical form")
     return form(data, tuple(cleared), witness, canonical, tuple(positions))
 
 
@@ -857,11 +850,11 @@ def _check_sequence(seq):
     S.k < L.k < S.k + L.m - S.m.
     """
     for t in range(len(seq) - 1):
-        assert seq[t].m != seq[t + 1].m, "equal lengths survived cancellation"
+        ensure(seq[t].m != seq[t + 1].m, "equal lengths survived cancellation")
     for t in range(len(seq)):
         for s in range(t + 1, len(seq)):
             S, L = (seq[t], seq[s]) if seq[t].m < seq[s].m else (seq[s], seq[t])
-            assert S.k < L.k < S.k + L.m - S.m, "(co)standard inequalities violated"
+            ensure(S.k < L.k < S.k + L.m - S.m, "(co)standard inequalities violated")
 
 
 def _solve_cancellation(H_j: ClassGroup, cls_i, cls_j, homs):
@@ -895,7 +888,7 @@ def _solve_cancellation(H_j: ClassGroup, cls_i, cls_j, homs):
 
 def sum_orbit_partition(sc: SumContext, cap: int = 1 << 6) -> list[set]:
     """Brute-force orbit closure of the generated automorphism family."""
-    assert sc.H.order() <= cap, "group too large for the brute-force oracle"
+    ensure(sc.H.order() <= cap, "group too large for the brute-force oracle")
     gens: list[IntMatrix] = []
     for i, ctx in enumerate(sc.ctxs):
         for U in ctx.aut_generators():
@@ -965,7 +958,7 @@ def transport_class(Msrc: KLattice, cls: CohClass, dst_group: CohomologyGroup) -
     from .quiver import lift_morphism, phi, reps_isomorphic
 
     iso = reps_isomorphic(phi(Msrc), phi(dst_group.module))
-    assert iso is not None, "modules are not isomorphic"
+    ensure(iso is not None, "modules are not isomorphic")
     psi = lift_morphism(iso, Msrc, dst_group.module)
     return push_class(psi, cls, dst_group)
 

@@ -1,18 +1,19 @@
-"""Duals of lattices at finite 2-power level and their cohomology.
+"""Duals of lattices and their stable cohomology.
 
-The dual of M is approximated by Hom(M, 2^-k Z / Z), realized as (Z/2^k)^rank
-with the transposed action.  The truncations N_k do not have the cohomology
-of the full divisible dual: the groups H^n(K, N_k) are too big, and the
-direct limit is reached as the image of the level-raising maps.  The
-stabilized group used everywhere below is
+The dual of M is DM = M* (x) Q2/Z2, M* the transposed module.  Its finite
+levels N_k = Hom(M, 2^-k Z / Z) are realized as (Z/2^k)^rank with the
+transposed action, and cocycles of DM are carried mod q = 2^(level+1).  For
+n >= 1 the connecting map of 0 -> M* -> M* (x) Q2 -> DM -> 0 is an
+isomorphism H^n(K, DM) = H^(n+1)(K, M*) (Brown, Cohomology of Groups, GTM 87):
+a carrier cocycle is lifted to Z, its integral coboundary divided by q.  So
+StableDualCohomology takes its invariants and coordinates from one integral
+group.  Its carrier cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
-with the level-(level-1) image required to have the same order (that is the
-level 3 vs 4 stabilization check at the default).  Both the eta cocycles and
-the annihilator filtration live naturally in E.
+by exactness the cocycles whose reduction mod 2 is a coboundary; both the
+eta cocycles and the annihilator filtration live there.
 
-Each finite level is a cohomology.CohomologyGroup with modulus 2^k.
 co_canonical_form() runs the normal-form engine of cohomology; this side
 supplies, through DualTubeContext and DualSumContext, the stratum
 representatives (eta over fixed two-torsion vectors), the homomorphisms
@@ -26,9 +27,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .checks import VerificationError, ensure
-from .intmat import IntMatrix, solve_int
+from .f2 import F2Matrix, RowSpan
+from .intmat import IntMatrix, smith_form, solve_int
 from .klein import KLattice, SignPair
-from .lattices import ZLattice, hnf_mod, intersection_mod, kernel_mod, pow2_quotient
+from .lattices import ZLattice, hnf_mod, intersection_mod, kernel_mod
 from .cohomology import (
     ClassGroup,
     CohClass,
@@ -82,110 +84,58 @@ class ColatticeLevel:
     def order(self) -> int:
         return self.modulus ** self.rank
 
-    def cohomology(self, n: int) -> CohomologyGroup:
-        """H^n(K, N_k), with coordinates mod 2^k."""
-        return CohomologyGroup(self.transposed_module(), n, self.modulus)
-
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "level": self.level}
 
 
-def _image_gens(Hlow: CohomologyGroup, Hhigh: CohomologyGroup) -> list[CohClass]:
-    return [Hhigh.class_of(g.scale(2)) for g in Hlow.generators]
-
-
-def _subgroup_order(H: ClassGroup, gens: list[CohClass]) -> int:
-    """Order of the subgroup of H = sum of Z/d_i generated by gens.
-
-    With c_j the coordinates of the generators it is the product of the d_i
-    over the index of span(c_j) + sum of d_i Z in Z^s; that index is the
-    product of the pivots of one Hermite form mod the exponent of H.
-    """
-    moduli = H.invariants
-    s = len(moduli)
-    rows = [list(g.coords) for g in gens]
-    rows.extend([d if t == i else 0 for t in range(s)] for i, d in enumerate(moduli))
-    index = 1
-    for i, row in enumerate(hnf_mod(rows, s, H.exponent()).basis):
-        index *= row[i]
-    return H.order() // index
-
-
 class StableDualCohomology(ClassGroup):
-    """The direct limit H^n(K, DM), carried inside one finite level.
+    """H^n(K, DM) for n >= 1, as H^(n+1)(K, M*) through the connecting map.
 
-    Classes live in the carrier group at level+1; membership in the stable
-    image is part of the coordinate computation.
+    Classes are carried by cocycles mod q = 2^(level+1) in the stable image;
+    the generators are such cocycles, one over each generator of
+    H^(n+1)(K, M*), and class_of takes a carrier cocycle to its coordinates.
     """
 
     def __init__(self, M: KLattice, n: int, level: int = DEFAULT_LEVEL):
         if level < 2:
             raise ValueError("level must be >= 2")
+        if n < 1:
+            raise ValueError("degree must be >= 1")
         self.base = M
         self.n = n
         self.level = level
         self.colattice = ColatticeLevel(M, level + 1)
-        self.modulus = self.colattice.modulus
-        # the two lower levels are needed only here, so they are not kept
-        H_low = ColatticeLevel(M, level).cohomology(n)
-        self.carrier = self.colattice.cohomology(n)
-        self.module = self.carrier.module
-        gens = _image_gens(H_low, self.carrier)
-        # stabilization: one level lower must give a subgroup of the same order
-        H_lower = ColatticeLevel(M, level - 1).cohomology(n)
-        gens_prev = _image_gens(H_lower, H_low)
-        if _subgroup_order(H_low, gens_prev) != _subgroup_order(self.carrier, gens):
-            raise ValueError("not stabilized")
-        self._gens = gens
-        g = len(gens)
-        moduli = self.carrier.invariants
-        s = len(moduli)
-        if g == 0 or s == 0:
-            self._rel_q = pow2_quotient(IntMatrix.identity(g), g, 3) if g else None
-            self.invariants = ()
-            self.generators = ()
-            self._solve_matrix = None
-        else:
-            rows = []
-            for i in range(s):
-                scale = 4 // moduli[i] if moduli[i] <= 4 else 1
-                rows.append([(gens[j].coords[i] * scale) for j in range(g)])
-            W = IntMatrix(rows, cols=g)
-            lam = kernel_mod(W, 4)
-            self._rel_q = pow2_quotient(lam.basis_matrix(), g, 3)
-            ensure(all(4 % d == 0 for d in self._rel_q.invariants),
-                   "stable dual cohomology has an invariant not dividing 4")
-            self.invariants = self._rel_q.invariants
-            G = IntMatrix([list(x.coords) for x in gens], cols=s).transpose()
-            self._solve_matrix = G.hstack(IntMatrix.diagonal(list(moduli)))
-            new_gens = []
-            for gen in self._rel_q.generators:
-                cls = self.carrier.zero()
-                for c, img in zip(gen, gens):
-                    for _ in range(c % 4):
-                        cls = cls.add(img)
-                new_gens.append(cls)
-            self.generators = tuple(new_gens)
-        ensure(all(4 % d == 0 for d in self.invariants),
-               "stable dual cohomology has an invariant not dividing 4")
-
-    def _coords_of_carrier(self, cls: CohClass) -> tuple:
-        if not self.invariants:
-            if any(cls.coords):
-                raise ValueError("class is not in the stable image")
-            return ()
-        x = solve_int(self._solve_matrix, list(cls.coords))
-        if x is None:
-            raise ValueError("class is not in the stable image")
-        return self._rel_q.coords(list(x[: len(self._gens)]))
+        self.modulus = q = self.colattice.modulus
+        self.module = mod = self.colattice.transposed_module()
+        self._integral = I = CohomologyGroup(mod, n + 1)
+        self.invariants = I.invariants
+        # E holds the carrier cocycles that are coboundaries mod 2 (exactness
+        # of 0 -> N_level -> N_level+1 -> N_1 -> 0)
+        Dprev = differential_matrix(mod, n - 1)
+        self._coboundaries_mod2 = RowSpan(F2Matrix.from_int(Dprev.transpose()))
+        gens = []
+        if I.generators:
+            # z of order d has d z = D c; (q/d) c is a carrier cocycle with
+            # connecting image z, and is in E since q/d is even
+            D = differential_matrix(mod, n)
+            sf = smith_form(D)
+            for z, d in zip(I.generators, I.invariants):
+                c = solve_int(D, z.scale(d).flatten(), sf)
+                ensure(c is not None, "d z is not a coboundary for z of order d")
+                gens.append(Cochain.unflatten(n, mod.rank, c).scale(q // d).reduce(q))
+        self.generators = tuple(gens)
 
     def class_of(self, gamma: Cochain) -> CohClass:
-        """Class of a carrier-level cocycle that lies in the stable image."""
-        return CohClass(self, self._coords_of_carrier(self.carrier.class_of(gamma)))
-
-    def generator_cochain(self, g: CohClass) -> Cochain:
-        """Generators are carrier classes; this is the carrier's cocycle."""
-        return self.carrier.cochain_of(g)
+        """Class of a carrier cocycle in the stable image, through the connecting map."""
+        q = self.modulus
+        lifted = gamma.reduce(q)
+        boundary = coboundary(lifted, self.module)
+        if any(x % q for v in boundary.values for x in v):
+            raise ValueError(f"not a cocycle mod {q}")
+        if lifted.flatten() not in self._coboundaries_mod2:
+            raise ValueError("class is not in the stable image")
+        z = Cochain(self.n + 1, tuple(tuple(x // q for x in v) for v in boundary.values))
+        return CohClass(self, self._integral.class_of(z).coords)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,25 @@ def _reduced_rows(rows: Iterable[int]) -> dict:
     return piv
 
 
+class RowSpan:
+    """The span of a matrix's rows, kept as echelon rows for membership tests."""
+
+    __slots__ = ("_piv",)
+
+    def __init__(self, A: F2Matrix):
+        self._piv = _pivot_rows(A.bits)
+
+    def __contains__(self, row: Sequence[int]) -> bool:
+        x = int(_digits(row)[::-1] or b"0", 2)
+        piv = self._piv
+        while x:
+            p = piv.get(x & -x)
+            if p is None:
+                return False
+            x ^= p
+        return True
+
+
 def rref(A: F2Matrix) -> tuple["F2Matrix", list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     piv = _reduced_rows(A.bits)

@@ -336,9 +336,13 @@ def determinant(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_int(A: IntMatrix, b: Sequence[int]):
-    """One integer solution x of A x = b, or None if none exists."""
-    sf = smith_form(A)
+def solve_int(A: IntMatrix, b: Sequence[int], sf: SmithForm | None = None):
+    """One integer solution x of A x = b, or None if none exists.
+
+    sf, when given, is smith_form(A): right-hand sides then share one reduction.
+    """
+    if sf is None:
+        sf = smith_form(A)
     c = sf.U.apply(b)
     diag = sf.diagonal()
     y = [0] * A.cols

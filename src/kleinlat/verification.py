@@ -143,13 +143,13 @@ def check_cohomology(max_m: int, degrees):
 
 
 def check_dual_cohomology(max_m: int, degrees):
-    """Criterion 4: stabilized dual cohomology with eta bases."""
+    """Criterion 4: stable dual cohomology, through H^(n+1)(K, M*), with eta bases."""
     for label in _sweep(max_m):
         T = _tube(label)
         for n in degrees:
             if not verify_eta_iso(T, n):
                 return False, f"{label}, n={n}: eta classes are not a basis"
-    return True, f"sweep x degrees {list(degrees)}, levels 3 vs 4"
+    return True, f"sweep x degrees {list(degrees)}, through H^(n+1)(K, M*)"
 
 
 def check_torsion_bounds(seed: int):

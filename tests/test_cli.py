@@ -79,6 +79,9 @@ def test_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "classify", "--summands1", "special:1:1:1", "--coords1", "1",
                   "--summands2", "special:1:1:1", "--coords2", "1,1,1")
     assert code == 2
+    # H^n(K, DM) = H^(n+1)(K, M*) holds from degree 1 on only
+    code, _ = run(capsys, "co-canonical", "--summands", "special:1:1:1", "--coords", "", "-n", "0")
+    assert code == 2
 
 
 def test_deterministic_output(capsys, tmp_path):

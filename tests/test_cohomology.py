@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kleinlat
+from kleinlat.colattices import StableDualCohomology
 from kleinlat.klein import regular_representation, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, lattice_of, random_rep_in_R
@@ -157,3 +162,39 @@ def test_apply_group_automorphism_transports_data():
         cf2 = canonical_form([T2], moved, 2, context=sc2)
         assert cf1.positions == cf2.positions
         assert str(cf2.data.entries[0][0]) == str(lab.tube)
+
+
+def _closed_form_rank(n):
+    """Rank of H^n(K, Z) = (Z/2)^rank for n >= 1, by the Kuenneth formula."""
+    return n // 2 + 1 if n % 2 == 0 else (n - 1) // 2
+
+
+def test_closed_forms_for_the_trivial_and_the_regular_module():
+    Z = trivial_lattice(1)
+    R = regular_representation()
+    for n in range(1, 9):
+        assert CohomologyGroup(Z, n).invariants == (2,) * _closed_form_rank(n), n
+        assert CohomologyGroup(R, n).invariants == (), n
+    # H^n(K, DM) = H^(n+1)(K, M*), and both modules are self-dual
+    for n in range(1, 7):
+        assert StableDualCohomology(Z, n).invariants == (2,) * _closed_form_rank(n + 1), n
+        assert StableDualCohomology(R, n).invariants == (), n
+
+
+def test_failed_check_in_cohomology_raises_under_python_O():
+    # the checks in cohomology are not asserts, so python -O keeps them
+    code = (
+        "from kleinlat.quiver import TubeId\n"
+        "from kleinlat.tubes import tube_module\n"
+        "from kleinlat.cohomology import SumContext, sum_orbit_partition\n"
+        "sc = SumContext([tube_module(TubeId.special('1'), 1, 1)], 2)\n"
+        "sum_orbit_partition(sc, cap=1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: group too large for the brute-force oracle" in out.stderr

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kleinlat.intmat import IntMatrix, smith_form, solve_int
 from kleinlat.klein import sign_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
@@ -11,8 +12,6 @@ from kleinlat.colattices import (
     DualSumContext,
     DualTubeContext,
     StableDualCohomology,
-    _image_gens,
-    _subgroup_order,
     co_canonical_form,
     dual_chain,
     dual_target_basis,
@@ -20,7 +19,16 @@ from kleinlat.colattices import (
     subgroup_order,
     verify_eta_iso,
 )
-from kleinlat.cohomology import ClassGroup, push_class, sum_orbit_partition
+from kleinlat.cohomology import (
+    ClassGroup,
+    Cochain,
+    CohClass,
+    _kernel_mod_image,
+    differential_matrix,
+    push_class,
+    sum_orbit_partition,
+)
+from kleinlat.lattices import hnf_mod, kernel_mod, pow2_quotient
 
 F = F2Poly.from_string("t^2+t+1")
 
@@ -140,56 +148,183 @@ def test_costandard_sequence_shape():
     assert (2, 1) in seen and (2, 0) in seen
 
 
-def test_not_stabilized_detection():
-    # absurdly low level: the stabilization check must engage (level >= 2)
+def test_level_and_degree_bounds():
     T = tube_module(TubeId.homogeneous(F), None, 1)
-    with pytest.raises(ValueError):
+    # below level 2 the generator cocycles (q/d) c would not vanish mod 2
+    with pytest.raises(ValueError, match="level"):
         StableDualCohomology(T.lattice, 1, level=1)
+    # the connecting map is an isomorphism only from degree 1 on
+    with pytest.raises(ValueError, match="degree"):
+        StableDualCohomology(T.lattice, 0)
 
 
-def _subgroup_order_by_enumeration(gens, zero):
-    """Reference: every element of the subgroup, reached breadth-first."""
-    seen = {tuple(zero.coords)}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x.add(g)
-                if tuple(y.coords) not in seen:
-                    seen.add(tuple(y.coords))
-                    new.append(y)
-        frontier = new
-    return len(seen)
+def test_class_of_rejects_non_cocycles_and_classes_outside_the_stable_image():
+    T = tube_module(TubeId.special("1"), 1, 2)
+    H = StableDualCohomology(T.lattice, 1)
+    reference = _ThreeLevelStable(T.lattice, 1, H.level)
+    outside = [x for x in reference.carrier.all_classes() if not reference.in_stable_image(x)]
+    assert outside
+    for x in outside:
+        with pytest.raises(ValueError, match="stable image"):
+            H.class_of(reference.carrier.cochain_of(x))
+    r = H.module.rank
+    with pytest.raises(ValueError, match="not a cocycle"):
+        H.class_of(Cochain(1, ((1,) * r, (0,) * r)))
 
 
-class _Group(ClassGroup):
-    def __init__(self, invariants):
-        self.invariants = tuple(invariants)
+# ---------------------------------------------------------------------------
+# the reference: stable dual cohomology as the image of three finite levels
+# ---------------------------------------------------------------------------
 
 
-def test_subgroup_order_by_index_matches_enumeration():
-    rng = random.Random(11)
-    for _ in range(200):
-        H = _Group(1 << rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
-        gens = [
-            H.from_coords([rng.randrange(-20, 20) for _ in H.invariants])
-            for _ in range(rng.randint(0, 4))
-        ]
-        assert _subgroup_order(H, gens) == _subgroup_order_by_enumeration(gens, H.zero())
+class _LevelCohomology(ClassGroup):
+    """H^n(K, N_k) of the level-k truncation, cochains mod 2^k."""
+
+    def __init__(self, M, n, k):
+        q = 1 << k
+        mod = M.transposed()
+        self.module, self.n, self.modulus = mod, n, q
+        r = mod.rank
+        D = differential_matrix(mod, n)
+        Dprev = differential_matrix(mod, n - 1)
+        self._kernel = kernel_mod(D, q)
+        image = hnf_mod([list(Dprev.col(j)) for j in range(Dprev.cols)], (n + 1) * r, q).basis
+        self._q, flats = _kernel_mod_image(self._kernel, image, k)
+        self.invariants = self._q.invariants
+        self.generators = tuple(Cochain.unflatten(n, r, f).reduce(q) for f in flats)
+
+    def class_of(self, gamma):
+        c = self._kernel.coords([x % self.modulus for x in gamma.flatten()])
+        if c is None:
+            raise ValueError("not a cocycle")
+        return CohClass(self, self._q.coords(c))
 
 
-def test_subgroup_order_on_the_stabilization_images():
+def _image_gens(low, high):
+    return [high.class_of(g.scale(2)) for g in low.generators]
+
+
+def _subgroup_order(H, gens):
+    """Order of the subgroup of H = sum of Z/d_i generated by gens."""
+    moduli = H.invariants
+    s = len(moduli)
+    rows = [list(g.coords) for g in gens]
+    rows.extend([d if t == i else 0 for t in range(s)] for i, d in enumerate(moduli))
+    index = 1
+    for i, row in enumerate(hnf_mod(rows, s, H.exponent()).basis):
+        index *= row[i]
+    return H.order() // index
+
+
+class _ThreeLevelStable(ClassGroup):
+    """The direct limit as the image E of level `level` in level `level`+1.
+
+    The stabilization check asks the image one level lower for the same
+    order; coordinates on E come from the relations among the images of the
+    level generators.  The generators are classes of the carrier group.
+    """
+
+    def __init__(self, M, n, level):
+        self.n, self.level = n, level
+        self.colattice = ColatticeLevel(M, level + 1)
+        self.modulus = self.colattice.modulus
+        low = _LevelCohomology(M, n, level)
+        self.carrier = _LevelCohomology(M, n, level + 1)
+        self.module = self.carrier.module
+        gens = _image_gens(low, self.carrier)
+        lower = _LevelCohomology(M, n, level - 1)
+        assert _subgroup_order(low, _image_gens(lower, low)) == _subgroup_order(self.carrier, gens)
+        self._gens = gens
+        g, moduli = len(gens), self.carrier.invariants
+        self.invariants, self.generators = (), ()
+        if g and moduli:
+            W = IntMatrix([[gen.coords[i] * (4 // d if d <= 4 else 1) for gen in gens]
+                           for i, d in enumerate(moduli)], cols=g)
+            self._rel_q = pow2_quotient(kernel_mod(W, 4).basis_matrix(), g, 3)
+            self.invariants = self._rel_q.invariants
+            G = IntMatrix([list(x.coords) for x in gens], cols=len(moduli)).transpose()
+            self._solve_matrix = G.hstack(IntMatrix.diagonal(list(moduli)))
+            self._smith = smith_form(self._solve_matrix)
+            out = []
+            for rel in self._rel_q.generators:
+                cls = self.carrier.zero()
+                for c, img in zip(rel, gens):
+                    for _ in range(c % 4):
+                        cls = cls.add(img)
+                out.append(cls)
+            self.generators = tuple(out)
+
+    def coords_of_carrier(self, cls):
+        if not self.invariants:
+            if any(cls.coords):
+                raise ValueError("class is not in the stable image")
+            return ()
+        x = solve_int(self._solve_matrix, list(cls.coords), self._smith)
+        if x is None:
+            raise ValueError("class is not in the stable image")
+        return self._rel_q.coords(list(x[: len(self._gens)]))
+
+    def in_stable_image(self, cls) -> bool:
+        try:
+            self.coords_of_carrier(cls)
+        except ValueError:
+            return False
+        return True
+
+    def class_of(self, gamma):
+        return CohClass(self, self.coords_of_carrier(self.carrier.class_of(gamma)))
+
+
+def _carrier_sample(carrier, rng):
+    """Every class of the carrier group, or 64 seeded ones beyond 256."""
+    if carrier.order() <= 256:
+        return list(carrier.all_classes())
+    return [carrier.from_coords([rng.randrange(d) for d in carrier.invariants]) for _ in range(64)]
+
+
+def _check_against_three_levels(T, n, level, rng):
+    new = StableDualCohomology(T.lattice, n, level)
+    old = _ThreeLevelStable(T.lattice, n, level)
+    where = (str(T.label), n, level)
+    assert new.invariants == old.invariants, where
+    # the connecting map sends the old generators onto the new group
+    images = [new.class_of(old.carrier.cochain_of(g)) for g in old.generators]
+    assert _subgroup_order(new, images) == new.order() == old.order(), where
+    # the new generators are even carrier cocycles, stable, with unit coordinates
+    for i, g in enumerate(new.generators):
+        assert all(0 <= x < new.modulus and x % 2 == 0 for v in g.values for x in v), where
+        assert old.in_stable_image(old.carrier.class_of(g)), where
+        unit = tuple(int(t == i) for t in range(len(new.invariants)))
+        assert new.class_of(g).coords == unit, where
+    for x in _carrier_sample(old.carrier, rng):
+        gamma = old.carrier.cochain_of(x)
+        try:
+            coords = old.coords_of_carrier(x)
+        except ValueError:
+            with pytest.raises(ValueError, match="stable image"):
+                new.class_of(gamma)
+            continue
+        want = [sum(c * img.coords[t] for c, img in zip(coords, images))
+                for t in range(len(new.invariants))]
+        assert new.class_of(gamma) == new.from_coords(want), where
+    assert verify_eta_iso(T, n, level, new) == verify_eta_iso(T, n, level, old), where
+
+
+def test_connecting_map_matches_the_three_level_reference_at_level_3():
+    rng = random.Random(5)
+    for label in sweep_labels(3):
+        T = tube_module_from_label(label)
+        for n in (1, 2, 3, 4):
+            _check_against_three_levels(T, n, 3, rng)
+
+
+def test_connecting_map_matches_the_three_level_reference_at_levels_2_and_4():
+    rng = random.Random(6)
     for label in sweep_labels(2):
-        M = tube_module_from_label(label).lattice
+        T = tube_module_from_label(label)
         for n in (1, 2, 3):
-            H = StableDualCohomology(M, n)
-            H_low = ColatticeLevel(M, H.level).cohomology(n)
-            H_lower = ColatticeLevel(M, H.level - 1).cohomology(n)
-            for low, high in ((H_lower, H_low), (H_low, H.carrier)):
-                gens = _image_gens(low, high)
-                want = _subgroup_order_by_enumeration(gens, high.zero())
-                assert _subgroup_order(high, gens) == want, (label, n)
+            for level in (2, 4):
+                _check_against_three_levels(T, n, level, rng)
 
 
 def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
