@@ -78,8 +78,12 @@ def emit(obj, args):
 def degrees_of(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        out = list(range(int(lo), int(hi) + 1))
+    else:
+        out = [int(x) for x in text.split(",")]
+    if not out:
+        raise UsageError(f"--degrees {text} names no degree: the checks would run on nothing")
+    return out
 
 
 def cmd_build_tube(args):

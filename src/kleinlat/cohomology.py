@@ -6,7 +6,8 @@ polynomial resolution by Smith reduction of kernel modulo image; every class
 carries coordinates against the computed cyclic generators.
 
 The dual side (colattices) reaches its classes through the integral group
-one degree up.
+one degree up, and its filtration through chain_images, the routine of the
+lattice side, run on the annihilator chain of M* in that degree.
 
 For a tube member the submodule chain induces a filtration of H^n whose
 strata are the automorphism orbits.  One normal-form engine serves lattices
@@ -211,16 +212,34 @@ class CohomologyGroup(ClassGroup):
         D = differential_matrix(M, n)
         Dprev = differential_matrix(M, n - 1)
         ker = hnf([list(v) for v in kernel_basis(D)], width)
-        self._kernel = ker
         self._q, flats = _kernel_mod_image(ker, [Dprev.col(j) for j in range(Dprev.cols)], 3)
         ensure(all(4 % d == 0 for d in self._q.invariants),
                f"H^{n} has an invariant not dividing 4: {self._q.invariants}")
         self.invariants = self._q.invariants
         self.generators = tuple(Cochain.unflatten(n, r, f) for f in flats)
+        # a Hermite row of the kernel has about three nonzero entries of
+        # (n+1) r, and a group lives as long as its context, so each row is
+        # kept as its nonzero entries (j, x), flattened, the pivot first
+        self._width = width
+        self._kernel = tuple(tuple(e for j, x in enumerate(b) if x for e in (j, x)) for b in ker.basis)
 
     def class_of(self, gamma: Cochain) -> "CohClass":
-        c = self._kernel.coords(gamma.flatten())
-        if c is None:
+        """Coordinates by elimination against the kernel rows, as ZLattice.coords.
+
+        A remainder at a pivot stays in v, since later rows start further
+        right, so one test at the end rejects every non-cocycle.
+        """
+        v = list(gamma.flatten())
+        if len(v) != self._width:
+            raise ValueError("vector length differs from ambient rank")
+        c = []
+        for row in self._kernel:
+            q = v[row[0]] // row[1]
+            if q:
+                for i in range(0, len(row), 2):
+                    v[row[i]] -= q * row[i + 1]
+            c.append(q)
+        if any(v):
             raise ValueError("not a cocycle")
         return CohClass(self, self._q.coords(c))
 
@@ -374,6 +393,22 @@ def _classes_form_basis(H: ClassGroup, vectors, cocycle) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def chain_images(H: CohomologyGroup, chain, n: int) -> list[list[CohClass]]:
+    """The image of H^n of each member of a chain of submodules, in H.
+
+    chain lists (sub, embed) pairs: sub a KLattice, or None for the zero
+    module, and embed its embedding into the module of H.  Entry k lists
+    the classes of H of the generator cocycles of H^n(K, sub_k).
+    """
+    out = []
+    for sub, emb in chain:
+        if sub is None or sub.rank == 0:
+            out.append([])
+            continue
+        out.append([H.class_of(g.map_values(emb)) for g in CohomologyGroup(sub, n).generators])
+    return out
+
+
 class TubeCohContext:
     """Cohomology of one tube member with its filtration and orbit data."""
 
@@ -393,20 +428,8 @@ class TubeCohContext:
 
     def _chain_images(self) -> list:
         if self._images is None:
-            out = []
-            m = self.T.m
-            for k in range(m + 1):
-                sub = self.T.chain_modules[k]
-                if sub is None or sub.rank == 0:
-                    out.append([])
-                    continue
-                Hk = CohomologyGroup(sub, self.n)
-                emb = self.T.chain_embeds[k]
-                gens = [
-                    self.H.class_of(g.map_values(emb)) for g in Hk.generators
-                ]
-                out.append(gens)
-            self._images = out
+            chain = zip(self.T.chain_modules, self.T.chain_embeds)
+            self._images = chain_images(self.H, chain, self.n)
         return self._images
 
     def filtration_position(self, cls: CohClass):
@@ -463,7 +486,7 @@ class TubeCohContext:
 
     # -- automorphisms ---------------------------------------------------
 
-    def aut_generators(self) -> tuple:
+    def aut_generators(self) -> Sequence:
         """Generating family of automorphisms (closed under inverse).
 
         This is T.aut_family (see tubes._aut_generator_family): it depends

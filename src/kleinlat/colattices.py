@@ -11,8 +11,12 @@ group.  Its carrier cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
-by exactness the cocycles whose reduction mod 2 is a coboundary; both the
-eta cocycles and the annihilator filtration live there.
+by exactness the cocycles whose reduction mod 2 is a coboundary; the eta
+cocycles live there.  The filtration of the dual of a tube member goes
+through the same map, which is natural in the module: the image of
+H^n(K, D(M/M_k)) is that of H^(n+1)(K, A_k), A_k = Ann(M_k) = (M/M_k)* in
+M*.  So it is the lattice-side filtration (cohomology.chain_images) of the
+annihilator chain of M*, one degree up, and no sub-complex is reduced mod 2^k.
 
 co_canonical_form() runs the normal-form engine of cohomology; this side
 supplies, through DualTubeContext and DualSumContext, the stratum
@@ -41,9 +45,9 @@ from .cohomology import (
     _ActionMemo,
     _class_action,
     _classes_form_basis,
-    _kernel_mod_image,
     _move_word,
     _normal_form,
+    chain_images,
     coboundary,
     differential_matrix,
     in_span,
@@ -232,59 +236,19 @@ def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
 
 
 # ---------------------------------------------------------------------------
-# annihilator chain
-# ---------------------------------------------------------------------------
-
-
-def annihilator(N: ColatticeLevel, rows) -> ZLattice:
-    """Lattice of x with <x, v> = 0 mod 2^k for all given vectors v."""
-    q = N.modulus
-    if not rows:
-        return ZLattice.full(N.rank)
-    mat = IntMatrix([list(v) for v in rows], cols=N.rank)
-    return kernel_mod(mat, q)
-
-
-def dual_chain(T: TubeModule, level: int = DEFAULT_LEVEL) -> list[ZLattice]:
-    """Increasing chain N_k = annihilator of M_k, with N_0 = 0, N_m = N."""
-    N = ColatticeLevel(T.lattice, level)
-    out = []
-    for k in range(len(T.chain)):
-        sub = T.chain[k]
-        out.append(annihilator(N, [list(r) for r in sub.basis]))
-    return out
-
-
-def subgroup_order(N: ColatticeLevel, L: ZLattice) -> int:
-    """Order of L/qZ^r."""
-    q = N.modulus
-    r = N.rank
-    full = hnf_mod([[q if i == j else 0 for j in range(r)] for i in range(r)], r, q)
-    inv = L.quotient_invariants(full)
-    out = 1
-    for d in inv:
-        out *= d
-    return out
-
-
-# ---------------------------------------------------------------------------
 # costandard canonical forms
 # ---------------------------------------------------------------------------
 
 
-def _cochains_in(L: ZLattice, slots: int, r: int) -> list[list[int]]:
-    """Flattened cochains with slots values, one of them a basis row of L."""
-    out = []
-    for j in range(slots):
-        for row in L.basis:
-            vec = [0] * (slots * r)
-            vec[j * r: (j + 1) * r] = list(row)
-            out.append(vec)
-    return out
-
-
 class DualTubeContext:
-    """Stable cohomology of the dual of one tube member, with filtration."""
+    """Stable cohomology of the dual of one tube member, with filtration.
+
+    The filtration comes from the annihilators A_k = Ann(M_k) = (M/M_k)* in
+    M*, kept on the member (T.annihilator_chain).  The connecting map is
+    natural in the module, so the image of H^n(K, D(M/M_k)) in H^n(K, DM)
+    is the image of H^(n+1)(K, A_k) in H^(n+1)(K, M*): the lattice-side
+    chain images, run on M* one degree up.
+    """
 
     def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
                  H: StableDualCohomology | None = None):
@@ -296,46 +260,23 @@ class DualTubeContext:
         ensure(all(d == 2 for d in self.H.invariants),
                "stable dual cohomology of a tube member is not elementary abelian")
         self.in_inf = is_infinity_tube(T.label)
-        self._chain = dual_chain(T, self.N.level)
         self._images: Optional[list] = None
         self._z_classes: Optional[list] = None
         self._gens: Optional[list] = None
         self._actions: Optional[_ActionMemo] = None
 
-    def _sub_cohomology_image(self, L_low: ZLattice) -> list[CohClass]:
-        """Stable classes visible from the subgroup given at level `level`.
-
-        The sub-complex is computed one level down; doubling its generator
-        cocycles lands them at the carrier level inside the stable image.
-        """
-        q = 1 << self.level
-        r = self.N.rank
-        n = self.n
-        mod = self.H.module
-        W = hnf_mod(_cochains_in(L_low, n + 1, r), (n + 1) * r, q)
-        D = differential_matrix(mod, n)
-        ker = intersection_mod(kernel_mod(D, q), W, q)
-        Dprev = differential_matrix(mod, n - 1)
-        img_rows = [Dprev.apply(v) for v in hnf_mod(_cochains_in(L_low, n, r), n * r, q).basis]
-        img = hnf_mod([list(v) for v in img_rows], (n + 1) * r, q)
-        _, flats = _kernel_mod_image(ker, img.basis, self.level)
-        return [self.H.class_of(Cochain.unflatten(n, r, f).scale(2).reduce(2 * q)) for f in flats]
-
     def _chain_images(self) -> list:
+        """Entry k spans the classes visible from A_k.
+
+        They are classes of the integral group H^(n+1)(K, M*), whose
+        coordinates are those of H; in_span reads only the coordinates.
+        """
         if self._images is None:
-            low = dual_chain(self.T, self.level)
-            out = []
-            for k in range(len(low)):
-                L = low[k]
-                if subgroup_order(ColatticeLevel(self.T.lattice, self.level), L) == 1:
-                    out.append([])
-                else:
-                    out.append(self._sub_cohomology_image(L))
-            self._images = out
+            self._images = chain_images(self.H._integral, self.T.annihilator_chain, self.n + 1)
         return self._images
 
     def filtration_position(self, cls: CohClass):
-        """Smallest Z-set index k with the class visible from N_{k+1}."""
+        """Smallest Z-set index k with the class visible from A_{k+1}."""
         if cls.is_zero():
             return "zero"
         images = self._chain_images()
@@ -346,19 +287,21 @@ class DualTubeContext:
 
     # -- canonical z elements --------------------------------------------
 
-    def _component_in(self, L: ZLattice) -> ZLattice:
-        """Divisible two-torsion of the component inside a chain subgroup."""
+    def _component_in(self, k: int) -> ZLattice:
+        """Divisible two-torsion of the component inside A_k mod q."""
         q = self.N.modulus
+        emb = self.T.annihilator_chain[k][1]
+        A = hnf_mod([emb.col(j) for j in range(emb.cols)], self.N.rank, q)
         eig = eigen_congruence_lattice(self.N, dual_component_key(self.n, self.in_inf))
-        inter = intersection_mod(eig, L, q)
+        inter = intersection_mod(eig, A, q)
         rows = [[(x * (q // 2)) % q for x in row] for row in inter.basis]
         return hnf_mod(rows, self.N.rank, q)
 
     def z_vector(self, k: int):
-        """Fixed element of N_{k+1}(n) outside N_k(n), or None."""
+        """Fixed element of A_{k+1}(n) outside A_k(n), mod q, or None."""
         q = self.N.modulus
-        upper = self._component_in(self._chain[k + 1])
-        lower = self._component_in(self._chain[k])
+        upper = self._component_in(k + 1)
+        lower = self._component_in(k)
         for row in upper.basis:
             vec = tuple(x % q for x in row)
             if all(x == 0 for x in vec):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .checks import ensure
 from .intmat import IntMatrix, kernel_basis, smith_form
 from .lattices import ZLattice, finite_quotient, hnf
 
@@ -303,7 +304,8 @@ def sharp(M: KLattice) -> SharpData:
     msharp_rows = [list(r) for L in components for r in L.basis]
     msharp = hnf(msharp_rows, M.rank) if msharp_rows else ZLattice.zero(M.rank)
     data = SharpData(denom=denom, msharp=msharp, components=components, projectors=tuple(projs))
-    assert sum(L.rank() for L in components) == M.rank == msharp.rank()
+    ensure(sum(L.rank() for L in components) == M.rank == msharp.rank(),
+           "the sign components do not fill the lattice")
     object.__setattr__(M, "_sharp", data)
     return data
 
@@ -337,11 +339,11 @@ def dim_vector(M: KLattice) -> DimVector:
     if L is None:
         raise ValueError("not an A-lattice")
     fq = finite_quotient(ZLattice.full(M.rank), L)
-    assert all(d == 2 for d in fq.invariants)
+    ensure(all(d == 2 for d in fq.invariants), f"M/2M# is not elementary abelian: {fq.invariants}")
     d_dot = len(fq.invariants)
     comps = [c.rank() for c in sh.components]
     dv = DimVector(d_dot, *comps)
-    assert dv.d_plus == M.rank
+    ensure(dv.d_plus == M.rank, "the sign components do not fill the lattice")
     return dv
 
 

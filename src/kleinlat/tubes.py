@@ -14,10 +14,13 @@ which keeps the linear algebra word-sized.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
+from .checks import ensure
 from .f2 import F2Matrix, nullspace as f2_nullspace, rank as f2_rank
 from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
 from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
@@ -81,15 +84,33 @@ class TubeModule:
         return self.label.m
 
     @cached_property
-    def aut_family(self) -> tuple:
+    def aut_family(self) -> "_PackedFamily":
         """Generators of the automorphisms that act on H^n, closed under inverse.
 
         The unit lifts of Aut(Phi(T)) and -1 (see _aut_generator_family).
         They depend on the member alone, so they are built once, on first
-        use, and kept on the member for the cohomology contexts of every
-        degree on both sides.
+        use, and kept on the member, packed (_PackedFamily), for the
+        cohomology contexts of every degree on both sides.
         """
         return _aut_generator_family(self)
+
+    @cached_property
+    def annihilator_chain(self) -> tuple:
+        """The annihilators A_k = Ann(M_k) in M*, M* the transposed module.
+
+        A_k is the pure sublattice of x with <x, v> = 0 for all v in M_k, and
+        entry k is (sub, embed): its KLattice (None for A_0 = 0) and the
+        embedding into M*, whose columns span A_k.  A_k = (M/M_k)*, so the
+        chain rises from 0 to A_m = M*.  Built on first use and kept on the
+        member for the dual contexts of every degree and every sum.
+        """
+        dual = self.lattice.transposed()
+        out = []
+        for Mk in self.chain:
+            A = hnf([list(v) for v in kernel_basis(Mk.basis_matrix())], dual.rank)
+            sub, _quot, embed, _proj = invariant_sublattice_module(dual, A)
+            out.append((sub, embed))
+        return tuple(out)
 
 
 def _surjective_combo(homs, W: LambdaRep):
@@ -136,12 +157,13 @@ def _chain_for(module: KLattice, label: TubeLabel):
             if combo is not None:
                 found = (S_label, S_mod, combo)
                 break
-        assert found is not None, f"no quasi-simple quotient found below {cur_label}"
+        ensure(found is not None, f"no quasi-simple quotient found below {cur_label}")
         S_label, S_mod, combo = found
         psi = lift_morphism(combo, cur, S_mod)
         ker = hnf([list(v) for v in kernel_basis(psi)], cur.rank)
         sub, _quot, embed, _proj = invariant_sublattice_module(cur, ker)
-        assert sub is not None and sub.rank == cur.rank - S_mod.rank
+        ensure(sub is not None and sub.rank == cur.rank - S_mod.rank,
+               f"the kernel onto the top of {cur_label} has the wrong rank")
         layer_labels.append(S_label)
         embed_total = embed_total * embed
         sub_rows = [tuple(embed_total.col(j)) for j in range(embed_total.cols)]
@@ -149,8 +171,10 @@ def _chain_for(module: KLattice, label: TubeLabel):
         chain_modules.append(sub)
         chain_embeds.append(embed_total)
         sub_label = identify_tube(phi(sub))
-        assert sub_label != NON_REGULAR and sub_label.tube == cur_label.tube
-        assert sub_label.m == cur_label.m - 1
+        ensure(sub_label != NON_REGULAR and sub_label.tube == cur_label.tube,
+               f"the radical of {cur_label} left its tube")
+        ensure(sub_label.m == cur_label.m - 1,
+               f"the radical of {cur_label} is {sub_label}, not one shorter")
         cur = sub
         cur_label = sub_label
     if cur_label.m == 1:
@@ -246,10 +270,11 @@ def hom_klattices(M: KLattice, N: KLattice, dM: PhiData | None = None, dN: PhiDa
         prod = adjN * Ym * E_M
         psi_rows = []
         for r in prod.data:
-            assert all(x % det_N == 0 for x in r)
+            ensure(all(x % det_N == 0 for x in r), "a hom solution is not integral")
             psi_rows.append([x // det_N for x in r])
         psi = IntMatrix(psi_rows, cols=M.rank)
-        assert psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi
+        ensure(psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi,
+               "a hom solution is not K-equivariant")
         out.append(psi)
     return out
 
@@ -258,12 +283,12 @@ def _ambient_to_module(T: TubeModule, amb: IntMatrix) -> IntMatrix:
     """Rewrite an ambient block-diagonal map preserving M in M's coordinates."""
     Bc = T.model.basis.transpose()
     U = solve_matrix_exact(Bc, amb * Bc)
-    assert U * T.lattice.act_a == T.lattice.act_a * U
-    assert U * T.lattice.act_b == T.lattice.act_b * U
+    ensure(U * T.lattice.act_a == T.lattice.act_a * U and U * T.lattice.act_b == T.lattice.act_b * U,
+           "an ambient unit does not commute with the action")
     return U
 
 
-def _aut_generator_family(T: TubeModule) -> tuple:
+def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
     """Generating family of automorphisms of T's lattice (closed under inverse).
 
     The unit lifts of invertible quiver endomorphisms (blockwise unimodular
@@ -284,10 +309,6 @@ def _aut_generator_family(T: TubeModule) -> tuple:
     rep = phi(T.lattice)
     out = []
     seen = set()
-    # the member keeps the family for its lifetime, and most rows recur
-    # across its matrices (about 60% on the rank-24 members), so the
-    # matrices share one tuple per distinct row
-    rows: dict = {}
 
     def push(U: IntMatrix):
         if abs(determinant(U)) != 1:
@@ -295,13 +316,38 @@ def _aut_generator_family(T: TubeModule) -> tuple:
         for W in (U, inverse_unimodular(U)):
             if not W.is_identity() and W.data not in seen:
                 seen.add(W.data)
-                out.append(IntMatrix([rows.setdefault(r, r) for r in W.data], cols=W.cols))
+                out.append(W)
 
     for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
         if e.is_invertible():
             push(_ambient_to_module(T, _blockdiag([lift_invertible(e.phi[k]) for k in SIGN_KEYS])))
     push(IntMatrix.identity(T.lattice.rank).scale(-1))
-    return tuple(out)
+    return _PackedFamily(out, T.lattice.rank)
+
+
+class _PackedFamily(Sequence):
+    """Square integer matrices kept with each row packed into bytes.
+
+    A member keeps its unit family for its lifetime, and a census pass keeps
+    its members.  Most rows recur across the matrices (about 60% on the
+    rank-24 members), so equal rows are packed once, and a packed row takes
+    a quarter of the memory of a tuple of ints when its entries fit in a
+    byte.  A read unpacks one matrix: a context reads each generator about
+    once, to build its action, and a word search only those on its word.
+    """
+
+    def __init__(self, mats: list[IntMatrix], rank: int):
+        small = all(-128 <= x < 128 for U in mats for row in U.data for x in row)
+        self._row = struct.Struct(f"{rank}{'b' if small else 'q'}")
+        self._rank = rank
+        packed: dict = {}
+        self._mats = tuple(tuple(packed.setdefault(r, self._row.pack(*r)) for r in U.data) for U in mats)
+
+    def __len__(self) -> int:
+        return len(self._mats)
+
+    def __getitem__(self, g: int) -> IntMatrix:
+        return IntMatrix([self._row.unpack(b) for b in self._mats[g]], cols=self._rank)
 
 
 def hom_cross_tube_check(Mt: TubeModule, Nt: TubeModule) -> bool:
@@ -315,7 +361,7 @@ def hom_cross_tube_check(Mt: TubeModule, Nt: TubeModule) -> bool:
         raise ValueError("same tube")
     N = Nt.lattice
     L = two_msharp_in_m(N, sharp(N))
-    assert L is not None
+    ensure(L is not None, "the target is not a module over the minimal overring")
     for psi in hom_klattices(Mt.lattice, Nt.lattice):
         for j in range(Mt.lattice.rank):
             col = psi.col(j)
@@ -363,11 +409,11 @@ def syzygy(M: KLattice) -> KLattice:
         [[cols[c][r] for c in range(4 * dd)] for r in range(M.rank)], cols=4 * dd
     )
     sf = smith_form(Psi)
-    assert sf.rank() == M.rank and all(x == 1 for x in sf.invariants()), "cover not onto"
+    ensure(sf.rank() == M.rank and all(x == 1 for x in sf.invariants()), "cover not onto")
     ker = hnf([list(v) for v in kernel_basis(Psi)], 4 * dd)
     free = _free_module(dd)
     sub, _quot, _embed, _proj = invariant_sublattice_module(free, ker)
-    assert sub is not None
+    ensure(sub is not None, "the syzygy is zero")
     return sub
 
 
@@ -484,7 +530,8 @@ def _int_shift(size: int, upper: bool) -> IntMatrix:
 
 
 def _int_companion(monic_coeffs: list[int], size: int) -> IntMatrix:
-    assert monic_coeffs[-1] == 1 and len(monic_coeffs) == size + 1
+    ensure(monic_coeffs[-1] == 1 and len(monic_coeffs) == size + 1,
+           f"not a monic polynomial of degree {size}: {monic_coeffs}")
     m = [[0] * size for _ in range(size)]
     for i in range(size - 1):
         m[i + 1][i] = 1
@@ -555,7 +602,7 @@ def s3_on_polynomial(f: F2Poly, which: str) -> F2Poly:
         out = f.compose_frac(T1_POLY, F2Poly.one())
     else:
         raise ValueError("which must be 't2' or 't3'")
-    assert out.is_monic() and out.degree() == f.degree()
+    ensure(out.is_monic() and out.degree() == f.degree(), f"the transform of {f} lost its degree")
     return out
 
 
@@ -602,7 +649,7 @@ def transport_label(label: TubeLabel, which: str) -> TubeLabel:
     if got is None:
         M = lattice_of_model(label_rep(label)).module
         got = identify_tube(phi(twist_module(M, which)))
-        assert got != NON_REGULAR
+        ensure(got != NON_REGULAR, f"the twist of {label} by {which} is not regular")
         _TRANSPORT_CACHE[key] = got
     return got
 

@@ -457,10 +457,13 @@ def criteria(max_m: int = 3, degrees=(1, 2, 3, 4), seed: int = 0, fast: bool = F
 def run_all(max_m: int = 3, degrees=(1, 2, 3, 4), seed: int = 0, fast: bool = False):
     """Run every criterion of criteria(); returns a list of (name, ok, detail).
 
-    max_m must be at least 1: below it the tube sweeps are empty and their
-    criteria would pass without checking anything.
+    max_m must be at least 1 and degrees must not be empty: otherwise the
+    tube sweeps or the degree ranges are empty and their criteria would pass
+    without checking anything.
     """
     if max_m < 1:
         raise ValueError(f"max_m = {max_m}: the tube sweeps need max_m >= 1")
+    if not degrees:
+        raise ValueError("degrees is empty: the cohomology criteria need a degree")
     return [(name,) + globals()[check](**kwargs)
             for name, check, kwargs in criteria(max_m, degrees, seed, fast)]

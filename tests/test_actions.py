@@ -253,5 +253,8 @@ def test_dual_generators_are_the_distinct_transposes_mod_q():
 
 def test_the_family_matrices_share_their_equal_rows():
     for T in _guard_members():
-        rows = [r for U in T.aut_family for r in U.data]
+        # the family keeps each distinct row packed once
+        rows = [r for packed in T.aut_family._mats for r in packed]
         assert len({id(r) for r in rows}) == len(set(rows)), T.label
+        assert [T.aut_family._row.unpack(r) for r in rows] == [r for U in T.aut_family for r in U.data]
+        assert T.aut_family._row.size == T.lattice.rank, T.label

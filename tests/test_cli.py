@@ -82,6 +82,12 @@ def test_usage_errors(capsys, tmp_path):
     # H^n(K, DM) = H^(n+1)(K, M*) holds from degree 1 on only
     code, _ = run(capsys, "co-canonical", "--summands", "special:1:1:1", "--coords", "", "-n", "0")
     assert code == 2
+    # an empty degree range would pass without checking anything
+    code, _ = run(capsys, "verify-all", "--fast", "--max-m", "1", "--degrees", "2..1")
+    assert code == 2
+    for cmd in ("eta-verify", "xi-verify"):
+        code, _ = run(capsys, cmd, "--tube", "special:1", "--j", "1", "--m", "1", "--degrees", "2..1")
+        assert code == 2
 
 
 def test_deterministic_output(capsys, tmp_path):
@@ -136,6 +142,11 @@ def test_verify_all_refuses_an_empty_sweep(capsys):
     assert captured.out == "" and "--max-m" in captured.err
     with pytest.raises(ValueError):
         run_all(max_m=0)
+    assert main(["verify-all", "--fast", "--max-m", "1", "--degrees", "2..1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--degrees" in captured.err
+    with pytest.raises(ValueError, match="degrees"):
+        run_all(max_m=1, degrees=())
 
 
 def test_end_ring_detail_names_the_sizes_it_ran():

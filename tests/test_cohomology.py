@@ -10,7 +10,9 @@ from kleinlat.colattices import StableDualCohomology
 from kleinlat.klein import regular_representation, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, lattice_of, random_rep_in_R
-from kleinlat.tubes import transport_label, tube_module, tube_module_from_label
+from kleinlat.intmat import kernel_basis
+from kleinlat.lattices import hnf
+from kleinlat.tubes import sweep_labels, transport_label, tube_module, tube_module_from_label
 from kleinlat.cohomology import (
     Cochain,
     CohomologyGroup,
@@ -20,6 +22,7 @@ from kleinlat.cohomology import (
     canonical_form,
     coboundary,
     cohomology_invariants_generic,
+    differential_matrix,
     push_class,
     sum_orbit_partition,
     target_component,
@@ -198,3 +201,27 @@ def test_failed_check_in_cohomology_raises_under_python_O():
     )
     assert out.returncode == 1
     assert "VerificationError: group too large for the brute-force oracle" in out.stderr
+
+
+def test_class_of_on_the_sparse_kernel_rows_matches_the_hermite_basis():
+    # the group keeps only the nonzero entries of its kernel rows; coordinates
+    # and the cocycle test agree with the Hermite basis they were read from
+    rng = random.Random(3)
+    for label in sweep_labels(2):
+        M = tube_module_from_label(label, with_chain=False).lattice
+        r = M.rank
+        for n in (1, 2, 3):
+            H = CohomologyGroup(M, n)
+            width = (n + 1) * r
+            ker = hnf([list(v) for v in kernel_basis(differential_matrix(M, n))], width)
+            for _ in range(4):
+                c = [rng.randrange(-3, 4) for _ in ker.basis]
+                z = [sum(ci * b[t] for ci, b in zip(c, ker.basis)) for t in range(width)]
+                assert H.class_of(Cochain.unflatten(n, r, z)).coords == H._q.coords(c), label
+                bad = list(z)
+                bad[rng.randrange(width)] += 1
+                if ker.coords(bad) is None:
+                    with pytest.raises(ValueError, match="not a cocycle"):
+                        H.class_of(Cochain.unflatten(n, r, bad))
+            with pytest.raises(ValueError):
+                H.class_of(Cochain.zero(n + 1, r))

@@ -13,10 +13,8 @@ from kleinlat.colattices import (
     DualTubeContext,
     StableDualCohomology,
     co_canonical_form,
-    dual_chain,
     dual_target_basis,
     eta,
-    subgroup_order,
     verify_eta_iso,
 )
 from kleinlat.cohomology import (
@@ -25,10 +23,11 @@ from kleinlat.cohomology import (
     CohClass,
     _kernel_mod_image,
     differential_matrix,
+    in_span,
     push_class,
     sum_orbit_partition,
 )
-from kleinlat.lattices import hnf_mod, kernel_mod, pow2_quotient
+from kleinlat.lattices import hnf, hnf_mod, intersection_mod, kernel_mod, pow2_quotient
 
 F = F2Poly.from_string("t^2+t+1")
 
@@ -80,22 +79,34 @@ def test_eta_rejects_bad_vector():
 
 
 def test_dual_chain_orthogonality():
-    T = tube_module(TubeId.homogeneous(F), None, 2)
-    chain = dual_chain(T)
-    N = ColatticeLevel(T.lattice, 3)
-    orders = [subgroup_order(N, L) for L in chain]
-    assert orders[0] == 1 and orders[-1] == N.order()
-    for k in range(len(orders) - 1):
-        assert orders[k] < orders[k + 1]
-    for k, L in enumerate(chain):
-        sub = T.chain[k]
-        for row in L.basis:
-            for v in sub.basis:
-                assert sum(a * b for a, b in zip(row, v)) % N.modulus == 0
-    # orders match the duals of the quotients M/M_k level-wise
-    for k in range(len(chain)):
-        rank_quot = T.lattice.rank - T.chain[k].rank()
-        assert orders[k] == N.modulus ** rank_quot
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        dual = T.lattice.transposed()
+        r = dual.rank
+        chain = T.annihilator_chain
+        assert len(chain) == len(T.chain) == T.m + 1
+        lattices = [_span_of(emb, r) for _sub, emb in chain]
+        ranks = [A.rank() for A in lattices]
+        assert ranks[0] == 0 and ranks[-1] == r, label
+        for k, ((sub, emb), A) in enumerate(zip(chain, lattices)):
+            Mk = T.chain[k]
+            # A_k = Ann(M_k) = (M/M_k)*
+            assert all(sum(a * b for a, b in zip(x, v)) == 0 for x in A.basis for v in Mk.basis)
+            assert A.rank() == r - Mk.rank() and A.saturation() == A, (label, k)
+            if k:
+                assert ranks[k - 1] < ranks[k] and A.contains_lattice(lattices[k - 1]), (label, k)
+            if sub is None:
+                assert k == 0
+                continue
+            # sub is A_k as a submodule of M*, not of M
+            assert sub.rank == A.rank() == emb.cols
+            assert dual.act_a * emb == emb * sub.act_a and dual.act_b * emb == emb * sub.act_b
+        assert T.annihilator_chain is chain
+
+
+def _span_of(emb, r):
+    """The sublattice of Z^r spanned by the columns of an embedding."""
+    return hnf([emb.col(j) for j in range(emb.cols)], r)
 
 
 def test_dual_positions_and_z_classes():
@@ -341,3 +352,90 @@ def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
     assert N._torsion == kept and N._torsion["mp"] is kept["mp"]
     # equality and hashing ignore what is kept
     assert N == ColatticeLevel(T.lattice, N.level) and hash(N) == hash(ColatticeLevel(T.lattice, N.level))
+
+
+# ---------------------------------------------------------------------------
+# the reference filtration: sub-complexes of the annihilators mod 2^level
+# ---------------------------------------------------------------------------
+
+
+def _annihilators_mod(T, q):
+    """The annihilator mod q of each M_k, from qZ^r for M_0 up to Z^r."""
+    return [kernel_mod(Mk.basis_matrix(), q) for Mk in T.chain]
+
+
+def _order_mod(L, q):
+    """Order of L/qZ^r."""
+    r = L.ambient_rank
+    full = hnf_mod([[q if i == j else 0 for j in range(r)] for i in range(r)], r, q)
+    out = 1
+    for d in L.quotient_invariants(full):
+        out *= d
+    return out
+
+
+def _cochains_in(L, slots, r):
+    """Flattened cochains with slots values, one of them a basis row of L."""
+    out = []
+    for j in range(slots):
+        for row in L.basis:
+            vec = [0] * (slots * r)
+            vec[j * r: (j + 1) * r] = list(row)
+            out.append(vec)
+    return out
+
+
+def _reference_images(H, T, level):
+    """For each annihilator N_k mod 2^level, the classes of H visible from it.
+
+    The mod-2^level cohomology of the sub-complex of cochains with values
+    in N_k; doubling its generator cocycles lands them at the carrier level
+    inside the stable image.
+    """
+    q = 1 << level
+    n, mod = H.n, H.module
+    r = mod.rank
+    kerD = kernel_mod(differential_matrix(mod, n), q)
+    Dprev = differential_matrix(mod, n - 1)
+    out = []
+    for L in _annihilators_mod(T, q):
+        if _order_mod(L, q) == 1:
+            out.append([])
+            continue
+        W = hnf_mod(_cochains_in(L, n + 1, r), (n + 1) * r, q)
+        ker = intersection_mod(kerD, W, q)
+        img_rows = [Dprev.apply(v) for v in hnf_mod(_cochains_in(L, n, r), n * r, q).basis]
+        img = hnf_mod([list(v) for v in img_rows], (n + 1) * r, q)
+        _, flats = _kernel_mod_image(ker, img.basis, level)
+        out.append([H.class_of(Cochain.unflatten(n, r, f).scale(2).reduce(2 * q)) for f in flats])
+    return out
+
+
+def _reference_position(images, cls):
+    if cls.is_zero():
+        return "zero"
+    return next(k - 1 for k in range(1, len(images)) if in_span(images[k], cls))
+
+
+def test_dual_filtration_matches_the_mod_2k_reference():
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        for level in (2, 3, 4):
+            # the carrier chain z_vector reads is the annihilator mod 2^(level+1)
+            q = 1 << (level + 1)
+            r = T.lattice.rank
+            for (_sub, emb), L in zip(T.annihilator_chain, _annihilators_mod(T, q)):
+                carrier = hnf_mod([emb.col(j) for j in range(emb.cols)], r, q)
+                assert carrier.basis == L.basis, (str(label), level)
+            for n in (1, 2, 3):
+                where = (str(label), n, level)
+                ctx = DualTubeContext(T, n, level)
+                H = ctx.H
+                old = _reference_images(H, T, level)
+                new = ctx._chain_images()
+                assert len(new) == len(old) == T.m + 1, where
+                for k in range(len(old)):
+                    both = _subgroup_order(H, old[k] + new[k])
+                    assert _subgroup_order(H, old[k]) == _subgroup_order(H, new[k]) == both, (where, k)
+                for cls in H.all_classes():
+                    assert ctx.filtration_position(cls) == _reference_position(old, cls), (where, cls)

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kleinlat
 from kleinlat.intmat import IntMatrix
 from kleinlat.klein import (
     A,
@@ -138,3 +142,21 @@ def test_invariant_sublattice_module():
     assert embed.cols == 1 and project.rows == 1
     with pytest.raises(ValueError):
         invariant_sublattice_module(M, hnf([[2, 0]], 2))
+
+
+def test_failed_check_raises_under_python_O():
+    # the checks in klein are not asserts, so python -O keeps them; M/2M#
+    # with an element of order 4 stops dim_vector
+    code = (
+        "from types import SimpleNamespace\n"
+        "import kleinlat.klein as klein\n"
+        "klein.finite_quotient = lambda K, L: SimpleNamespace(invariants=(4,))\n"
+        "klein.dim_vector(klein.sign_lattice('+', '+'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: M/2M# is not elementary abelian: (4,)" in out.stderr

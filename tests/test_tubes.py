@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import kleinlat
 from kleinlat.klein import dim_vector
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, TubeLabel, identify_tube, phi
@@ -159,3 +164,21 @@ def test_is_regular():
     from kleinlat.klein import sign_lattice
 
     assert not is_regular(sign_lattice("+", "+"))
+
+
+def test_failed_check_raises_under_python_O():
+    # the checks in tubes are not asserts, so python -O keeps them; a radical
+    # outside its tube stops the chain the annihilators are built from
+    code = (
+        "import kleinlat.tubes as tubes\n"
+        "from kleinlat.quiver import NON_REGULAR, TubeId\n"
+        "tubes.identify_tube = lambda W: NON_REGULAR\n"
+        "tubes.tube_module(TubeId.special('1'), 1, 2)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: the radical of T[1,1]_2 left its tube" in out.stderr
