@@ -39,7 +39,7 @@ from .resolutions import r_apply, twist_chain_maps
 from .tubes import TubeModule, hom_klattices, s3_images
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cochain:
     """Degree-n cochain; values[j] is the value on x^j y^(n-j)."""
 
@@ -114,29 +114,26 @@ def coboundary(gamma: Cochain, M: KLattice) -> Cochain:
 def differential_matrix(M: KLattice, n: int) -> IntMatrix:
     """Matrix of the coboundary C^n -> C^(n+1) on flattened cochains."""
     r = M.rank
-    rows = (n + 2) * r
-    cols = (n + 1) * r
-    data = [[0] * cols for _ in range(rows)]
-
-    def add_block(bi, bj, mat, sign=1):
-        for i in range(r):
-            for j in range(r):
-                v = mat.data[i][j]
-                if v:
-                    data[bi * r + i][bj * r + j] += sign * v
-
-    ident = IntMatrix.identity(r)
+    act_a, act_b = M.act_a.row_dicts(), M.act_b.row_dicts()
+    out = []
     for k in range(n + 2):
         sk = 1 if k % 2 == 0 else -1
-        if 1 <= k <= n + 1:
-            add_block(k, k - 1, M.act_a)
-            add_block(k, k - 1, ident, sk)
-        if k <= n:
-            l = n + 1 - k
-            sl = 1 if l % 2 == 0 else -1
-            add_block(k, k, M.act_b, sk)
-            add_block(k, k, ident, sk * sl)
-    return IntMatrix(data, cols=cols)
+        l = n + 1 - k
+        sl = 1 if l % 2 == 0 else -1
+        # block (k, k-1) is a + sk, block (k, k) is sk (b + sl)
+        left, right = (k - 1) * r, k * r
+        for i in range(r):
+            row = {}
+            if 1 <= k <= n + 1:
+                for j, x in act_a[i].items():
+                    row[left + j] = x
+                row[left + i] = row.get(left + i, 0) + sk
+            if k <= n:
+                for j, x in act_b[i].items():
+                    row[right + j] = sk * x
+                row[right + i] = row.get(right + i, 0) + sk * sl
+            out.append(row)
+    return IntMatrix.from_dicts(out, (n + 1) * r)
 
 
 class ClassGroup:
@@ -212,16 +209,15 @@ class CohomologyGroup(ClassGroup):
         D = differential_matrix(M, n)
         Dprev = differential_matrix(M, n - 1)
         ker = hnf([list(v) for v in kernel_basis(D)], width)
-        self._q, flats = _kernel_mod_image(ker, [Dprev.col(j) for j in range(Dprev.cols)], 3)
+        self._q, flats = _kernel_mod_image(ker, Dprev.transpose().data, 3)
         ensure(all(4 % d == 0 for d in self._q.invariants),
                f"H^{n} has an invariant not dividing 4: {self._q.invariants}")
         self.invariants = self._q.invariants
         self.generators = tuple(Cochain.unflatten(n, r, f) for f in flats)
         # a Hermite row of the kernel has about three nonzero entries of
-        # (n+1) r, and a group lives as long as its context, so each row is
-        # kept as its nonzero entries (j, x), flattened, the pivot first
-        self._width = width
-        self._kernel = tuple(tuple(e for j, x in enumerate(b) if x for e in (j, x)) for b in ker.basis)
+        # (n+1) r, and a group lives as long as its context, so the rows are
+        # kept as a sparse matrix
+        self._kernel = ker.basis_matrix()
 
     def class_of(self, gamma: Cochain) -> "CohClass":
         """Coordinates by elimination against the kernel rows, as ZLattice.coords.
@@ -230,14 +226,14 @@ class CohomologyGroup(ClassGroup):
         right, so one test at the end rejects every non-cocycle.
         """
         v = list(gamma.flatten())
-        if len(v) != self._width:
+        if len(v) != self._kernel.cols:
             raise ValueError("vector length differs from ambient rank")
         c = []
-        for row in self._kernel:
-            q = v[row[0]] // row[1]
+        for cols, vals in self._kernel.sparse_rows():
+            q = v[cols[0]] // vals[0]
             if q:
-                for i in range(0, len(row), 2):
-                    v[row[i]] -= q * row[i + 1]
+                for j, x in zip(cols, vals):
+                    v[j] -= q * x
             c.append(q)
         if any(v):
             raise ValueError("not a cocycle")
@@ -271,7 +267,7 @@ def _kernel_mod_image(ker: ZLattice, image, level: int):
     return quotient, flats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohClass:
     """A cohomology class as coordinates in its group."""
 
@@ -307,7 +303,7 @@ def cohomology_invariants_generic(M: KLattice, n: int) -> tuple:
     D = differential_matrix(M, n)
     ker = hnf([list(v) for v in kernel_basis(D)], (n + 1) * r)
     Dprev = differential_matrix(M, n - 1)
-    img = hnf([list(Dprev.col(j)) for j in range(Dprev.cols)], (n + 1) * r)
+    img = hnf(Dprev.transpose().data, (n + 1) * r)
     fq = finite_quotient(ker, img)
     return tuple(sorted(fq.invariants))
 
@@ -325,12 +321,13 @@ def in_span(gens: list[CohClass], target: CohClass) -> bool:
         return True
     if not gens:
         return False
-    s = len(group.invariants)
-    cols = [list(g.coords) for g in gens]
-    Amat = IntMatrix(
-        [[cols[j][i] for j in range(len(cols))] for i in range(s)], cols=len(cols)
+    # [generators as columns | diag(invariants)] x = target
+    inv = group.invariants
+    aug = IntMatrix(
+        [[g.coords[i] for g in gens] + [d if t == i else 0 for t in range(len(inv))]
+         for i, d in enumerate(inv)],
+        cols=len(gens) + len(inv),
     )
-    aug = Amat.hstack(IntMatrix.diagonal(list(group.invariants)))
     return solve_int(aug, list(target.coords)) is not None
 
 
@@ -606,7 +603,7 @@ def _all_f2(s: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandardEntry:
     j: Optional[int]
     m: int
@@ -619,7 +616,7 @@ class StandardEntry:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StandardData:
     """Canonical combinatorics of a class: per-tube position sequences.
 
@@ -715,10 +712,7 @@ class SumContext:
         r = self.module.rank
         ri = self.summands[i].lattice.rank
         off = self.offsets[i]
-        return IntMatrix(
-            [[1 if (t == off + s) else 0 for s in range(ri)] for t in range(r)],
-            cols=ri,
-        )
+        return IntMatrix.from_dicts([{t - off: 1} if off <= t < off + ri else {} for t in range(r)], ri)
 
     def project_values(self, gamma: Cochain, i: int) -> Cochain:
         off = self.offsets[i]
@@ -743,22 +737,20 @@ class SumContext:
 
     def block_witness(self, i: int, U: IntMatrix) -> IntMatrix:
         r = self.module.rank
-        out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
+        out = [{a: 1} for a in range(r)]
         off = self.offsets[i]
-        for a in range(U.rows):
-            for b in range(U.cols):
-                out[off + a][off + b] = U.data[a][b]
-        return self.reduce(IntMatrix(out, cols=r))
+        for a, row in enumerate(U.row_dicts()):
+            out[off + a] = {off + b: x for b, x in row.items()}
+        return self.reduce(IntMatrix.from_dicts(out, r))
 
     def unipotent_witness(self, i: int, j: int, theta: IntMatrix) -> IntMatrix:
         """Identity plus theta mapping block i into block j."""
         r = self.module.rank
-        out = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
+        out = [{a: 1} for a in range(r)]
         oi, oj = self.offsets[i], self.offsets[j]
-        for a in range(theta.rows):
-            for b in range(theta.cols):
-                out[oj + a][oi + b] += theta.data[a][b]
-        return self.reduce(IntMatrix(out, cols=r))
+        for a, row in enumerate(theta.row_dicts()):
+            out[oj + a].update((oi + b, x) for b, x in row.items())
+        return self.reduce(IntMatrix.from_dicts(out, r))
 
     def swap_witness(self, i: int, j: int) -> IntMatrix:
         """Exchange of the blocks of two equal summands."""
@@ -774,7 +766,7 @@ class SumContext:
         return IntMatrix(out, cols=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     data: StandardData
     m0_labels: tuple

@@ -128,6 +128,9 @@ class StableDualCohomology(ClassGroup):
                 ensure(c is not None, "d z is not a coboundary for z of order d")
                 gens.append(Cochain.unflatten(n, mod.rank, c).scale(q // d).reduce(q))
         self.generators = tuple(gens)
+        # the integral group is kept for class_of and the filtration, which
+        # read its kernel rows and coordinates, never its generators
+        I.generators = None
 
     def class_of(self, gamma: Cochain) -> CohClass:
         """Class of a carrier cocycle in the stable image, through the connecting map."""
@@ -291,7 +294,7 @@ class DualTubeContext:
         """Divisible two-torsion of the component inside A_k mod q."""
         q = self.N.modulus
         emb = self.T.annihilator_chain[k][1]
-        A = hnf_mod([emb.col(j) for j in range(emb.cols)], self.N.rank, q)
+        A = hnf_mod(emb.transpose().data, self.N.rank, q)
         eig = eigen_congruence_lattice(self.N, dual_component_key(self.n, self.in_inf))
         inter = intersection_mod(eig, A, q)
         rows = [[(x * (q // 2)) % q for x in row] for row in inter.basis]
@@ -366,9 +369,9 @@ class _TransposedFamily(Sequence):
         seen = set()
         keep = []
         for i, U in enumerate(family):
-            data = self._make(U).data
-            if data not in seen:
-                seen.add(data)
+            W = self._make(U)
+            if W not in seen:
+                seen.add(W)
                 keep.append(i)
         self._keep = tuple(keep)
 
@@ -390,14 +393,14 @@ def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
     M1, M2 = N1.transposed_module(), N2.transposed_module()
     A1, B1, A2, B2 = M1.act_a, M1.act_b, M2.act_a, M2.act_b
     rows = []
-    for (Am, An) in ((A1, A2), (B1, B2)):
+    for (Am, An) in ((A1.data, A2.data), (B1.data, B2.data)):
         for i in range(r2):
             for j in range(r1):
                 eq = [0] * (r1 * r2)
                 for t in range(r1):
-                    eq[i * r1 + t] += Am.data[t][j]
+                    eq[i * r1 + t] += Am[t][j]
                 for t in range(r2):
-                    eq[t * r1 + j] -= An.data[i][t]
+                    eq[t * r1 + j] -= An[i][t]
                 rows.append(eq)
     L = kernel_mod(IntMatrix(rows, cols=r1 * r2), q)
     out = []
@@ -444,7 +447,7 @@ class DualSumContext(SumContext):
         return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoCanonicalForm:
     data: StandardData
     n0_labels: tuple

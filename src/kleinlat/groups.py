@@ -338,27 +338,20 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     ident = IntMatrix.identity(r)
     Aact = ops.acting.act_a
     Bact = ops.acting.act_b
-    rows = []
     rhs = []
     # (1 + a) w_a = e0 - gamma(a,a)
     top = (ident + Aact).hstack(IntMatrix.zero(r, r))
-    for i in range(r):
-        rows.append(list(top.data[i]))
     rhs.extend(x - y for x, y in zip(e0, g.value(A, A)))
     # (1 + b) w_b = einf - gamma(b,b)
     mid = IntMatrix.zero(r, r).hstack(ident + Bact)
-    for i in range(r):
-        rows.append(list(mid.data[i]))
     rhs.extend(x - y for x, y in zip(einf, g.value(B, B)))
     # commutation: (1 - b) w_a - (1 - a) w_b = gamma(b,a) - gamma(a,b)
     bot = (ident - Bact).hstack((Aact - ident))
-    for i in range(r):
-        rows.append(list(bot.data[i]))
     rhs.extend(x - y for x, y in zip(g.value(B, A), g.value(A, B)))
-    Amat = IntMatrix(rows, cols=2 * r)
+    Amat = top.vstack(mid).vstack(bot)
     if ops.modulus:
         q = ops.modulus
-        aug = Amat.hstack(IntMatrix.diagonal([q] * len(rows)))
+        aug = Amat.hstack(IntMatrix.diagonal([q] * Amat.rows))
         sol = solve_int(aug, list(rhs))
         if sol is None:
             return None

@@ -120,7 +120,7 @@ class KLattice:
 
     The lattice is immutable, so sharp(M), quiver.phi_data(M) and
     M.transposed() are kept on it (in _sharp, _phi and _transposed) from their
-    first call.
+    first call; forget_phi() drops the first two.
     """
 
     __slots__ = ("rank", "act_a", "act_b", "_sharp", "_phi", "_transposed")
@@ -143,6 +143,11 @@ class KLattice:
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("KLattice is immutable")
+
+    def forget_phi(self) -> None:
+        """Drop the kept sharp(M) and phi_data(M); a later call builds them again."""
+        object.__setattr__(self, "_sharp", None)
+        object.__setattr__(self, "_phi", None)
 
     def __eq__(self, other):
         return (
@@ -183,12 +188,7 @@ class KLattice:
     def direct_sum(self, other: "KLattice") -> "KLattice":
         def block(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
             n1, n2 = m1.rows, m2.rows
-            rows = []
-            for i in range(n1):
-                rows.append(list(m1.data[i]) + [0] * n2)
-            for i in range(n2):
-                rows.append([0] * n1 + list(m2.data[i]))
-            return IntMatrix(rows, cols=n1 + n2)
+            return IntMatrix.block([[m1, IntMatrix.zero(n1, n2)], [IntMatrix.zero(n2, n1), m2]])
 
         return KLattice(block(self.act_a, other.act_a), block(self.act_b, other.act_b))
 
@@ -255,36 +255,48 @@ class SharpData:
     """Scaled sharp closure of a KLattice.
 
     denom is the common denominator (1, 2 or 4): msharp is the lattice
-    denom * M^#, components[i] is denom * e_i M for the sign order
-    (pp, pm, mp, mm), and projectors[i] is the integer matrix 4 e_i.
+    denom * M^#, and components[i] is denom * e_i M for the sign order
+    (pp, pm, mp, mm).  It is kept on M, so the projectors 4 e_i, which
+    quiver.phi_data reads once, are not; phi_data makes them and hands them
+    to sharp.
     """
 
     denom: int
     msharp: ZLattice
     components: tuple
-    projectors: tuple
 
     def component(self, key: str) -> ZLattice:
         return self.components[SIGN_KEYS.index(key)]
 
 
 def _projectors(M: KLattice) -> list[IntMatrix]:
-    ident = IntMatrix.identity(M.rank)
+    """The integer matrices 4 e_i = (1 ± a)(1 ± b) = 1 ± a ± b ± ab, in the sign order."""
+    a, b, ab = M.act_a.row_dicts(), M.act_b.row_dicts(), (M.act_a * M.act_b).row_dicts()
     out = []
     for s in SIGNS:
         sa = 1 if s.alpha == "+" else -1
         sb = 1 if s.beta == "+" else -1
-        out.append((ident + M.act_a.scale(sa)) * (ident + M.act_b.scale(sb)))
+        rows = []
+        for i in range(M.rank):
+            row = {i: 1}
+            for c, terms in ((sa, a[i]), (sb, b[i]), (sa * sb, ab[i])):
+                for j, x in terms.items():
+                    row[j] = row.get(j, 0) + c * x
+            rows.append(row)
+        out.append(IntMatrix.from_dicts(rows, M.rank))
     return out
 
 
-def sharp(M: KLattice) -> SharpData:
-    """M^# and its four eigencomponents, scaled by a common denominator."""
+def sharp(M: KLattice, projectors: list[IntMatrix] | None = None) -> SharpData:
+    """M^# and its four eigencomponents, scaled by a common denominator.
+
+    projectors, when given, is _projectors(M), made by a caller that reads
+    them too.
+    """
     if M._sharp is not None:
         return M._sharp
-    projs = _projectors(M)
     raw_components = []  # lattices 4 e_i M
-    for P in projs:  # 4 e_i M is spanned by the columns of P
+    for P in projectors or _projectors(M):  # 4 e_i M is spanned by the columns of P
         raw_components.append(hnf(P.transpose().data, M.rank))
     # smallest d | 4 with (4/d) dividing every component entrywise
     denom = 4
@@ -303,7 +315,7 @@ def sharp(M: KLattice) -> SharpData:
     )
     msharp_rows = [list(r) for L in components for r in L.basis]
     msharp = hnf(msharp_rows, M.rank) if msharp_rows else ZLattice.zero(M.rank)
-    data = SharpData(denom=denom, msharp=msharp, components=components, projectors=tuple(projs))
+    data = SharpData(denom=denom, msharp=msharp, components=components)
     ensure(sum(L.rank() for L in components) == M.rank == msharp.rank(),
            "the sign components do not fill the lattice")
     object.__setattr__(M, "_sharp", data)
@@ -377,20 +389,18 @@ def invariant_sublattice_module(M: KLattice, S: ZLattice):
     def conj(act: IntMatrix) -> IntMatrix:
         return Pinv * act * P
 
-    Aa, Ab = conj(M.act_a), conj(M.act_b)
+    Aa, Ab = conj(M.act_a).data, conj(M.act_b).data
     for X in (Aa, Ab):
-        for i in range(s, n):
-            for j in range(s):
-                if X.data[i][j] != 0:
-                    raise ValueError("sublattice is not K-invariant")
+        if any(X[i][j] for i in range(s, n) for j in range(s)):
+            raise ValueError("sublattice is not K-invariant")
     sub = KLattice(
-        IntMatrix([r[:s] for r in Aa.data[:s]], cols=s),
-        IntMatrix([r[:s] for r in Ab.data[:s]], cols=s),
+        IntMatrix([r[:s] for r in Aa[:s]], cols=s),
+        IntMatrix([r[:s] for r in Ab[:s]], cols=s),
     )
     quot = KLattice(
-        IntMatrix([r[s:] for r in Aa.data[s:]], cols=n - s),
-        IntMatrix([r[s:] for r in Ab.data[s:]], cols=n - s),
+        IntMatrix([r[s:] for r in Aa[s:]], cols=n - s),
+        IntMatrix([r[s:] for r in Ab[s:]], cols=n - s),
     )
-    embed = IntMatrix([[P.data[i][j] for j in range(s)] for i in range(n)], cols=s)
-    project = IntMatrix([Pinv.data[i] for i in range(s, n)], cols=n)
+    embed = IntMatrix([r[:s] for r in P.data], cols=s)
+    project = IntMatrix(Pinv.data[s:], cols=n)
     return (sub, quot, embed, project)

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
+from .checks import ensure
 from .f2 import F2Matrix, inverse as f2_inverse, is_invertible, rank as f2_rank, rref
-from .intmat import IntMatrix, inverse_unimodular, smith_form
+from .intmat import IntMatrix, _addmul, inverse_unimodular, smith_form
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -34,55 +36,85 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _hnf_rows(rows: list[list[int]], cols: int) -> list[list[int]]:
-    """Row-style HNF: positive pivots, reduced above, zero rows dropped."""
-    basis: list[list[int]] = []  # echelon order by pivot column
-    pivcol: list[int] = []
+def _combine(c1: int, r1: dict, c2: int, r2: dict, q: int) -> dict:
+    """c1 r1 + c2 r2, reduced mod q when q > 0, as a row {column: nonzero value}."""
+    out = {j: c1 * x for j, x in r1.items()}
+    for j, x in r2.items():
+        out[j] = out.get(j, 0) + c2 * x
+    if q:
+        return {j: x % q for j, x in out.items() if x % q}
+    return {j: x for j, x in out.items() if x}
 
-    for vec0 in rows:
-        vec = list(vec0)
-        for j in range(cols):
-            if not vec[j]:
-                continue
-            at = next((bi for bi, pj in enumerate(pivcol) if pj == j), None)
-            if at is None:
+
+def _addmul_mod(dst: dict, src: dict, c: int, q: int) -> None:
+    """dst = (dst + c * src) mod q on the columns of src, rows as {column: nonzero value}."""
+    for j, x in src.items():
+        y = (dst.get(j, 0) + c * x) % q
+        if y:
+            dst[j] = y
+        else:
+            dst.pop(j, None)
+
+
+def _echelon(vecs: Iterable[dict], q: int = 0) -> list[dict]:
+    """Row-style HNF of rows {column: nonzero value}: zero rows dropped, rows
+    in pivot order, positive pivots, entries above each pivot reduced.
+
+    With q > 0 every elimination step is reduced mod q, which is sound when
+    q Z^n lies in the span (see _hnf_rows_mod).  Each row is eliminated
+    against the pivot rows from its leading column on, and a step visits the
+    nonzero entries only; the input dicts are consumed.
+    """
+    piv: dict = {}  # pivot column -> its row
+    for vec in vecs:
+        while vec:
+            j = min(vec)
+            row = piv.get(j)
+            if row is None:
                 if vec[j] < 0:
-                    vec = [-x for x in vec]
-                where = sum(1 for pj in pivcol if pj < j)
-                basis.insert(where, vec)
-                pivcol.insert(where, j)
-                vec = None
+                    vec = {t: -x for t, x in vec.items()}
+                piv[j] = vec
                 break
-            row = basis[at]
             a, b = row[j], vec[j]
             if b % a == 0:
-                q = b // a
-                for t in range(j, cols):
-                    vec[t] -= q * row[t]
+                if q:
+                    _addmul_mod(vec, row, -(b // a), q)
+                else:
+                    _addmul(vec, row, -(b // a))
             else:
                 x, y, g = _xgcd(a, b)
-                mbg, ag = -b // g, a // g
-                for t in range(j, cols):
-                    rt, vt = row[t], vec[t]
-                    row[t] = x * rt + y * vt
-                    vec[t] = mbg * rt + ag * vt
-        # vec is either consumed or reduced to zero
-    # normalize pivot signs and reduce above pivots (ascending pivot order,
-    # so later reductions cannot disturb already-reduced pivot columns)
-    for bi, j in enumerate(pivcol):
-        if basis[bi][j] < 0:
-            basis[bi] = [-x for x in basis[bi]]
-    for bi in range(len(basis)):
-        j = pivcol[bi]
-        p = basis[bi][j]
-        for ai in range(bi):
-            q = basis[ai][j] // p
-            if q:
-                row = basis[bi]
-                target = basis[ai]
-                for t in range(j, cols):
-                    target[t] -= q * row[t]
+                row, vec = _combine(x, row, y, vec, q), _combine(-b // g, row, a // g, vec, q)
+                if q:
+                    if j not in row:
+                        # reduction mod q can cancel the pivot; reinstate it
+                        row[j] = q if g % q == 0 else g
+                    ensure(row[j] == g or row[j] == q, "a pivot mod q is neither g nor q")
+                piv[j] = row
+    # reduce above pivots in ascending pivot order, so later reductions
+    # cannot disturb already-reduced pivot columns
+    basis = [piv[j] for j in sorted(piv)]
+    for bi, row in enumerate(basis):
+        j = min(row)
+        p = row[j]
+        for target in basis[:bi]:
+            f = target.get(j, 0) // p
+            if f:
+                _addmul(target, row, -f)
     return basis
+
+
+def _dense(row: dict, cols: int) -> list[int]:
+    out = [0] * cols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _hnf_rows(rows: list[list[int]], cols: int) -> list[list[int]]:
+    """Row-style HNF: positive pivots, reduced above, zero rows dropped."""
+    span = range(cols)
+    vecs = [dict(zip(compress(span, r), filter(None, r))) for r in rows]
+    return [_dense(r, cols) for r in _echelon(vecs)]
 
 
 class ZLattice:
@@ -278,7 +310,7 @@ def lift_invertible(Abar: F2Matrix) -> IntMatrix:
     if len(diag) < n or any(d % 2 == 0 for d in diag):
         raise ValueError("not invertible mod 2")
     out = inverse_unimodular(sf.U) * inverse_unimodular(sf.V)
-    assert F2Matrix.from_int(out) == Abar
+    ensure(F2Matrix.from_int(out) == Abar, "the unimodular lift does not reduce to the input")
     return out
 
 
@@ -332,11 +364,11 @@ def lift_exact_sequence(alpha_bar: F2Matrix, beta_bar: F2Matrix) -> tuple[IntMat
     T = lift_invertible(top)
     C = lift_invertible(Cbar)
     Sinv_z = inverse_unimodular(S)
-    stack = IntMatrix([T.data[i] if i < m else [0] * m for i in range(n)], cols=m)
-    alpha = S * stack
-    beta = IntMatrix([[0] * m + list(C.data[i]) for i in range(l)], cols=n) * Sinv_z
-    assert F2Matrix.from_int(alpha) == alpha_bar and F2Matrix.from_int(beta) == beta_bar
-    assert (beta * alpha).is_zero()
+    alpha = S * T.vstack(IntMatrix.zero(n - m, m))
+    beta = IntMatrix.zero(l, m).hstack(C) * Sinv_z
+    ensure(F2Matrix.from_int(alpha) == alpha_bar and F2Matrix.from_int(beta) == beta_bar,
+           "the lifted sequence does not reduce to the input")
+    ensure((beta * alpha).is_zero(), "the lifted sequence is not a complex")
     return alpha, beta
 
 
@@ -351,58 +383,9 @@ def _hnf_rows_mod(rows: list, cols: int, q: int) -> list[list[int]]:
     Reduction is sound because multiples of q e_i lie in the lattice; the
     final basis equals the plain HNF but intermediate growth is impossible.
     """
-    basis: list[list[int]] = []
-    pivcol: list[int] = []
-
-    def insert(vec, j):
-        if vec[j] < 0:
-            vec = [-x for x in vec]
-        where = sum(1 for pj in pivcol if pj < j)
-        basis.insert(where, vec)
-        pivcol.insert(where, j)
-
-    work = [[x % q for x in r] for r in rows]
-    work.extend([q if i == j else 0 for j in range(cols)] for i in range(cols))
-    for vec in work:
-        for j in range(cols):
-            if not vec[j]:
-                continue
-            at = next((bi for bi, pj in enumerate(pivcol) if pj == j), None)
-            if at is None:
-                insert(vec, j)
-                vec = None
-                break
-            row = basis[at]
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                f = b // a
-                for t in range(j, cols):
-                    vec[t] = (vec[t] - f * row[t]) % q
-            else:
-                x, y, g = _xgcd(a, b)
-                mbg, ag = -b // g, a // g
-                for t in range(j, cols):
-                    rt, vt = row[t], vec[t]
-                    row[t] = (x * rt + y * vt) % q
-                    vec[t] = (mbg * rt + ag * vt) % q
-                if row[j] == 0:
-                    # reduction mod q can cancel the pivot; reinstate it
-                    row[j] = q if g % q == 0 else g
-                assert row[j] == g or row[j] == q
-    for bi, j in enumerate(pivcol):
-        if basis[bi][j] == 0:
-            basis[bi][j] = q
-    for bi in range(len(basis)):
-        j = pivcol[bi]
-        p = basis[bi][j]
-        for ai in range(bi):
-            f = basis[ai][j] // p
-            if f:
-                row = basis[bi]
-                target = basis[ai]
-                for t in range(j, cols):
-                    target[t] -= f * row[t]
-    return basis
+    work = [{j: x % q for j, x in enumerate(r) if x % q} for r in rows]
+    work.extend({i: q} for i in range(cols))
+    return [_dense(r, cols) for r in _echelon(work, q)]
 
 
 def hnf_mod(rows: Iterable[Sequence[int]], n: int, q: int) -> ZLattice:
@@ -516,11 +499,16 @@ def intersection_mod(L1: ZLattice, L2: ZLattice, q: int) -> ZLattice:
 
 def inv_mod_2k(M: IntMatrix, k: int) -> IntMatrix:
     """Inverse of a matrix invertible mod 2^k (odd determinant)."""
-    q = 1 << k
-    n = M.rows
-    if M.cols != n:
+    if M.cols != M.rows:
         raise ValueError("not square")
-    a = [[x % q for x in r] + [1 if t == i else 0 for t in range(n)] for i, r in enumerate(M.data)]
+    return IntMatrix(_inv_mod_2k(M.data, k), cols=M.rows)
+
+
+def _inv_mod_2k(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
+    """inv_mod_2k on a square matrix given and returned as rows."""
+    q = 1 << k
+    n = len(rows)
+    a = [[x % q for x in r] + [1 if t == i else 0 for t in range(n)] for i, r in enumerate(rows)]
     for col in range(n):
         piv = None
         for i in range(col, n):
@@ -536,10 +524,10 @@ def inv_mod_2k(M: IntMatrix, k: int) -> IntMatrix:
             if i != col and a[i][col]:
                 f = a[i][col]
                 a[i] = [(x - f * y) % q for x, y in zip(a[i], a[col])]
-    return IntMatrix([r[n:] for r in a], cols=n)
+    return [r[n:] for r in a]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow2Quotient:
     """Z^s modulo (row space of C + 2^k Z^s), with coordinates.
 
@@ -574,7 +562,8 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
         Ct = C.transpose()
     U, vals, _V = smith_mod_2k(Ct, k)
     vals = list(vals) + [k] * (s - len(vals))
-    Uinv = inv_mod_2k(U, k)
+    U = U.data
+    Uinv = _inv_mod_2k(U, k)
     invariants = []
     positions = []
     gens = []
@@ -584,14 +573,14 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
             continue
         invariants.append(d)
         positions.append(i)
-        gens.append(tuple(Uinv.data[t][i] % q for t in range(s)))
+        gens.append(tuple(Uinv[t][i] % q for t in range(s)))
     return Pow2Quotient(
         s=s,
         k=k,
         invariants=tuple(invariants),
         positions=tuple(positions),
         generators=tuple(gens),
-        _rows=tuple(U.data[p] for p in positions),
+        _rows=tuple(U[p] for p in positions),
     )
 
 
@@ -603,13 +592,14 @@ def kernel_mod(A: IntMatrix, q: int) -> ZLattice:
     k = q.bit_length() - 1
     if q == (1 << k):
         _U, vals, V = smith_mod_2k(A, k, want_u=False)
+        V = V.data
         gens = []
         for i in range(n):
             if i < len(vals):
                 scale = 1 << (k - vals[i])
-                gens.append([(scale * V.data[t][i]) % q for t in range(n)])
+                gens.append([(scale * V[t][i]) % q for t in range(n)])
             else:
-                gens.append([V.data[t][i] % q for t in range(n)])
+                gens.append([V[t][i] % q for t in range(n)])
         return hnf_mod(gens, n, q)
     Amod = A.mod(q)
     aug = Amod.hstack(IntMatrix.diagonal([q] * A.rows))
@@ -694,15 +684,16 @@ def finite_quotient(K: ZLattice, I: ZLattice, q: int = 0) -> FiniteQuotient:
     invariants = []
     gens = []
     positions = []
-    B = K.basis_matrix()
     for i in range(rk):
         d = diag[i]
         if d == 1:
             continue
         invariants.append(d)
         positions.append(i)
-        coeffs = Vinv.data[i]
-        vec = [sum(coeffs[s] * B.data[s][t] for s in range(rk)) for t in range(n)]
+        vec = [0] * n
+        for c, row in zip(Vinv.row(i), K.basis):
+            if c:
+                vec = [v + c * x for v, x in zip(vec, row)]
         gens.append(tuple(vec))
     return FiniteQuotient(
         n, q, tuple(invariants), tuple(gens), K, I, sf.V, tuple(positions)

@@ -250,7 +250,7 @@ def char_poly(A: F2Matrix) -> F2Poly:
         raise ValueError("not square")
     if n == 0:
         return F2Poly.one()
-    m = [[F2Poly((A.data[i][j],)) for j in range(n)] for i in range(n)]
+    m = [[F2Poly((x,)) for x in r] for r in A.data]
     t = F2Poly.t()
     for i in range(n):
         m[i][i] = m[i][i] + t

@@ -38,6 +38,7 @@ from .klein import (
     DimVector,
     KLattice,
     SharpData,
+    _projectors,
     diagonal_sign_lattice,
     sharp,
     two_msharp_in_m,
@@ -263,9 +264,9 @@ def _embedding_matrix(d: PhiData) -> IntMatrix:
     return E
 
 
-def _component_coord_matrix(M: KLattice, sh: SharpData, idx: int) -> IntMatrix:
+def _component_coord_matrix(M: KLattice, sh: SharpData, idx: int, P: IntMatrix) -> IntMatrix:
+    """Coordinates in sharp component idx of the columns of its projector P."""
     comp = sh.components[idx]
-    P = sh.projectors[idx]
     scale = 4 // sh.denom
     cols = []
     for w in zip(*P.data):  # column t of P: the projection of the t-th basis vector
@@ -284,14 +285,15 @@ def phi_data(M: KLattice) -> PhiData:
     """
     if M._phi is not None:
         return M._phi
-    sh = sharp(M)
+    projs = _projectors(M)
+    sh = sharp(M, projs)
     L = two_msharp_in_m(M, sh)
     if L is None:
         raise ValueError("not an A-lattice")
     fq = finite_quotient(ZLattice.full(M.rank), L)
     ensure(all(d == 2 for d in fq.invariants), "M / 2 M^# is not elementary abelian")
     u_vectors = fq.generators
-    comp_coords = tuple(_component_coord_matrix(M, sh, i) for i in range(4))
+    comp_coords = tuple(_component_coord_matrix(M, sh, i, P) for i, P in enumerate(projs))
     dims = DimVector(len(u_vectors), *(sh.components[i].rank() for i in range(4)))
     f = {
         key: F2Matrix([Q.apply(u) for u in u_vectors], cols=Q.rows).transpose()

@@ -14,7 +14,6 @@ which keeps the linear algebra word-sized.
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,8 +165,7 @@ def _chain_for(module: KLattice, label: TubeLabel):
                f"the kernel onto the top of {cur_label} has the wrong rank")
         layer_labels.append(S_label)
         embed_total = embed_total * embed
-        sub_rows = [tuple(embed_total.col(j)) for j in range(embed_total.cols)]
-        chain.append(hnf(sub_rows, n_amb))
+        chain.append(hnf(embed_total.transpose().data, n_amb))
         chain_modules.append(sub)
         chain_embeds.append(embed_total)
         sub_label = identify_tube(phi(sub))
@@ -182,6 +180,10 @@ def _chain_for(module: KLattice, label: TubeLabel):
         chain.append(ZLattice.zero(n_amb))
         chain_modules.append(None)
         chain_embeds.append(IntMatrix.zero(n_amb, 0))
+    # a member keeps its chain modules, and nothing reads their Phi again
+    for sub in chain_modules[1:]:
+        if sub is not None:
+            sub.forget_phi()
     return tuple(chain), tuple(chain_modules), tuple(chain_embeds), tuple(layer_labels)
 
 
@@ -252,10 +254,11 @@ def hom_klattices(M: KLattice, N: KLattice, dM: PhiData | None = None, dN: PhiDa
         sol_rows = [[1 if t == s else 0 for t in range(u)] for s in range(u)]
     else:
         W_rows = []
+        adj, emb = adjN.data, E_M.data
         for i in range(N.rank):
             for jj in range(M.rank):
                 row = [
-                    (adjN.data[i][a] * E_M.data[b][jj]) % q for (a, b) in slots
+                    (adj[i][a] * emb[b][jj]) % q for (a, b) in slots
                 ]
                 W_rows.append(row)
         W = IntMatrix(W_rows, cols=u)
@@ -314,8 +317,8 @@ def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
         if abs(determinant(U)) != 1:
             return
         for W in (U, inverse_unimodular(U)):
-            if not W.is_identity() and W.data not in seen:
-                seen.add(W.data)
+            if not W.is_identity() and W not in seen:
+                seen.add(W)
                 out.append(W)
 
     for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
@@ -326,28 +329,25 @@ def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
 
 
 class _PackedFamily(Sequence):
-    """Square integer matrices kept with each row packed into bytes.
+    """Square integer matrices, each kept as IntMatrix.pack() bytes when they fit.
 
     A member keeps its unit family for its lifetime, and a census pass keeps
-    its members.  Most rows recur across the matrices (about 60% on the
-    rank-24 members), so equal rows are packed once, and a packed row takes
-    a quarter of the memory of a tuple of ints when its entries fit in a
-    byte.  A read unpacks one matrix: a context reads each generator about
+    its members.  A unit of a rank-24 member has about 90 nonzero entries of
+    576, so its packed form takes about 240 bytes, a fifth of the sparse
+    matrix.  A read unpacks one matrix: a context reads each generator about
     once, to build its action, and a word search only those on its word.
     """
 
     def __init__(self, mats: list[IntMatrix], rank: int):
-        small = all(-128 <= x < 128 for U in mats for row in U.data for x in row)
-        self._row = struct.Struct(f"{rank}{'b' if small else 'q'}")
         self._rank = rank
-        packed: dict = {}
-        self._mats = tuple(tuple(packed.setdefault(r, self._row.pack(*r)) for r in U.data) for U in mats)
+        self._mats = tuple(U.pack() or U for U in mats)
 
     def __len__(self) -> int:
         return len(self._mats)
 
     def __getitem__(self, g: int) -> IntMatrix:
-        return IntMatrix([self._row.unpack(b) for b in self._mats[g]], cols=self._rank)
+        U = self._mats[g]
+        return U if isinstance(U, IntMatrix) else IntMatrix.unpack(U, self._rank, self._rank)
 
 
 def hom_cross_tube_check(Mt: TubeModule, Nt: TubeModule) -> bool:
@@ -497,10 +497,10 @@ def expected_end_order(label: TubeLabel, lift_coeffs: Optional[list[int]] = None
         vec = [0] * u
         roN = 0
         for t in range(4):
-            block = quad[t]
+            block = quad[t].data
             for idx, (a, b) in enumerate(slots):
                 if roN <= a < roN + mult[t] and roN <= b < roN + mult[t]:
-                    vec[idx] = block.data[a - roN][b - roN]
+                    vec[idx] = block[a - roN][b - roN]
             roN += mult[t]
         gens.append(vec)
     gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))

@@ -251,10 +251,13 @@ def test_dual_generators_are_the_distinct_transposes_mod_q():
             assert gens[-1] == expected[-1]
 
 
-def test_the_family_matrices_share_their_equal_rows():
+def test_the_family_matrices_are_kept_packed():
     for T in _guard_members():
-        # the family keeps each distinct row packed once
-        rows = [r for packed in T.aut_family._mats for r in packed]
-        assert len({id(r) for r in rows}) == len(set(rows)), T.label
-        assert [T.aut_family._row.unpack(r) for r in rows] == [r for U in T.aut_family for r in U.data]
-        assert T.aut_family._row.size == T.lattice.rank, T.label
+        # every unit of these members fits the byte-packed sparse form, and
+        # a read gives back the matrix that was packed
+        r = T.lattice.rank
+        family = T.aut_family
+        assert all(isinstance(b, bytes) for b in family._mats), T.label
+        assert [IntMatrix.unpack(b, r, r) for b in family._mats] == list(family)
+        assert [U.pack() for U in family] == list(family._mats)
+        assert all(U == IntMatrix(U.data) for U in family)

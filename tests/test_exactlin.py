@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kleinlat
 from kleinlat.intmat import (
     IntMatrix,
     determinant,
@@ -13,6 +17,8 @@ from kleinlat.intmat import (
 from kleinlat.f2 import F2Matrix, inverse, is_invertible, nullspace, rank, rref, solve
 from kleinlat.lattices import (
     ZLattice,
+    _hnf_rows,
+    _hnf_rows_mod,
     finite_quotient,
     hnf,
     hnf_mod,
@@ -199,6 +205,25 @@ def test_lift_invertible_examples_and_random():
         assert F2Matrix.from_int(M) == Ab
     with pytest.raises(ValueError):
         lift_invertible(F2Matrix([[1, 1], [1, 1]]))
+
+
+def test_failed_lift_check_raises_under_python_O():
+    # the checks in lattices are not asserts, so python -O keeps them; a
+    # wrong unimodular inverse makes a lift that does not reduce to its input
+    code = (
+        "import kleinlat.lattices as lattices\n"
+        "from kleinlat.f2 import F2Matrix\n"
+        "from kleinlat.intmat import IntMatrix\n"
+        "lattices.inverse_unimodular = lambda A: IntMatrix.identity(A.rows)\n"
+        "lattices.lift_invertible(F2Matrix([[0, 1], [1, 0]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: the unimodular lift does not reduce to the input" in out.stderr
 
 
 def test_lift_exact_sequence():
@@ -474,3 +499,236 @@ def test_intersection_mod():
     for row in inter.basis:
         assert L1.coords([x % q for x in row]) is not None
         assert L2.coords([x % q for x in row]) is not None
+
+
+# Reference implementations: the dense row-list code that IntMatrix, the
+# Smith reduction and the Hermite forms ran before they skipped zeros.  The
+# sparse code applies the same row operations in the same order, so its
+# results must be the same matrices, not just equivalent ones.
+
+
+def _dense_int_apply(rows, vec):
+    return tuple(sum(a * v for a, v in zip(r, vec)) for r in rows)
+
+
+def _dense_int_mul(a, b, cols):
+    out = []
+    for r in a:
+        row = [0] * cols
+        for k, x in enumerate(r):
+            if x:
+                for j in range(cols):
+                    row[j] += x * b[k][j]
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _dense_smith(rows, cols):
+    """The old smith_form on lists: (U, D, V) as tuples of row tuples."""
+    n = len(rows)
+    d = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def addmul_row(dst, src, c):
+        for j in range(cols):
+            d[dst][j] += c * d[src][j]
+        for j in range(n):
+            u[dst][j] += c * u[src][j]
+
+    def addmul_col(dst, src, c):
+        for r in d + v:
+            r[dst] += c * r[src]
+
+    for s in range(min(n, cols)):
+        while True:
+            best = None
+            for i in range(s, n):
+                for j in range(s, cols):
+                    x = d[i][j]
+                    if x and (best is None or abs(x) < best[0]):
+                        best = (abs(x), i, j)
+            if best is None:
+                break
+            _, pi, pj = best
+            d[s], d[pi] = d[pi], d[s]
+            u[s], u[pi] = u[pi], u[s]
+            for r in d + v:
+                r[s], r[pj] = r[pj], r[s]
+            if d[s][s] < 0:
+                d[s] = [-x for x in d[s]]
+                u[s] = [-x for x in u[s]]
+            p = d[s][s]
+            dirty = False
+            for i in range(s + 1, n):
+                if d[i][s]:
+                    addmul_row(i, s, -(d[i][s] // p))
+                    dirty = dirty or d[i][s] != 0
+            for j in range(s + 1, cols):
+                if d[s][j]:
+                    addmul_col(j, s, -(d[s][j] // p))
+                    dirty = dirty or d[s][j] != 0
+            if dirty:
+                continue
+            bad = next((i for i in range(s + 1, n) if any(x % p for x in d[i][s + 1:])), None)
+            if bad is None:
+                break
+            addmul_row(s, bad, 1)
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
+
+
+def _dense_xgcd(a, b):
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        t = g // ng
+        x, nx = nx, x - t * nx
+        y, ny = ny, y - t * ny
+        g, ng = ng, g - t * ng
+    return (-x, -y, -g) if g < 0 else (x, y, g)
+
+
+def _dense_hnf(rows, cols, q=0):
+    """The old _hnf_rows (q = 0) and _hnf_rows_mod (q > 0) on lists."""
+    work = [[x % q if q else x for x in r] for r in rows]
+    if q:
+        work.extend([q * int(i == j) for j in range(cols)] for i in range(cols))
+    red = (lambda x: x % q) if q else (lambda x: x)
+    basis, pivcol = [], []
+    for vec in work:
+        for j in range(cols):
+            if not vec[j]:
+                continue
+            if j not in pivcol:
+                if vec[j] < 0:
+                    vec = [-x for x in vec]
+                where = sum(1 for pj in pivcol if pj < j)
+                basis.insert(where, vec)
+                pivcol.insert(where, j)
+                break
+            row = basis[pivcol.index(j)]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                for t in range(j, cols):
+                    vec[t] = red(vec[t] - (b // a) * row[t])
+            else:
+                x, y, g = _dense_xgcd(a, b)
+                for t in range(j, cols):
+                    rt, vt = row[t], vec[t]
+                    row[t] = red(x * rt + y * vt)
+                    vec[t] = red(-b // g * rt + a // g * vt)
+                if row[j] == 0:
+                    row[j] = q if g % q == 0 else g
+    for bi, j in enumerate(pivcol):
+        if q and basis[bi][j] == 0:
+            basis[bi][j] = q
+        if basis[bi][j] < 0:
+            basis[bi] = [-x for x in basis[bi]]
+    for bi in range(len(basis)):
+        j, p = pivcol[bi], basis[bi][pivcol[bi]]
+        for target in basis[:bi]:
+            f = target[j] // p
+            for t in range(j, cols):
+                target[t] -= f * basis[bi][t]
+    return basis
+
+
+def _dense_kernel(rows, cols):
+    m = len(rows)
+    if cols == 0:
+        return []
+    stacked = [[r[j] for r in rows] + [int(t == j) for t in range(cols)] for j in range(cols)]
+    return [tuple(r[m:]) for r in _dense_hnf(stacked, m + cols) if not any(r[:m])]
+
+
+# mostly zeros, as on the cochain differentials, with signs and some size
+_int_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-60, 60))
+
+
+@st.composite
+def _int_cases(draw):
+    """An n x m matrix (zero rows and columns likely), a vector, an m x k matrix."""
+    n, m, k = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 5))
+
+    def vec(c):
+        return st.lists(_int_entries, min_size=c, max_size=c)
+
+    rows = draw(st.lists(vec(m), min_size=n, max_size=n))
+    return rows, m, draw(vec(m)), draw(st.lists(vec(k), min_size=m, max_size=m)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_cases())
+@example(([], 4, [1, -2, 0, 3], [[1], [0], [-1], [2]], 1))  # 0 x n
+@example(([[], []], 0, [], [], 3))  # n x 0
+@example(([[0, 0, 0], [2, 0, -5], [0, 0, 0]], 3, [7, 1, -1], [[0, 1], [0, 0], [-3, 0]], 2))
+@example(([[200, 0], [0, -1]], 2, [1, 1], [[1], [1]], 1))  # too large to pack
+def test_sparse_rows_match_the_dense_reference(case):
+    rows, cols, vec, other, k = case
+    dense = tuple(map(tuple, rows))
+    A = IntMatrix(rows, cols=cols)
+    assert (A.rows, A.cols, A.data) == (len(rows), cols, dense)
+    again = IntMatrix(A.data, cols=cols)
+    assert again == A and hash(again) == hash(A)
+    assert A.apply(vec) == _dense_int_apply(dense, vec)
+    B = IntMatrix(other, cols=k)
+    assert (A * B).data == _dense_int_mul(dense, B.data, k)
+    assert A.transpose().data == tuple(tuple(r[j] for r in dense) for j in range(cols))
+    assert [A.col(j) for j in range(cols)] == [tuple(r[j] for r in dense) for j in range(cols)]
+    assert [dict(zip(*r)) for r in A.sparse_rows()] == A.row_dicts()
+    assert A.row_dicts() == [{j: x for j, x in enumerate(r) if x} for r in dense]
+    assert IntMatrix.from_dicts(A.row_dicts(), cols) == A
+    assert A.is_zero() == (not any(map(any, dense)))
+    assert (A + A.scale(-3)).data == tuple(tuple(-2 * x for x in r) for r in dense)
+    assert (A - A).is_zero() and (-A).data == tuple(tuple(-x for x in r) for r in dense)
+    assert A.mod(4).data == tuple(tuple(x % 4 for x in r) for r in dense)
+    assert A.hstack(A).data == tuple(r + r for r in dense)
+    assert A.vstack(A).data == dense + dense
+    packed = A.pack()
+    assert (packed is None) == any(not -128 <= x < 128 for r in dense for x in r)
+    assert packed is None or IntMatrix.unpack(packed, A.rows, A.cols) == A
+
+
+def test_wide_matrices_match_the_dense_reference():
+    # past 255 nonzero entries and 256 columns the offsets and columns are
+    # kept as tuples, not bytes
+    rng = random.Random(7)
+    rows = [[rng.choice([0, 0, 1, -2, 300]) for _ in range(300)] for _ in range(4)]
+    dense = tuple(map(tuple, rows))
+    A = IntMatrix(rows)
+    assert A.data == dense and A == IntMatrix(A.data) and hash(A) == hash(IntMatrix(A.data))
+    assert A.pack() is None
+    vec = [rng.randint(-5, 5) for _ in range(300)]
+    assert A.apply(vec) == _dense_int_apply(dense, vec)
+    At = A.transpose()
+    assert At.data == tuple(zip(*dense))
+    assert (A * At).data == _dense_int_mul(dense, At.data, 4)
+    assert (At * A).data == _dense_int_mul(At.data, dense, 300)
+    assert A.hstack(A).data == tuple(r + r for r in dense)
+    assert [A.col(j) for j in (0, 257, 299)] == [tuple(r[j] for r in dense) for j in (0, 257, 299)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_cases())
+@example(([[0, 0], [0, 0]], 2, [0, 0], [], 0))
+@example(([[0, 6, 0], [0, 0, 0], [4, 0, 10]], 3, [0, 0, 0], [], 0))  # divisibility step
+@example(([[-3, 0, 0, 2]], 4, [0] * 4, [], 0))
+def test_smith_form_matches_the_dense_reference(case):
+    rows, cols, vec, _other, _k = case
+    sf = smith_form(IntMatrix(rows, cols=cols))
+    assert (sf.U.data, sf.D.data, sf.V.data) == _dense_smith(rows, cols)
+    b = _dense_int_apply(rows, vec)
+    x = solve_int(IntMatrix(rows, cols=cols), b, sf)
+    assert x is not None and _dense_int_apply(rows, x) == b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_cases(), st.integers(1, 5))
+@example(([], 3, [0] * 3, [], 0), 2)
+@example(([[0, 0, 0], [0, 0, 0]], 3, [0] * 3, [], 0), 1)
+@example(([[4, 6, 0], [6, 9, 1], [0, -2, 5]], 3, [0] * 3, [], 0), 3)
+def test_hermite_forms_match_the_dense_reference(case, k):
+    rows, cols, _vec, _other, _k = case
+    q = 1 << k
+    assert _hnf_rows([list(r) for r in rows], cols) == _dense_hnf(rows, cols)
+    assert _hnf_rows_mod([list(r) for r in rows], cols, q) == _dense_hnf(rows, cols, q)
+    assert kernel_basis(IntMatrix(rows, cols=cols)) == _dense_kernel(rows, cols)
