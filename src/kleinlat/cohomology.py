@@ -209,15 +209,28 @@ class CohomologyGroup(ClassGroup):
         D = differential_matrix(M, n)
         Dprev = differential_matrix(M, n - 1)
         ker = hnf([list(v) for v in kernel_basis(D)], width)
-        self._q, flats = _kernel_mod_image(ker, Dprev.transpose().data, 3)
+        self._q = _kernel_quotient(ker, Dprev.transpose().data, 3)
         ensure(all(4 % d == 0 for d in self._q.invariants),
                f"H^{n} has an invariant not dividing 4: {self._q.invariants}")
         self.invariants = self._q.invariants
-        self.generators = tuple(Cochain.unflatten(n, r, f) for f in flats)
         # a Hermite row of the kernel has about three nonzero entries of
         # (n+1) r, and a group lives as long as its context, so the rows are
         # kept as a sparse matrix
         self._kernel = ker.basis_matrix()
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple:
+        """A generator cocycle for each cyclic factor, built on first read."""
+        if self._generators is None:
+            r = self.module.rank
+            self._generators = tuple(Cochain.unflatten(self.n, r, f)
+                                     for f in _representatives(self._kernel, self._q))
+        return self._generators
+
+    def forget_generators(self) -> None:
+        """Drop the kept generator cocycles; the next read builds them again."""
+        self._generators = None
 
     def class_of(self, gamma: Cochain) -> "CohClass":
         """Coordinates by elimination against the kernel rows, as ZLattice.coords.
@@ -240,12 +253,8 @@ class CohomologyGroup(ClassGroup):
         return CohClass(self, self._q.coords(c))
 
 
-def _kernel_mod_image(ker: ZLattice, image, level: int):
-    """ker / image by 2-adic reduction mod 2^level.
-
-    Returns the quotient, with its invariants and coordinates, and for each
-    of its cyclic generators a representative vector of ker.
-    """
+def _kernel_quotient(ker: ZLattice, image, level: int):
+    """ker / image mod 2^level, over the coordinates of the basis rows of ker."""
     s = ker.rank()
     coords = []
     for v in image:
@@ -253,18 +262,14 @@ def _kernel_mod_image(ker: ZLattice, image, level: int):
         ensure(c is not None, "image not inside the kernel")
         coords.append(list(c))
     C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
-    quotient = pow2_quotient(C, s, level)
-    width = ker.ambient_rank
-    flats = []
-    for g in quotient.generators:
-        flat = [0] * width
-        for t, c in enumerate(g):
-            if c:
-                row = ker.basis[t]
-                for a in range(width):
-                    flat[a] += c * row[a]
-        flats.append(flat)
-    return quotient, flats
+    return pow2_quotient(C, s, level)
+
+
+def _representatives(K: IntMatrix, quotient) -> list:
+    """For each generator of quotient, given over the rows of K, the vector
+    it stands for."""
+    Kt = K.transpose()
+    return [Kt.apply(g) for g in quotient.generators]
 
 
 @dataclass(frozen=True, slots=True)
@@ -749,7 +754,9 @@ class SumContext:
         out = [{a: 1} for a in range(r)]
         oi, oj = self.offsets[i], self.offsets[j]
         for a, row in enumerate(theta.row_dicts()):
-            out[oj + a].update((oi + b, x) for b, x in row.items())
+            dst = out[oj + a]
+            for b, x in row.items():
+                dst[oi + b] = dst.get(oi + b, 0) + x
         return self.reduce(IntMatrix.from_dicts(out, r))
 
     def swap_witness(self, i: int, j: int) -> IntMatrix:

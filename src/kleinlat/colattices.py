@@ -129,8 +129,8 @@ class StableDualCohomology(ClassGroup):
                 gens.append(Cochain.unflatten(n, mod.rank, c).scale(q // d).reduce(q))
         self.generators = tuple(gens)
         # the integral group is kept for class_of and the filtration, which
-        # read its kernel rows and coordinates, never its generators
-        I.generators = None
+        # read its kernel rows and coordinates only
+        I.forget_generators()
 
     def class_of(self, gamma: Cochain) -> CohClass:
         """Class of a carrier cocycle in the stable image, through the connecting map."""

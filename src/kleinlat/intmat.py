@@ -55,19 +55,11 @@ def _sparse(data, cols: int) -> tuple:
     ptr = [0]
     idx: list = []
     val: list = []
-    if cols > 32:  # scan wide rows in C
-        span = range(cols)
-        for r in data:
-            idx.extend(compress(span, r))
-            val.extend(filter(None, r))
-            ptr.append(len(idx))
-    else:
-        for r in data:
-            for j, x in enumerate(r):
-                if x:
-                    idx.append(j)
-                    val.append(x)
-            ptr.append(len(idx))
+    span = range(cols)
+    for r in data:
+        idx.extend(compress(span, r))
+        val.extend(filter(None, r))
+        ptr.append(len(idx))
     return ptr, idx, val
 
 
@@ -154,13 +146,9 @@ class IntMatrix:
         idx: list = []
         val: list = []
         for r in rows:
-            if len(r) > 1:
-                js = sorted(r)
-                idx.extend(js)
-                val.extend(map(r.__getitem__, js))
-            elif r:
-                idx.extend(r)
-                val.extend(r.values())
+            js = sorted(r)
+            idx.extend(js)
+            val.extend(map(r.__getitem__, js))
             ptr.append(len(idx))
         if 0 in val:
             kept = list(accumulate(map(bool, val), initial=0))

@@ -84,11 +84,9 @@ def _echelon(vecs: Iterable[dict], q: int = 0) -> list[dict]:
             else:
                 x, y, g = _xgcd(a, b)
                 row, vec = _combine(x, row, y, vec, q), _combine(-b // g, row, a // g, vec, q)
-                if q:
-                    if j not in row:
-                        # reduction mod q can cancel the pivot; reinstate it
-                        row[j] = q if g % q == 0 else g
-                    ensure(row[j] == g or row[j] == q, "a pivot mod q is neither g nor q")
+                # x a + y b = g; with q > 0 the entries lie in (0, q], so g < q
+                # and reduction mod q keeps it
+                ensure(row.get(j) == g, "a combined pivot is not the gcd")
                 piv[j] = row
     # reduce above pivots in ascending pivot order, so later reductions
     # cannot disturb already-reduced pivot columns
@@ -419,8 +417,8 @@ def smith_mod_2k(A: IntMatrix, k: int, want_u: bool = True):
 
     Pivots are entries of minimal 2-adic valuation, so a single clearing
     pass per step suffices and entries never leave [0, 2^k).  Returns
-    (U, vals, V) with U, V invertible mod 2^k and vals the pivot valuations;
-    U is None when want_u is false.
+    (U, vals, V) with U, V invertible mod 2^k, as lists of rows, and vals
+    the pivot valuations; U is None when want_u is false.
     """
     q = 1 << k
     rows, cols = A.rows, A.cols
@@ -477,7 +475,7 @@ def smith_mod_2k(A: IntMatrix, k: int, want_u: bool = True):
                 for r in v:
                     r[j] = (r[j] - f * r[s]) % q
         vals.append(val)
-    return (IntMatrix(u, cols=rows) if want_u else None), vals, IntMatrix(v, cols=cols)
+    return u, vals, v
 
 
 def annihilator_mod(L: ZLattice, q: int) -> ZLattice:
@@ -562,7 +560,6 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
         Ct = C.transpose()
     U, vals, _V = smith_mod_2k(Ct, k)
     vals = list(vals) + [k] * (s - len(vals))
-    U = U.data
     Uinv = _inv_mod_2k(U, k)
     invariants = []
     positions = []
@@ -580,7 +577,7 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
         invariants=tuple(invariants),
         positions=tuple(positions),
         generators=tuple(gens),
-        _rows=tuple(U[p] for p in positions),
+        _rows=tuple(tuple(U[p]) for p in positions),
     )
 
 
@@ -592,7 +589,6 @@ def kernel_mod(A: IntMatrix, q: int) -> ZLattice:
     k = q.bit_length() - 1
     if q == (1 << k):
         _U, vals, V = smith_mod_2k(A, k, want_u=False)
-        V = V.data
         gens = []
         for i in range(n):
             if i < len(vals):

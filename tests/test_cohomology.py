@@ -10,7 +10,7 @@ from kleinlat.colattices import StableDualCohomology
 from kleinlat.klein import regular_representation, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, lattice_of, random_rep_in_R
-from kleinlat.intmat import kernel_basis
+from kleinlat.intmat import IntMatrix, kernel_basis
 from kleinlat.lattices import hnf
 from kleinlat.tubes import sweep_labels, transport_label, tube_module, tube_module_from_label
 from kleinlat.cohomology import (
@@ -225,3 +225,32 @@ def test_class_of_on_the_sparse_kernel_rows_matches_the_hermite_basis():
                         H.class_of(Cochain.unflatten(n, r, bad))
             with pytest.raises(ValueError):
                 H.class_of(Cochain.zero(n + 1, r))
+
+
+def test_generators_are_built_again_after_they_are_forgotten():
+    # the generator cocycles are built from the kernel rows on first read;
+    # a group that forgot them (the integral group of a stable dual group
+    # does) builds the same cocycles again
+    for label in sweep_labels(2):
+        M = tube_module_from_label(label, with_chain=False).lattice
+        for n in (1, 2):
+            H = CohomologyGroup(M, n)
+            gens = H.generators
+            for i, g in enumerate(gens):
+                assert H.class_of(g).coords == tuple(int(t == i) for t in range(len(gens))), label
+            H.forget_generators()
+            assert H.generators == gens, label
+            S = StableDualCohomology(M, n)
+            assert S._integral._generators is None
+            assert S._integral.generators == CohomologyGroup(S.module, n + 1).generators, label
+
+
+def test_unipotent_witness_on_one_block_adds_theta_to_the_identity():
+    T2 = tube_module(TubeId.special("1"), 1, 2)
+    T1 = tube_module(TubeId.special("1"), 1, 1)
+    sc = SumContext([T2, T1], 2)
+    for i, T in enumerate((T2, T1)):
+        r = T.lattice.rank
+        theta = IntMatrix([[2 * (a == b) - (b == a + 1) for b in range(r)] for a in range(r)])
+        want = sc.block_witness(i, IntMatrix.identity(r) + theta)
+        assert sc.unipotent_witness(i, i, theta) == want

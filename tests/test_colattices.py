@@ -21,7 +21,8 @@ from kleinlat.cohomology import (
     ClassGroup,
     Cochain,
     CohClass,
-    _kernel_mod_image,
+    _kernel_quotient,
+    _representatives,
     differential_matrix,
     in_span,
     push_class,
@@ -200,7 +201,8 @@ class _LevelCohomology(ClassGroup):
         Dprev = differential_matrix(mod, n - 1)
         self._kernel = kernel_mod(D, q)
         image = hnf_mod([list(Dprev.col(j)) for j in range(Dprev.cols)], (n + 1) * r, q).basis
-        self._q, flats = _kernel_mod_image(self._kernel, image, k)
+        self._q = _kernel_quotient(self._kernel, image, k)
+        flats = _representatives(self._kernel.basis_matrix(), self._q)
         self.invariants = self._q.invariants
         self.generators = tuple(Cochain.unflatten(n, r, f).reduce(q) for f in flats)
 
@@ -406,7 +408,7 @@ def _reference_images(H, T, level):
         ker = intersection_mod(kerD, W, q)
         img_rows = [Dprev.apply(v) for v in hnf_mod(_cochains_in(L, n, r), n * r, q).basis]
         img = hnf_mod([list(v) for v in img_rows], (n + 1) * r, q)
-        _, flats = _kernel_mod_image(ker, img.basis, level)
+        flats = _representatives(ker.basis_matrix(), _kernel_quotient(ker, img.basis, level))
         out.append([H.class_of(Cochain.unflatten(n, r, f).scale(2).reduce(2 * q)) for f in flats])
     return out
 

@@ -429,7 +429,7 @@ def test_mod_2k_machinery():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         A = IntMatrix([[rng.randint(0, q - 1) for _ in range(cols)] for _ in range(rows)])
         U, vals, V = smith_mod_2k(A, k)
-        prod = (U * A * V).mod(q)
+        prod = (IntMatrix(U, cols=rows) * A * IntMatrix(V, cols=cols)).mod(q)
         for i in range(rows):
             for j in range(cols):
                 want = (1 << vals[i]) % q if (i == j and i < len(vals)) else 0
@@ -470,7 +470,7 @@ def test_pow2_quotient_coords_match_the_full_transform():
         U, _vals, _V = smith_mod_2k(C.transpose() if gens else IntMatrix.zero(s, 0), k)
         for _ in range(5):
             v = [rng.randint(-50, 50) for _ in range(s)]
-            full = U.apply(v)
+            full = IntMatrix(U, cols=s).apply(v)
             assert pq.coords(v) == tuple(full[p] % d for p, d in zip(pq.positions, pq.invariants))
         for bad in (s - 1, s + 1):
             with pytest.raises(ValueError):
