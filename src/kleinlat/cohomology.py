@@ -908,9 +908,13 @@ def _solve_cancellation(H_j: ClassGroup, cls_i, cls_j, homs):
     return combo
 
 
-def sum_orbit_partition(sc: SumContext, cap: int = 1 << 6) -> list[set]:
+# the largest group whose orbits sum_orbit_partition enumerates
+ORBIT_ORACLE_MAX = 1 << 6
+
+
+def sum_orbit_partition(sc: SumContext) -> list[set]:
     """Brute-force orbit closure of the generated automorphism family."""
-    ensure(sc.H.order() <= cap, "group too large for the brute-force oracle")
+    ensure(sc.H.order() <= ORBIT_ORACLE_MAX, "group too large for the brute-force oracle")
     gens: list[IntMatrix] = []
     for i, ctx in enumerate(sc.ctxs):
         for U in ctx.aut_generators():

@@ -1,4 +1,4 @@
-"""Integer lattices, Hermite form, and lifting of exact sequences mod 2.
+"""Integer lattices, Hermite form, and lifting of invertible matrices mod 2.
 
 A ZLattice is a subgroup of Z^n held in row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), so two
@@ -6,21 +6,20 @@ lattices are equal iff their stored bases are equal.  On top of that sit the
 usual operations: sum, intersection, membership, index, quotient invariants,
 and saturation.
 
-The second half implements the mod-2 lifting toolkit: lifting an invertible
-matrix over GF(2) to a unimodular integer matrix and lifting a short exact
-sequence of GF(2) vector spaces to one of free abelian groups.  These are the
-building blocks for transporting quiver-level data to honest lattices.
+The second half lifts an invertible matrix over GF(2) to a unimodular
+integer matrix, which carries quiver-level automorphisms to honest
+lattices, and works in (Z/2^k)^n: Hermite and Smith forms mod 2^k,
+kernels, annihilators and quotients.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Sequence
 
 from .checks import ensure
-from .f2 import F2Matrix, inverse as f2_inverse, is_invertible, rank as f2_rank, rref
+from .f2 import F2Matrix
 from .intmat import IntMatrix, _addmul, inverse_unimodular, smith_form
 
 
@@ -312,64 +311,6 @@ def lift_invertible(Abar: F2Matrix) -> IntMatrix:
     return out
 
 
-def lift_exact_sequence(alpha_bar: F2Matrix, beta_bar: F2Matrix) -> tuple[IntMatrix, IntMatrix]:
-    """Lift 0 -> k^m -> k^n -> k^l -> 0 to a short exact sequence over Z.
-
-    alpha_bar is n x m (injective), beta_bar is l x n (surjective) with
-    beta_bar . alpha_bar = 0 and m + l = n.  Returns integer matrices
-    (alpha, beta) reducing to the inputs mod 2 with Z^m -> Z^n -> Z^l exact.
-    """
-    n, m = alpha_bar.rows, alpha_bar.cols
-    l = beta_bar.rows
-    if beta_bar.cols != n or m + l != n:
-        raise ValueError("input sequence not exact")
-    if f2_rank(alpha_bar) != m or f2_rank(beta_bar) != l:
-        raise ValueError("input sequence not exact")
-    if not (beta_bar * alpha_bar).is_zero():
-        raise ValueError("input sequence not exact")
-
-    # Find invertible Sbar (n x n), Tbar (m x m) with Sbar^{-1} alpha Tbar = [I; 0].
-    # Column-reduce alpha to echelon with row pivots recorded.
-    R, pivots = rref(alpha_bar.transpose())  # rows of R = reduced columns
-    # R rows (m of them) are a new basis of the column space; express alpha's
-    # columns: alpha_bar * Tbar = stacked pivot form.  Simpler: build Sbar by
-    # completing the column space of alpha to a basis of k^n.
-    col_space = [tuple(r) for r in R.data[:m]]
-    chosen = list(col_space)
-    piv = set()
-    for v in chosen:
-        piv.add(next(i for i, x in enumerate(v) if x))
-    for i in range(n):
-        if i not in piv:
-            e = tuple(1 if t == i else 0 for t in range(n))
-            chosen.append(e)
-    Sbar = F2Matrix([[chosen[j][i] for j in range(n)] for i in range(n)], cols=n)
-    if not is_invertible(Sbar):
-        raise ValueError("input sequence not exact")
-    Sinv = f2_inverse(Sbar)
-    top = F2Matrix([(Sinv * alpha_bar).data[i] for i in range(m)], cols=m)
-    # alpha = Sbar [T'; 0] with T' invertible m x m
-    if not is_invertible(top):
-        raise ValueError("input sequence not exact")
-    # beta_bar Sbar = [0 | Cbar]
-    BS = beta_bar * Sbar
-    zero_part = F2Matrix([r[:m] for r in BS.data], cols=m)
-    Cbar = F2Matrix([r[m:] for r in BS.data], cols=l)
-    if not zero_part.is_zero() or not is_invertible(Cbar):
-        raise ValueError("input sequence not exact")
-
-    S = lift_invertible(Sbar)
-    T = lift_invertible(top)
-    C = lift_invertible(Cbar)
-    Sinv_z = inverse_unimodular(S)
-    alpha = S * T.vstack(IntMatrix.zero(n - m, m))
-    beta = IntMatrix.zero(l, m).hstack(C) * Sinv_z
-    ensure(F2Matrix.from_int(alpha) == alpha_bar and F2Matrix.from_int(beta) == beta_bar,
-           "the lifted sequence does not reduce to the input")
-    ensure((beta * alpha).is_zero(), "the lifted sequence is not a complex")
-    return alpha, beta
-
-
 # ---------------------------------------------------------------------------
 # subgroups of (Z/2^k)^n
 # ---------------------------------------------------------------------------
@@ -582,28 +523,21 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
 
 
 def kernel_mod(A: IntMatrix, q: int) -> ZLattice:
-    """The lattice {x in Z^n : A x = 0 mod q} (contains q Z^n)."""
+    """The lattice {x in Z^n : A x = 0 mod q} (contains q Z^n), q a power of two."""
     n = A.cols
+    k = q.bit_length() - 1
+    ensure(q == 1 << k, f"kernel_mod needs a power of two, not q = {q}")
     if A.rows == 0 or q == 1:
         return ZLattice.full(n)
-    k = q.bit_length() - 1
-    if q == (1 << k):
-        _U, vals, V = smith_mod_2k(A, k, want_u=False)
-        gens = []
-        for i in range(n):
-            if i < len(vals):
-                scale = 1 << (k - vals[i])
-                gens.append([(scale * V[t][i]) % q for t in range(n)])
-            else:
-                gens.append([V[t][i] % q for t in range(n)])
-        return hnf_mod(gens, n, q)
-    Amod = A.mod(q)
-    aug = Amod.hstack(IntMatrix.diagonal([q] * A.rows))
-    from .intmat import kernel_basis
-
-    ker = kernel_basis(aug)
-    rows = [list(v[:n]) for v in ker]
-    return hnf_mod(rows, n, q)
+    _U, vals, V = smith_mod_2k(A, k, want_u=False)
+    gens = []
+    for i in range(n):
+        if i < len(vals):
+            scale = 1 << (k - vals[i])
+            gens.append([(scale * V[t][i]) % q for t in range(n)])
+        else:
+            gens.append([V[t][i] % q for t in range(n)])
+    return hnf_mod(gens, n, q)
 
 
 @dataclass(frozen=True)
@@ -611,54 +545,15 @@ class FiniteQuotient:
     """The group K/I for lattices I <= K <= Z^n, I of finite index in K.
 
     invariants: orders (> 1, or 0 for a free factor) of the cyclic factors;
-    generators: vectors in Z^n whose classes generate those factors.  When
-    q > 0, classes are taken mod q Z^n as well (q Z^n must lie inside I).
+    generators: vectors in Z^n whose classes generate those factors.
     """
 
-    n: int
-    q: int
     invariants: tuple
     generators: tuple  # tuple of vectors
-    _K: ZLattice
-    _I: ZLattice
-    _V: IntMatrix  # right Smith transform of the inclusion
-    _positions: tuple  # indices of the non-trivial factors
-
-    def coords(self, vec: Sequence[int]) -> tuple:
-        """Coordinates of the class of vec, reduced mod the invariants."""
-        v = [x % self.q for x in vec] if self.q else list(vec)
-        c = self._K.coords(v)
-        if c is None:
-            raise ValueError("vector is not in the subgroup")
-        y = self._V.transpose().apply(c)  # row c times V
-        out = []
-        for pos, d in zip(self._positions, self.invariants):
-            out.append(y[pos] % d if d else y[pos])
-        return tuple(out)
-
-    def order(self) -> int:
-        out = 1
-        for d in self.invariants:
-            if d == 0:
-                raise ValueError("quotient is infinite")
-            out *= d
-        return out
-
-    def exponent(self) -> int:
-        out = 1
-        for d in self.invariants:
-            if d == 0:
-                raise ValueError("quotient is infinite")
-            out = out * d // math.gcd(out, d)
-        return out
 
 
-def finite_quotient(K: ZLattice, I: ZLattice, q: int = 0) -> FiniteQuotient:
-    """Structure of K/I as an abelian group, with coordinates.
-
-    q > 0 declares that both lattices contain q Z^n and that classes may be
-    reduced mod q when testing membership.
-    """
+def finite_quotient(K: ZLattice, I: ZLattice) -> FiniteQuotient:
+    """Structure of K/I as an abelian group, with generators."""
     n = K.ambient_rank
     coords = []
     for r in I.basis:
@@ -668,7 +563,7 @@ def finite_quotient(K: ZLattice, I: ZLattice, q: int = 0) -> FiniteQuotient:
         coords.append(list(c))
     rk = len(K.basis)
     if rk == 0:
-        return FiniteQuotient(n, q, (), (), K, I, IntMatrix([], cols=0), ())
+        return FiniteQuotient((), ())
     C = IntMatrix(coords, cols=rk) if coords else IntMatrix.zero(0, rk)
     sf = smith_form(C)
     diag = [0] * rk
@@ -679,18 +574,14 @@ def finite_quotient(K: ZLattice, I: ZLattice, q: int = 0) -> FiniteQuotient:
     # diag[i] times row i; factors with diag != 1 survive in the quotient.
     invariants = []
     gens = []
-    positions = []
     for i in range(rk):
         d = diag[i]
         if d == 1:
             continue
         invariants.append(d)
-        positions.append(i)
         vec = [0] * n
         for c, row in zip(Vinv.row(i), K.basis):
             if c:
                 vec = [v + c * x for v, x in zip(vec, row)]
         gens.append(tuple(vec))
-    return FiniteQuotient(
-        n, q, tuple(invariants), tuple(gens), K, I, sf.V, tuple(positions)
-    )
+    return FiniteQuotient(tuple(invariants), tuple(gens))

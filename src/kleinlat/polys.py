@@ -10,6 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
+from .checks import ensure
 from .f2 import F2Matrix
 
 
@@ -258,12 +259,12 @@ def char_poly(A: F2Matrix) -> F2Poly:
     for k in range(n - 1):
         # Bareiss pivots here are leading principal minors of tI + A, which
         # are monic of positive degree, hence never zero.
-        assert not m[k][k].is_zero()
+        ensure(not m[k][k].is_zero(), "a Bareiss pivot of tI + A is zero")
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] + m[i][k] * m[k][j]
                 q, r = num.divmod(prev)
-                assert r.is_zero()
+                ensure(r.is_zero(), "a Bareiss division left a remainder")
                 m[i][j] = q
             m[i][k] = F2Poly.zero()
         prev = m[k][k]
@@ -276,8 +277,7 @@ def primary_decomposition(f: F2Poly):
     rem = f
     d = 1
     while rem.degree() > 0:
-        if d > rem.degree():
-            raise AssertionError("factorization ran away")
+        ensure(d <= rem.degree(), "factorization ran away")
         for g in irreducibles_of_degree(d):
             e = 0
             while (rem % g).is_zero():

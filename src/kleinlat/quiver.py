@@ -9,18 +9,21 @@ overring, via phi() one way and lattice_of() the other.
 decompose() is a Meataxe-style splitter over GF(2): find an endomorphism
 whose Fitting power is a proper idempotent-like projection, split along its
 kernel and image, recurse.  identify_tube() names a regular indecomposable
-by its point on the projective line: special patterns are read off dimension
-vectors, homogeneous ones through the characteristic polynomial of the
-associated matrix pencil, with explicit isomorphism testing as the fallback.
+by its point on the projective line, by invariants alone: odd special
+members by their dimension vectors, even special ones by the one pair of
+arms whose stacked map is not injective (confirmed by a scan against the
+named normal form), homogeneous ones by the characteristic polynomial of
+the associated matrix pencil.
 
-Every search over the GF(2) span of a hom basis reads it through
-_span_elements: decompose's splitting, reps_isomorphic,
-endomorphism_local_data and, in tubes, the surjection onto a quasi-simple
-top and the unit family.  Up to an exhaustive limit (12 basis elements; 9
-for the unit family) the search sees the whole span; above it, the basis
-and a fixed number of seeded random combinations (64 here, 256 for the
-surjection, 512 for the unit family), so answers there can depend on the
-seed.
+Isomorphism of indecomposables is a scan of a hom basis (_scan_iso): End X
+is local, so when X and Y are isomorphic the non-isomorphisms X -> Y form a
+proper subspace, which some basis element avoids.  reps_isomorphic() reads
+the whole GF(2) span of Hom(V, W) up to 12 basis elements; above that it
+splits both sides and matches the pieces (Krull-Schmidt).  The one search
+left that can depend on the seed is the splitting itself: _find_splitting
+reads the span through _span_elements, whole up to 12 basis elements and
+above that the basis and 64 seeded random combinations.  tubes reads it for
+the unit family too (9 basis elements, 512 draws).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .klein import (
     two_msharp_in_m,
 )
 from .lattices import ZLattice, finite_quotient, hnf
-from .polys import F2Poly, char_poly, companion_matrix, irreducibles_of_degree, primary_decomposition
+from .polys import F2Poly, char_poly, companion_matrix, primary_decomposition
 
 
 class LambdaRep:
@@ -191,8 +194,8 @@ def hom_reps(V: LambdaRep, W: LambdaRep) -> list[RepMorphism]:
     ]
 
 
-# decompose, reps_isomorphic and endomorphism_local_data see the whole span of
-# a hom basis up to this many elements (see _span_elements).
+# _find_splitting and reps_isomorphic see the whole span of a hom basis up to
+# this many elements (see _span_elements).
 _EXHAUSTIVE_BITS = 12
 
 
@@ -223,16 +226,6 @@ def _span_elements(basis: list[RepMorphism], exhaustive_bits: int, tries: int = 
                 cur = c if cur is None else cur.add(c)
         if cur is not None:
             yield cur
-
-
-def reps_isomorphic(V: LambdaRep, W: LambdaRep, seed: int = 0) -> Optional[RepMorphism]:
-    """An isomorphism V -> W, or None."""
-    if V.dims != W.dims:
-        return None
-    for phi_m in _span_elements(hom_reps(V, W), _EXHAUSTIVE_BITS, tries=64, seed=seed):
-        if phi_m.is_invertible():
-            return phi_m
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +462,10 @@ def _restrict(V: LambdaRep, bases: dict) -> LambdaRep:
 
 def decompose(V: LambdaRep, seed: int = 0) -> list[tuple[LambdaRep, int]]:
     """Indecomposable summands with multiplicities, deterministically ordered."""
-    pieces = _split_completely(V, seed)
     groups: list[list] = []
-    for W in pieces:
+    for W, _path in _split_completely(V, seed):
         for g in groups:
-            if reps_isomorphic(g[0], W, seed=seed) is not None:
+            if _scan_iso(g[0], W) is not None:
                 g.append(W)
                 break
         else:
@@ -487,18 +479,52 @@ def _rep_sort_key(W: LambdaRep):
     return tuple(tuple(W.f[k].data) for k in SIGN_KEYS)
 
 
-def _split_completely(V: LambdaRep, seed: int) -> list[LambdaRep]:
+_VERTICES = ("dot",) + SIGN_KEYS
+
+
+def _vertex_dims(V: LambdaRep) -> list[int]:
+    return [V.dims.d_dot] + [V.dims.component(k) for k in SIGN_KEYS]
+
+
+def _split_completely(V: LambdaRep, seed: int, path: tuple = ()) -> list[tuple[LambdaRep, tuple]]:
+    """The pieces of V that _find_splitting cannot split, each with its path.
+
+    A piece's path is the bases of the splits that cut it out, the first
+    split first, each in the coordinates of the piece it split (_inclusion
+    reads it); a recursive call passes V's own path.
+    """
     if V.dims.d_plus == 0 and V.dims.d_dot == 0:
         return []
-    end = hom_reps(V, V)
-    split = _find_splitting(V, end, seed)
+    split = _find_splitting(V, hom_reps(V, V), seed)
     if split is None:
-        return [V]
-    W1, W2 = split
-    return _split_completely(W1, seed) + _split_completely(W2, seed)
+        return [(V, path)]
+    out = []
+    for W, bases in split:
+        out += _split_completely(W, seed, path + (bases,))
+    return out
+
+
+def _inclusion(V: LambdaRep, path: tuple) -> list[F2Matrix]:
+    """The inclusion into V of the piece at the end of a path of splits.
+
+    One matrix per vertex, in _vertex_matrices order, whose columns are the
+    piece's basis vectors in V's coordinates.
+    """
+    out = []
+    for k, d in zip(_VERTICES, _vertex_dims(V)):
+        E = F2Matrix.identity(d)  # rows: the current piece's basis in V's coordinates
+        for bases in path:
+            E = F2Matrix.from_bits(bases[k], E.rows) * E
+        out.append(E.transpose())
+    return out
 
 
 def _find_splitting(V: LambdaRep, end: list[RepMorphism], seed: int):
+    """((image, bases), (kernel, bases)) of a proper Fitting splitting, or None.
+
+    The bases are the row bases, in V's coordinates, of the two summands
+    at each vertex.
+    """
     n = len(end)
     if n <= 1:
         return None
@@ -507,16 +533,14 @@ def _find_splitting(V: LambdaRep, end: list[RepMorphism], seed: int):
         pi = _fitting_power(e)
         mats = _vertex_matrices(pi)
         ranks = [f2_rank(m) for m in mats]
-        full = [V.dims.d_dot] + [V.dims.component(k) for k in SIGN_KEYS]
-        if all(r == 0 for r in ranks) or ranks == full:
+        if all(r == 0 for r in ranks) or ranks == _vertex_dims(V):
             return None
-        keys = ["dot"] + list(SIGN_KEYS)
-        im = {k: _subspace_basis(m.transpose().bits, m.rows) for k, m in zip(keys, mats)}
-        ker = {k: _subspace_basis(nullspace_bits(m), m.cols) for k, m in zip(keys, mats)}
+        im = {k: _subspace_basis(m.transpose().bits, m.rows) for k, m in zip(_VERTICES, mats)}
+        ker = {k: _subspace_basis(nullspace_bits(m), m.cols) for k, m in zip(_VERTICES, mats)}
         Wim, Wker = _restrict(V, im), _restrict(V, ker)
         if Wim.dims.d_plus + Wim.dims.d_dot == 0 or Wker.dims.d_plus + Wker.dims.d_dot == 0:
             return None
-        return (Wim, Wker)
+        return ((Wim, im), (Wker, ker))
 
     for e in _span_elements(end, _EXHAUSTIVE_BITS, tries=64, seed=seed):
         got = try_element(e)
@@ -525,31 +549,54 @@ def _find_splitting(V: LambdaRep, end: list[RepMorphism], seed: int):
     return None
 
 
-def endomorphism_local_data(V: LambdaRep, seed: int = 0):
-    """(is_local, residue_dim) certificate for indecomposability.
+def _scan_iso(X: LambdaRep, Y: LambdaRep) -> Optional[RepMorphism]:
+    """The first invertible element of hom_reps(X, Y), or None.
 
-    For small endomorphism rings all elements are checked to be nilpotent or
-    invertible; the residue dimension is dim End - dim of the nilpotent set.
+    Exact when X and Y are indecomposable: End X is local, so if X and Y
+    are isomorphic the non-isomorphisms X -> Y form a proper subspace
+    rad(X, Y), and some basis element lies outside it.
     """
-    end = hom_reps(V, V)
-    n = len(end)
-    if n == 0:
-        return (True, 0)
-    if n > _EXHAUSTIVE_BITS:
-        return (_find_splitting(V, end, seed) is None, None)
-    nil = 1  # the zero endomorphism
-    dim_total = 1 << n
-    for e in _span_elements(end, _EXHAUSTIVE_BITS):
-        pi = _fitting_power(e)
-        if all(m.is_zero() for m in _vertex_matrices(pi)):
-            nil += 1
-        elif not e.is_invertible():
-            return (False, None)
-    # |End| = |rad| * 2^s
-    s = 0
-    while (nil << s) < dim_total:
-        s += 1
-    return (True, s)
+    if X.dims != Y.dims:
+        return None
+    return next((h for h in hom_reps(X, Y) if h.is_invertible()), None)
+
+
+def reps_isomorphic(V: LambdaRep, W: LambdaRep, seed: int = 0) -> Optional[RepMorphism]:
+    """An isomorphism V -> W, or None.
+
+    With dim Hom(V, W) <= _EXHAUSTIVE_BITS: the first invertible element of
+    the whole span, in _span_elements order.  Above it, by Krull-Schmidt:
+    split V and W into pieces, match each piece of V with the first unused
+    isomorphic piece of W (_scan_iso), and assemble the piece isomorphisms
+    into Q P^-1 at each vertex, P the inclusions of V's pieces side by side
+    and Q the matched inclusions into W, each after its piece isomorphism.
+    The answer is exact once the pieces are indecomposable; seed reaches
+    only the splitting (_find_splitting).
+    """
+    if V.dims != W.dims:
+        return None
+    homs = hom_reps(V, W)
+    if len(homs) <= _EXHAUSTIVE_BITS:
+        return next((h for h in _span_elements(homs, _EXHAUSTIVE_BITS) if h.is_invertible()), None)
+    free = [(Y, _inclusion(W, path)) for Y, path in _split_completely(W, seed)]
+    cols_p, cols_q = [], []
+    for X, path in _split_completely(V, seed):
+        for t, (Y, incl_y) in enumerate(free):
+            iso = _scan_iso(X, Y)
+            if iso is not None:
+                del free[t]
+                cols_p.append(_inclusion(V, path))
+                cols_q.append([E * m for E, m in zip(incl_y, _vertex_matrices(iso))])
+                break
+        else:
+            return None
+    mats = []
+    for v, d in enumerate(_vertex_dims(V)):
+        P = Q = F2Matrix.zero(d, 0)
+        for Ep, Eq in zip(cols_p, cols_q):
+            P, Q = P.hstack(Ep[v]), Q.hstack(Eq[v])
+        mats.append(Q * f2_inverse(P))
+    return RepMorphism(mats[0], dict(zip(SIGN_KEYS, mats[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +678,19 @@ _ODD_PATTERNS = {
     (0, 1, 1, 0): ("0", 2),
     (1, 0, 1, 0): ("inf", 1),
     (0, 1, 0, 1): ("inf", 2),
+}
+
+
+# an even special member has exactly one pair of arms (a, b) whose stacked map
+# f_a.vstack(f_b) is not injective, and the pair gives (lambda, j); the pairs
+# are in itertools.combinations(SIGN_KEYS, 2) order
+_EVEN_PAIRS = {
+    ("pp", "pm"): ("1", 2),
+    ("pp", "mp"): ("inf", 2),
+    ("pp", "mm"): ("0", 2),
+    ("pm", "mp"): ("0", 1),
+    ("pm", "mm"): ("inf", 1),
+    ("mp", "mm"): ("1", 1),
 }
 
 
@@ -725,7 +785,14 @@ def _pencil_matrix(V: LambdaRep):
 
 
 def identify_tube(V: LambdaRep, seed: int = 0):
-    """Tube label of a regular indecomposable, or the non-regular marker."""
+    """Tube label of a regular indecomposable, or the non-regular marker.
+
+    The label is read off invariants: the dimension vector, the pairs of
+    arms whose stacked map is not injective, and the pencil.  An even
+    special label is confirmed by one scan against its normal form, so a
+    decomposable input there raises ValueError.  seed is read by nothing;
+    it is kept for callers that still pass it.
+    """
     dims = V.dims
     if 2 * dims.d_dot != dims.d_plus:
         return NON_REGULAR
@@ -743,31 +810,25 @@ def identify_tube(V: LambdaRep, seed: int = 0):
             raise ValueError("dimension vector is not of tube type")
         lam, j = _ODD_PATTERNS[pattern]
         return TubeLabel(TubeId.special(lam), j, n)
-    # even, all components equal q
-    q = n // 2
+    # even, all components equal n / 2
+    deficient = [
+        pair for pair in _EVEN_PAIRS if f2_rank(V.f[pair[0]].vstack(V.f[pair[1]])) < n
+    ]
+    # a decomposable V is a bad input, as in the odd branch, not a failed
+    # check; the scan against the named normal form is exact and rejects it
+    if deficient:
+        lam, j = _EVEN_PAIRS[deficient[0]]
+        label = TubeLabel(TubeId.special(lam), j, n)
+        if _scan_iso(V, label_rep(label)) is None:
+            raise ValueError("a special pattern of arms, but not an indecomposable member")
+        return label
     X = _pencil_matrix(V)
-    if X is not None:
-        cp = char_poly(X)
-        fac = primary_decomposition(cp)
-        if len(fac) == 1:
-            f, e = fac[0]
-            if f not in (F2Poly.t(), F2Poly.from_string("t+1")):
-                ensure(f.degree() * e == q, "pencil degree does not match the dimension")
-                return TubeLabel(TubeId.homogeneous(f), None, e)
-    # special even tube: try the six candidates
-    for lam in ("0", "1", "inf"):
-        for j in (1, 2):
-            cand = special_tube_rep(lam, j, n)
-            if reps_isomorphic(V, cand, seed=seed) is not None:
-                return TubeLabel(TubeId.special(lam), j, n)
-    # fallback: exhaustive homogeneous candidates
-    for d in range(2, q + 1):
-        if q % d:
-            continue
-        for f in irreducibles_of_degree(d):
-            if reps_isomorphic(V, tube_rep(f, q // d), seed=seed) is not None:
-                return TubeLabel(TubeId.homogeneous(f), None, q // d)
-    raise ValueError("could not identify the tube of an indecomposable regular module")
+    fac = primary_decomposition(char_poly(X)) if X is not None else []
+    if len(fac) != 1 or fac[0][0] in (F2Poly.t(), F2Poly.from_string("t+1")):
+        raise ValueError("the pencil is not that of a homogeneous member: not indecomposable")
+    f, e = fac[0]
+    ensure(f.degree() * e == n // 2, "pencil degree does not match the dimension")
+    return TubeLabel(TubeId.homogeneous(f), None, e)
 
 
 def random_rep_in_R(rng: random.Random, max_center: int = 4) -> LambdaRep:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .checks import ensure
 from .intmat import IntMatrix, solve_int
 from .klein import A as ELT_A
 from .klein import B as ELT_B
@@ -182,7 +183,7 @@ def twist_chain_maps(image_a: GroupElt, image_b: GroupElt, up_to: int) -> list[R
         rhs = maps[n - 1] * d_tw
         T = solve_r_columns(d_std, [rhs.column(j) for j in range(rhs.cols)])
         maps.append(T)
-        assert d_std * T == rhs
+        ensure(d_std * T == rhs, f"the twisted chain map does not commute with d in degree {n}")
     return maps
 
 
@@ -236,8 +237,8 @@ def comparison_maps() -> ComparisonMaps:
     v1 = solve_r_columns(dB1, [dP1.column(j) for j in range(2)])
     rhs2 = v1 * dP2
     v2 = solve_r_columns(dB2, [rhs2.column(j) for j in range(3)])
-    assert dP1 * u1 == dB1 and dP2 * u2 == u1 * dB2
-    assert dB1 * v1 == dP1 and dB2 * v2 == v1 * dP2
+    ensure(dP1 * u1 == dB1 and dP2 * u2 == u1 * dB2, "u is not a chain map from bar to polynomial")
+    ensure(dB1 * v1 == dP1 and dB2 * v2 == v1 * dP2, "v is not a chain map from polynomial to bar")
     out = ComparisonMaps(u1=u1, u2=u2, v1=v1, v2=v2)
     _COMPARISON_CACHE.append(out)
     return out

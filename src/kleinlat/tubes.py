@@ -112,9 +112,14 @@ class TubeModule:
         return tuple(out)
 
 
-def _surjective_combo(homs, W: LambdaRep):
-    """First combination of hom basis elements surjective at every vertex."""
-    for cand in _span_elements(homs, 12, tries=256, seed=0):
+def _surjection(homs, W: LambdaRep):
+    """The first element of a hom basis that is onto W at every vertex, or None.
+
+    The scan is exact for a quasi-simple W: regular modules form an abelian
+    category in which W is simple, so every nonzero map from a member of its
+    tube onto W is onto, and the branch that is not the top has Hom = 0.
+    """
+    for cand in homs:
         if f2_rank(cand.phi_dot) == W.dims.d_dot and all(
             f2_rank(cand.phi[k]) == W.dims.component(k) for k in SIGN_KEYS
         ):
@@ -152,13 +157,13 @@ def _chain_for(module: KLattice, label: TubeLabel):
             S_mod = S_model.module
             W = phi(S_mod)
             homs = hom_reps(d_cur.rep, W)
-            combo = _surjective_combo(homs, W)
-            if combo is not None:
-                found = (S_label, S_mod, combo)
+            onto = _surjection(homs, W)
+            if onto is not None:
+                found = (S_label, S_mod, onto)
                 break
         ensure(found is not None, f"no quasi-simple quotient found below {cur_label}")
-        S_label, S_mod, combo = found
-        psi = lift_morphism(combo, cur, S_mod)
+        S_label, S_mod, onto = found
+        psi = lift_morphism(onto, cur, S_mod)
         ker = hnf([list(v) for v in kernel_basis(psi)], cur.rank)
         sub, _quot, embed, _proj = invariant_sublattice_module(cur, ker)
         ensure(sub is not None and sub.rank == cur.rank - S_mod.rank,

@@ -39,6 +39,7 @@ from .cohomology import (
     SumContext,
     canonical_form,
     cohomology_invariants_generic,
+    ORBIT_ORACLE_MAX,
     sum_orbit_partition,
     target_component,
     verify_xi_iso,
@@ -291,8 +292,8 @@ def check_orbits(aut_count: int, seed: int):
     for labels in _orbit_cases():
         summands = [_tube(l) for l in labels]
         sc = SumContext(summands, 2)
-        if sc.H.order() > 64:
-            continue
+        if sc.H.order() > ORBIT_ORACLE_MAX:
+            return False, f"|H| = {sc.H.order()} on {labels} is beyond the orbit oracle"
         orbits = sum_orbit_partition(sc)
         fibers: dict = {}
         reprs: dict = {}

@@ -63,3 +63,10 @@ def test_11_group_constructions():
 def test_table_lists_every_check_once():
     checks = [check for _name, check, _kwargs in V.criteria()]
     assert sorted(checks) == sorted(n for n in vars(V) if n.startswith("check_"))
+
+
+def test_orbit_check_fails_on_a_group_beyond_its_oracle(monkeypatch):
+    # a case the brute-force oracle cannot enumerate is a failure, not a skip
+    monkeypatch.setattr(V, "ORBIT_ORACLE_MAX", 1)
+    ok, detail = V.check_orbits(aut_count=1, seed=0)
+    assert not ok and "beyond the orbit oracle" in detail

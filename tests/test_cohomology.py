@@ -189,9 +189,10 @@ def test_failed_check_in_cohomology_raises_under_python_O():
     code = (
         "from kleinlat.quiver import TubeId\n"
         "from kleinlat.tubes import tube_module\n"
-        "from kleinlat.cohomology import SumContext, sum_orbit_partition\n"
-        "sc = SumContext([tube_module(TubeId.special('1'), 1, 1)], 2)\n"
-        "sum_orbit_partition(sc, cap=1)\n"
+        "from kleinlat import cohomology\n"
+        "cohomology.ORBIT_ORACLE_MAX = 1\n"
+        "sc = cohomology.SumContext([tube_module(TubeId.special('1'), 1, 1)], 2)\n"
+        "cohomology.sum_orbit_partition(sc)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kleinlat
+from kleinlat.checks import VerificationError
 from kleinlat.intmat import (
     IntMatrix,
     determinant,
@@ -25,7 +26,6 @@ from kleinlat.lattices import (
     intersection_mod,
     inv_mod_2k,
     kernel_mod,
-    lift_exact_sequence,
     lift_invertible,
     pow2_quotient,
     smith_mod_2k,
@@ -226,36 +226,6 @@ def test_failed_lift_check_raises_under_python_O():
     assert "VerificationError: the unimodular lift does not reduce to the input" in out.stderr
 
 
-def test_lift_exact_sequence():
-    alpha = F2Matrix([[1], [0]])
-    beta = F2Matrix([[0, 1]])
-    a, b = lift_exact_sequence(alpha, beta)
-    assert (b * a).is_zero()
-    assert F2Matrix.from_int(a) == alpha and F2Matrix.from_int(b) == beta
-    rng = random.Random(1)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        m = rng.randint(1, n - 1)
-        while True:
-            S = F2Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)])
-            if is_invertible(S):
-                break
-        alpha = F2Matrix([[S.data[i][j] for j in range(m)] for i in range(n)])
-        Sinv = inverse(S)
-        beta = F2Matrix([Sinv.data[i] for i in range(m, n)])
-        a, b = lift_exact_sequence(alpha, beta)
-        assert (b * a).is_zero()
-        sfa, sfb = smith_form(a), smith_form(b)
-        assert sfa.rank() == m and all(d == 1 for d in sfa.invariants())
-        assert sfb.rank() == n - m and all(d == 1 for d in sfb.invariants())
-    with pytest.raises(ValueError):
-        # beta . alpha != 0
-        lift_exact_sequence(F2Matrix([[1], [0]]), F2Matrix([[1, 0]]))
-    with pytest.raises(ValueError):
-        # alpha not injective
-        lift_exact_sequence(F2Matrix([[0], [0]]), F2Matrix([[1, 0]]))
-
-
 def test_kernel_basis_is_saturated():
     rng = random.Random(2)
     for _ in range(50):
@@ -442,6 +412,13 @@ def test_mod_2k_machinery():
             x = [rng.randint(0, q - 1) for _ in range(cols)]
             if all(v % q == 0 for v in A.apply(x)):
                 assert ker.coords(x) is not None
+
+
+def test_kernel_mod_takes_only_powers_of_two():
+    A = IntMatrix([[1, 2], [3, 4]])
+    assert kernel_mod(A, 1) == ZLattice.full(2)
+    with pytest.raises(VerificationError, match="power of two"):
+        kernel_mod(A, 6)
 
 
 def test_pow2_quotient_against_finite_quotient():

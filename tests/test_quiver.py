@@ -7,7 +7,7 @@ import pytest
 
 import kleinlat
 
-from kleinlat.f2 import F2Matrix
+from kleinlat.f2 import F2Matrix, is_invertible
 from kleinlat.klein import DimVector, dim_vector, sharp
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import (
@@ -18,10 +18,10 @@ from kleinlat.quiver import (
     TubeId,
     TubeLabel,
     decompose,
-    endomorphism_local_data,
     hom_reps,
     identify_tube,
     in_category_R,
+    is_morphism,
     lattice_of,
     lattice_of_model,
     lift_morphism,
@@ -182,16 +182,6 @@ def test_decompose_multiplicities_and_gluing():
         assert any(mv == mw and reps_isomorphic(Vp, Wp) is not None for Wp, mw in pb)
 
 
-def test_indecomposability_certificate():
-    ok, residue = endomorphism_local_data(tube_rep(F, 1))
-    assert ok and residue == 2  # residue field GF(4)
-    ok, residue = endomorphism_local_data(special_tube_rep("1", 1, 1))
-    assert ok and residue == 1
-    V = special_tube_rep("1", 1, 1)
-    ok, _ = endomorphism_local_data(V.direct_sum(V))
-    assert not ok
-
-
 def test_identify_tube_sweep():
     for lam in ("0", "1", "inf"):
         for j in (1, 2):
@@ -215,6 +205,89 @@ def test_identify_tube_sweep():
         },
     )
     assert identify_tube(V) == NON_REGULAR
+
+
+def _rebased(V, rng):
+    """V after a random change of basis at every vertex."""
+
+    def invertible(n):
+        while True:
+            g = F2Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)], cols=n)
+            if is_invertible(g):
+                return g
+
+    g = invertible(V.dims.d_dot)
+    return LambdaRep(V.dims, {k: invertible(V.f[k].rows) * V.f[k] * g for k in V.f})
+
+
+def test_identify_tube_names_basis_changed_members():
+    # even special members by their one degenerate pair of arms, homogeneous
+    # ones (no degenerate pair) by the pencil; neither reads an isomorphism
+    rng = random.Random(5)
+    for lam in ("0", "1", "inf"):
+        for j in (1, 2):
+            for n in (2, 4, 6, 8):
+                want = TubeLabel(TubeId.special(lam), j, n)
+                for _ in range(3):
+                    assert identify_tube(_rebased(special_tube_rep(lam, j, n), rng)) == want
+    for f, m in ((F, 1), (F, 2), (F, 4), (G3, 1), (G3, 2), (F2Poly.from_string("t^4+t+1"), 2)):
+        for _ in range(3):
+            assert identify_tube(_rebased(tube_rep(f, m), rng)) == TubeLabel(
+                TubeId.homogeneous(f), None, m
+            )
+
+
+def test_identify_tube_rejects_a_decomposable_special_pattern():
+    S = special_tube_rep("0", 1, 2)
+    for V in (S.direct_sum(S), tube_rep(F, 1).direct_sum(S)):
+        with pytest.raises(ValueError, match="not an indecomposable member"):
+            identify_tube(V)
+
+
+def _quasi_simple_sum(polys=("t^2+t+1", "t^3+t+1", "t^3+t^2+1")):
+    """The six special quasi-simples, then the homogeneous ones of polys."""
+    parts = [special_tube_rep(lam, j, 1) for lam in ("0", "1", "inf") for j in (1, 2)]
+    parts += [tube_rep(F2Poly.from_string(f), 1) for f in polys]
+    return parts
+
+
+def _direct_sum(parts):
+    out = parts[0]
+    for V in parts[1:]:
+        out = out.direct_sum(V)
+    return out
+
+
+def test_reps_isomorphic_on_quasi_simple_sums_against_their_reverses():
+    # dim Hom = 4, 5, 6, 8, 11, 14: the exhaustive span up to k = 8, then
+    # Krull-Schmidt; End of the k = 9 sum has few units, which draws missed
+    parts = _quasi_simple_sum()
+    for k in range(4, 10):
+        V, W = _direct_sum(parts[:k]), _direct_sum(parts[:k][::-1])
+        for seed in range(10):
+            iso = reps_isomorphic(V, W, seed)
+            assert iso is not None and is_morphism(iso, V, W) and iso.is_invertible(), (k, seed)
+
+
+def test_reps_isomorphic_tells_two_homogeneous_tubes_apart():
+    # the same dimension vector and dim Hom = 14, but T[t^3+t+1]_1 is not
+    # a summand of W
+    V = _direct_sum(_quasi_simple_sum())
+    W = _direct_sum(_quasi_simple_sum(("t^2+t+1", "t^3+t^2+1", "t^3+t^2+1"))[::-1])
+    assert V.dims == W.dims and len(hom_reps(V, W)) == 14
+    assert reps_isomorphic(V, W) is None
+    # decompose groups the two copies of T[t^3+t^2+1]_1 in W
+    assert sorted(mult for _W, mult in decompose(W)) == [1] * 7 + [2]
+
+
+def test_reps_isomorphic_finds_an_indecomposable_with_a_large_end_ring():
+    # one piece on each side: dim End T[t^3+t+1]_5 = 15 is above the
+    # exhaustive limit, and the scan of a hom basis still finds the map
+    V = tube_rep(G3, 5)
+    W = _rebased(V, random.Random(2))
+    assert len(hom_reps(V, W)) == 15
+    iso = reps_isomorphic(V, W)
+    assert iso is not None and is_morphism(iso, V, W) and iso.is_invertible()
 
 
 def test_tube_id_validation():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+
+import kleinlat
 from kleinlat.klein import A, B
 from kleinlat.resolutions import (
     RZERO,
@@ -44,3 +49,19 @@ def test_bar_and_comparison():
     maps = comparison_maps()
     assert poly_differential(1) * maps.u1 == d1
     assert d1 * maps.v1 == poly_differential(1)
+
+
+def test_failed_check_raises_under_python_O():
+    # the checks in resolutions are not asserts, so python -O keeps them
+    code = (
+        "from kleinlat import resolutions\n"
+        "resolutions.RMatrix.__eq__ = lambda self, other: False\n"
+        "resolutions.twist_chain_maps(resolutions.ELT_B, resolutions.ELT_A, 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 1
+    assert "VerificationError: the twisted chain map does not commute with d in degree 1" in out.stderr
