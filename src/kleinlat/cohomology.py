@@ -10,12 +10,13 @@ one degree up, and its filtration through chain_images, the routine of the
 lattice side, run on the annihilator chain of M* in that degree.
 
 For a tube member the submodule chain induces a filtration of H^n whose
-strata are the automorphism orbits.  One normal-form engine serves lattices
-and their duals: it normalizes a class on a direct sum of tube members to the
-fixed stratum representatives and then cancels components against each other
-with unipotent automorphisms, emitting (co)standard data, the complementary
-summand list, and an explicit witness automorphism.  The sum context supplies
-what differs between the two sides: the stratum representatives, the
+strata are the automorphism orbits.  One tube context (TubeCohContext,
+specialised by colattices.DualTubeContext) and one normal-form engine serve
+lattices and their duals: it moves a class on a direct sum of tube members
+to the fixed stratum representatives and then cancels components against
+each other with unipotent automorphisms, emitting (co)standard data, the
+complementary summand list, and an explicit witness automorphism.  The sum
+context supplies what differs between the two sides: the tube contexts, the
 homomorphisms between summands and the modulus of the witnesses.
 canonical_form() is the lattice side, with lengths decreasing.  A
 brute-force orbit closure is included as the independent oracle for the
@@ -412,29 +413,38 @@ def chain_images(H: CohomologyGroup, chain, n: int) -> list[list[CohClass]]:
 
 
 class TubeCohContext:
-    """Cohomology of one tube member with its filtration and orbit data."""
+    """Cohomology of one tube member with its filtration and orbit data.
 
-    def __init__(self, T: TubeModule, n: int, H: CohomologyGroup | None = None):
+    The lattice side; colattices.DualTubeContext overrides what differs on
+    the dual: the group, the chain, the filtration position, the stratum
+    vector search, the cocycle and the automorphism family.
+    """
+
+    modulus = 0  # witnesses are integral
+
+    def __init__(self, T: TubeModule, n: int, H: ClassGroup | None = None):
         self.T = T
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
-        self.H = H if H is not None else CohomologyGroup(T.lattice, n)
+        self.H = H if H is not None else self._cohomology()
         ensure(all(d == 2 for d in self.H.invariants),
                "cohomology of a tube member is not elementary abelian")
         self._images: Optional[list] = None
-        self._e_classes: Optional[list] = None
-        self._e_vectors: Optional[list] = None
+        self._representatives: dict = {}
+        self._vectors: dict = {}
         self._actions: Optional[_ActionMemo] = None
 
-    # -- filtration ----------------------------------------------------
+    # -- what a side supplies --------------------------------------------
 
-    def _chain_images(self) -> list:
-        if self._images is None:
-            chain = zip(self.T.chain_modules, self.T.chain_embeds)
-            self._images = chain_images(self.H, chain, self.n)
-        return self._images
+    def _cohomology(self) -> ClassGroup:
+        return CohomologyGroup(self.T.lattice, self.n)
+
+    def _chain(self):
+        """(group, chain, degree) whose chain_images give the filtration."""
+        return self.H, zip(self.T.chain_modules, self.T.chain_embeds), self.n
 
     def filtration_position(self, cls: CohClass):
+        """The last k with the class in the image of M_k."""
         if cls.is_zero():
             return "zero"
         images = self._chain_images()
@@ -446,8 +456,6 @@ class TubeCohContext:
                 break
         return pos
 
-    # -- canonical elements ---------------------------------------------
-
     def _component_lattice(self, k: int) -> ZLattice:
         sub = self.T.chain_modules[k]
         n_amb = self.T.lattice.rank
@@ -457,34 +465,40 @@ class TubeCohContext:
         emb = self.T.chain_embeds[k]
         return hnf([emb.apply(r) for r in comp.basis], n_amb)
 
-    def e_vector(self, k: int):
-        """Fixed element of the k-th stratum set, or None when it is empty."""
-        if self._e_vectors is None:
-            self._e_vectors = [None] * self.T.m
-        cached = self._e_vectors[k]
-        if cached is not None:
-            return cached
+    def _stratum_vector(self, k: int):
+        """An element of M_k(n) outside 2 M_k(n) + M_(k+1)(n), or None."""
         Mk = self._component_lattice(k)
-        Mk1 = self._component_lattice(k + 1)
-        excl = Mk.scale(2).sum(Mk1)
-        for v in Mk.basis:
-            if excl.coords(v) is None:
-                self._e_vectors[k] = tuple(v)
-                return tuple(v)
-        return None
+        excl = Mk.scale(2).sum(self._component_lattice(k + 1))
+        return next((tuple(v) for v in Mk.basis if excl.coords(v) is None), None)
 
-    def e_class(self, k: int):
-        if self._e_classes is None:
-            self._e_classes = [None] * self.T.m
-        if self._e_classes[k] is None:
-            v = self.e_vector(k)
-            if v is None:
-                return None
-            cls = self.H.class_of(xi(self.T.lattice, v, self.n, self.in_inf))
-            ensure(self.filtration_position(cls) == k,
-                   "e class does not sit at its filtration position")
-            self._e_classes[k] = cls
-        return self._e_classes[k]
+    def _cocycle(self, v) -> Cochain:
+        return xi(self.T.lattice, v, self.n, self.in_inf)
+
+    # -- shared ------------------------------------------------------------
+
+    def _chain_images(self) -> list:
+        if self._images is None:
+            self._images = chain_images(*self._chain())
+        return self._images
+
+    def representative_vector(self, k: int):
+        """The vector of representative(k), or None when stratum k is empty."""
+        if k not in self._vectors:
+            self._vectors[k] = self._stratum_vector(k)
+        return self._vectors[k]
+
+    def representative(self, k: int):
+        """Fixed class of stratum k: the class of the closed-form cocycle of
+        representative_vector(k), or None when the stratum is empty."""
+        if k not in self._representatives:
+            v = self.representative_vector(k)
+            cls = None
+            if v is not None:
+                cls = self.H.class_of(self._cocycle(v))
+                ensure(self.filtration_position(cls) == k,
+                       "stratum representative does not sit at its filtration position")
+            self._representatives[k] = cls
+        return self._representatives[k]
 
     # -- automorphisms ---------------------------------------------------
 
@@ -507,15 +521,9 @@ class TubeCohContext:
             self._actions = _ActionMemo(self.aut_generators(), self.class_action)
         return self._actions
 
-    def orbit_partition(self) -> list[set]:
-        """Orbits of the generated automorphism group on all of H^n."""
-        acts = self.actions()
-        s = len(self.H.invariants)
-        return _orbits([tuple(c) for c in _all_f2(s)], [acts[g].apply for g in range(len(acts))])
-
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word carrying src to dst, as one matrix, or None."""
-        return _move_word(self, src, dst, self.T.lattice.rank, 0)
+        return _move_word(self, src, dst)
 
 
 def _class_action(H: ClassGroup, U: IntMatrix) -> F2Matrix:
@@ -548,11 +556,12 @@ class _ActionMemo:
         return act
 
 
-def _move_word(ctx, src: CohClass, dst: CohClass, rank: int, modulus: int):
+def _move_word(ctx, src: CohClass, dst: CohClass):
     """Breadth-first search for a word in ctx's generators carrying src to dst.
 
-    Returns the word as one matrix (reduced mod modulus unless it is 0), or
-    None when dst is not in the generated orbit of src.
+    Returns the word as one matrix of the member's rank (reduced mod
+    ctx.modulus unless it is 0), or None when dst is not in the generated
+    orbit of src.
 
     The actions come from ctx.actions(), which keeps them on the context:
     the search builds only the actions it reaches, and each at most once
@@ -562,6 +571,7 @@ def _move_word(ctx, src: CohClass, dst: CohClass, rank: int, modulus: int):
     records its parent and generator, and matrices are multiplied only
     along the path to dst.
     """
+    rank = ctx.T.lattice.rank
     if src == dst:
         return IntMatrix.identity(rank)
     acts = ctx.actions()
@@ -578,7 +588,7 @@ def _move_word(ctx, src: CohClass, dst: CohClass, rank: int, modulus: int):
                     continue
                 parent[y] = (x, g)
                 if y == goal:
-                    return _word_to(goal, parent, acts.gens, rank, modulus)
+                    return _word_to(goal, parent, acts.gens, rank, ctx.modulus)
                 new.append(y)
         frontier = new
     return None
@@ -596,11 +606,6 @@ def _word_to(y, parent: dict, gens, rank: int, modulus: int) -> IntMatrix:
         if modulus:
             W = W.mod(modulus)
     return W
-
-
-def _all_f2(s: int):
-    for mask in range(1 << s):
-        yield tuple((mask >> t) & 1 for t in range(s))
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +637,6 @@ class StandardData:
     entries: tuple  # tuple of (TubeId, tuple of StandardEntry)
     parity: str  # "even" | "odd" | "none"
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def to_json(self):
         return {
             "data": [
@@ -662,8 +664,8 @@ class SumContext:
 
     This is the lattice side of the normal form; DualSumContext specialises
     it to the duals.  A side supplies its cohomology and tube contexts, the
-    stratum representatives, the homomorphisms between summands and the
-    modulus of the witnesses (0 here: they are integral).
+    homomorphisms between summands and the modulus of the witnesses (0
+    here: they are integral).
     """
 
     modulus = 0
@@ -696,19 +698,30 @@ class SumContext:
     def _tube_context(self, T: TubeModule, H=None):
         return TubeCohContext(T, self.n, H)
 
-    def representative(self, i: int, k: int):
-        """Fixed class of stratum k of summand i, or None."""
-        return self.ctxs[i].e_class(k)
-
-    def representative_vector(self, i: int, k: int):
-        """The vector whose closed-form cocycle is representative(i, k)."""
-        return self.ctxs[i].e_vector(k)
-
     def homs(self, i: int, j: int) -> list[IntMatrix]:
         """Generators of the homomorphisms from summand i to summand j."""
         return hom_klattices(self.summands[i].lattice, self.summands[j].lattice)
 
     # -- shared ------------------------------------------------------------
+
+    def representative(self, i: int, k: int):
+        """Fixed class of stratum k of summand i, or None."""
+        return self.ctxs[i].representative(k)
+
+    def representative_vector(self, i: int, k: int):
+        """The vector whose closed-form cocycle is representative(i, k)."""
+        return self.ctxs[i].representative_vector(k)
+
+    def automorphism_generators(self) -> list[IntMatrix]:
+        """The summands' families in their blocks, then identity + theta
+        between distinct summands, for theta in homs(i, j)."""
+        gens = [self.block_witness(i, U)
+                for i, ctx in enumerate(self.ctxs) for U in ctx.aut_generators()]
+        for i in range(len(self.summands)):
+            for j in range(len(self.summands)):
+                if i != j:
+                    gens.extend(self.unipotent_witness(i, j, th) for th in self.homs(i, j))
+        return gens
 
     def reduce(self, W: IntMatrix) -> IntMatrix:
         return W.mod(self.modulus) if self.modulus else W
@@ -913,20 +926,14 @@ ORBIT_ORACLE_MAX = 1 << 6
 
 
 def sum_orbit_partition(sc: SumContext) -> list[set]:
-    """Brute-force orbit closure of the generated automorphism family."""
+    """Brute-force orbit closure of the generated automorphism family.
+
+    The family is sc.automorphism_generators() and the swaps of equal
+    summands.  Each generator permutes the finite group H, so the closure
+    holds its inverse too: 1 - theta need not be listed beside 1 + theta.
+    """
     ensure(sc.H.order() <= ORBIT_ORACLE_MAX, "group too large for the brute-force oracle")
-    gens: list[IntMatrix] = []
-    for i, ctx in enumerate(sc.ctxs):
-        for U in ctx.aut_generators():
-            gens.append(sc.block_witness(i, U))
-    for i in range(len(sc.summands)):
-        for j in range(len(sc.summands)):
-            if i == j:
-                continue
-            for th in sc.homs(i, j):
-                gens.append(sc.unipotent_witness(i, j, th))
-                gens.append(sc.unipotent_witness(i, j, th.scale(-1)))
-    # swap equal summands
+    gens = sc.automorphism_generators()
     for i in range(len(sc.summands)):
         for j in range(i + 1, len(sc.summands)):
             if sc.summands[i].label == sc.summands[j].label:

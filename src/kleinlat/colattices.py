@@ -18,11 +18,11 @@ H^n(K, D(M/M_k)) is that of H^(n+1)(K, A_k), A_k = Ann(M_k) = (M/M_k)* in
 M*.  So it is the lattice-side filtration (cohomology.chain_images) of the
 annihilator chain of M*, one degree up, and no sub-complex is reduced mod 2^k.
 
-co_canonical_form() runs the normal-form engine of cohomology; this side
-supplies, through DualTubeContext and DualSumContext, the stratum
-representatives (eta over fixed two-torsion vectors), the homomorphisms
-between summands mod 2^k (dual_hom_mod), witnesses reduced mod 2^k, and the
-costandard length order (lengths increasing).
+co_canonical_form() runs the normal-form engine of cohomology.  This side
+supplies, through DualTubeContext (a cohomology.TubeCohContext) and
+DualSumContext, the stratum representatives (eta over fixed two-torsion
+vectors), the homomorphisms between summands mod 2^k (dual_hom_mod),
+witnesses reduced mod 2^k, and the costandard length order.
 """
 
 from __future__ import annotations
@@ -42,16 +42,16 @@ from .cohomology import (
     CohomologyGroup,
     StandardData,
     SumContext,
-    _ActionMemo,
+    TubeCohContext,
     _class_action,
     _classes_form_basis,
     _move_word,
     _normal_form,
-    chain_images,
     coboundary,
     differential_matrix,
     in_span,
     is_infinity_tube,
+    target_component_key,
 )
 from .tubes import TubeModule
 
@@ -84,12 +84,6 @@ class ColatticeLevel:
 
     def transposed_module(self) -> KLattice:
         return self.base.transposed()
-
-    def order(self) -> int:
-        return self.modulus ** self.rank
-
-    def to_json(self) -> dict:
-        return {"base": self.base.to_json(), "level": self.level}
 
 
 class StableDualCohomology(ClassGroup):
@@ -182,12 +176,6 @@ def divisible_two_torsion_lattice(N: ColatticeLevel, key: str) -> ZLattice:
     return got
 
 
-def dual_component_key(n: int, in_infinity: bool) -> str:
-    if n % 2 == 1:
-        return "pp"
-    return "pm" if in_infinity else "mp"
-
-
 def component_f2_basis(N: ColatticeLevel, L: ZLattice) -> list[tuple]:
     """GF(2)-basis of the elementary subgroup L/qZ^r."""
     q = N.modulus
@@ -207,14 +195,14 @@ def component_f2_basis(N: ColatticeLevel, L: ZLattice) -> list[tuple]:
 
 def dual_target_basis(N: ColatticeLevel, n: int, in_infinity: bool) -> list[tuple]:
     """GF(2)-basis of the component N(n) feeding the eta cocycles."""
-    L = divisible_two_torsion_lattice(N, dual_component_key(n, in_infinity))
+    L = divisible_two_torsion_lattice(N, target_component_key(n + 1, in_infinity))
     return component_f2_basis(N, L)
 
 
 def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cochain:
     """One-slot cocycle mod 2^k with value u in N(n)."""
     q = N.modulus
-    L = divisible_two_torsion_lattice(N, dual_component_key(n, in_infinity))
+    L = divisible_two_torsion_lattice(N, target_component_key(n + 1, in_infinity))
     if L.coords([x % q for x in u]) is None:
         raise ValueError("u not in N(n)")
     # the infinity tube takes the value on y^n in every degree, like xi
@@ -243,7 +231,7 @@ def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
 # ---------------------------------------------------------------------------
 
 
-class DualTubeContext:
+class DualTubeContext(TubeCohContext):
     """Stable cohomology of the dual of one tube member, with filtration.
 
     The filtration comes from the annihilators A_k = Ann(M_k) = (M/M_k)* in
@@ -255,28 +243,19 @@ class DualTubeContext:
 
     def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
                  H: StableDualCohomology | None = None):
-        self.T = T
-        self.n = n
         self.level = level
-        self.H = H if H is not None else StableDualCohomology(T.lattice, n, level)
+        self._gens: Optional[_TransposedFamily] = None
+        super().__init__(T, n, H)
         self.N = self.H.colattice  # carrier level
-        ensure(all(d == 2 for d in self.H.invariants),
-               "stable dual cohomology of a tube member is not elementary abelian")
-        self.in_inf = is_infinity_tube(T.label)
-        self._images: Optional[list] = None
-        self._z_classes: Optional[list] = None
-        self._gens: Optional[list] = None
-        self._actions: Optional[_ActionMemo] = None
+        self.modulus = self.N.modulus
 
-    def _chain_images(self) -> list:
-        """Entry k spans the classes visible from A_k.
+    def _cohomology(self) -> StableDualCohomology:
+        return StableDualCohomology(self.T.lattice, self.n, self.level)
 
-        They are classes of the integral group H^(n+1)(K, M*), whose
-        coordinates are those of H; in_span reads only the coordinates.
-        """
-        if self._images is None:
-            self._images = chain_images(self.H._integral, self.T.annihilator_chain, self.n + 1)
-        return self._images
+    def _chain(self):
+        """Classes of the integral group H^(n+1)(K, M*), whose coordinates
+        are those of H; in_span reads only the coordinates."""
+        return self.H._integral, self.T.annihilator_chain, self.n + 1
 
     def filtration_position(self, cls: CohClass):
         """Smallest Z-set index k with the class visible from A_{k+1}."""
@@ -288,70 +267,49 @@ class DualTubeContext:
                 return k - 1
         raise VerificationError("class not even in the image of the full module")
 
-    # -- canonical z elements --------------------------------------------
-
     def _component_in(self, k: int) -> ZLattice:
         """Divisible two-torsion of the component inside A_k mod q."""
         q = self.N.modulus
         emb = self.T.annihilator_chain[k][1]
         A = hnf_mod(emb.transpose().data, self.N.rank, q)
-        eig = eigen_congruence_lattice(self.N, dual_component_key(self.n, self.in_inf))
+        eig = eigen_congruence_lattice(self.N, target_component_key(self.n + 1, self.in_inf))
         inter = intersection_mod(eig, A, q)
         rows = [[(x * (q // 2)) % q for x in row] for row in inter.basis]
         return hnf_mod(rows, self.N.rank, q)
 
-    def z_vector(self, k: int):
-        """Fixed element of A_{k+1}(n) outside A_k(n), mod q, or None."""
+    def _stratum_vector(self, k: int):
+        """An element of A_(k+1)(n) outside A_k(n), mod q, or None."""
         q = self.N.modulus
-        upper = self._component_in(k + 1)
         lower = self._component_in(k)
-        for row in upper.basis:
+        for row in self._component_in(k + 1).basis:
             vec = tuple(x % q for x in row)
-            if all(x == 0 for x in vec):
-                continue
-            if lower.coords(vec) is None:
+            if any(vec) and lower.coords(vec) is None:
                 return vec
         return None
 
-    def z_class(self, k: int):
-        if self._z_classes is None:
-            self._z_classes = [None] * self.T.m
-        if self._z_classes[k] is None:
-            z = self.z_vector(k)
-            if z is None:
-                return None
-            cls = self.H.class_of(eta(self.N, z, self.n, self.in_inf))
-            ensure(self.filtration_position(cls) == k,
-                   "z class does not sit at its filtration position")
-            self._z_classes[k] = cls
-        return self._z_classes[k]
-
-    # -- automorphisms -----------------------------------------------------
+    def _cocycle(self, u) -> Cochain:
+        return eta(self.N, u, self.n, self.in_inf)
 
     def aut_generators(self) -> "_TransposedFamily":
         """The transposes mod 2^k of T.aut_family, without repeats, in its order.
 
         The family is closed under inverse, so this sequence is too.  It is
         chosen once per context and keeps only which members of the family
-        it lists; their actions on this context's cohomology are kept here,
-        in actions().
+        it lists; their actions on this context's cohomology are kept in
+        actions().
         """
         if self._gens is None:
             self._gens = _TransposedFamily(self.T.aut_family, self.N.modulus)
         return self._gens
 
+    # class_action and move_to are written out, not inherited, so that the
+    # tracer of bench/spans.py times this side under its own names
     def class_action(self, U: IntMatrix):
         return _class_action(self.H, U)
 
-    def actions(self) -> _ActionMemo:
-        """The class action of each generator, built on first use and kept here."""
-        if self._actions is None:
-            self._actions = _ActionMemo(self.aut_generators(), self.class_action)
-        return self._actions
-
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word mod 2^k carrying src to dst, or None."""
-        return _move_word(self, src, dst, self.N.rank, self.N.modulus)
+        return _move_word(self, src, dst)
 
 
 class _TransposedFamily(Sequence):
@@ -415,9 +373,8 @@ def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
 class DualSumContext(SumContext):
     """Duals of a direct sum of tube members, at a fixed level.
 
-    The dual side of the normal form: stable dual cohomology, z classes as
-    stratum representatives, dual_hom_mod between summands and witnesses
-    reduced mod 2^k.
+    The dual side of the normal form: stable dual cohomology, dual tube
+    contexts, dual_hom_mod between summands and witnesses reduced mod 2^k.
     """
 
     def __init__(self, summands: list[TubeModule], n: int, level: int = DEFAULT_LEVEL):
@@ -436,12 +393,6 @@ class DualSumContext(SumContext):
 
     def _tube_context(self, T: TubeModule, H=None) -> DualTubeContext:
         return DualTubeContext(T, self.n, self.level, H)
-
-    def representative(self, i: int, k: int):
-        return self.ctxs[i].z_class(k)
-
-    def representative_vector(self, i: int, k: int):
-        return self.ctxs[i].z_vector(k)
 
     def homs(self, i: int, j: int) -> list[IntMatrix]:
         return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)

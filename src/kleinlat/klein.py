@@ -48,13 +48,6 @@ C = GroupElt(1, 1)
 GROUP = (E, A, B, C)
 
 
-def regular_quadruple(g: GroupElt) -> tuple:
-    """Image of g under the embedding of ZK into Z^4."""
-    qa = (1, 1, -1, -1)
-    qb = (1, -1, 1, -1)
-    return tuple((qa[t] ** g.i) * (qb[t] ** g.j) for t in range(4))
-
-
 @dataclass(frozen=True)
 class SignPair:
     """One of the four characters of K."""
@@ -207,13 +200,6 @@ class KLattice:
         return m
 
 
-def sign_lattice(alpha: str, beta: str) -> KLattice:
-    """The rank-1 module Z_{alpha beta}."""
-    sa = 1 if alpha == "+" else -1
-    sb = 1 if beta == "+" else -1
-    return KLattice(IntMatrix([[sa]]), IntMatrix([[sb]]))
-
-
 def trivial_lattice(rank: int = 1) -> KLattice:
     ident = IntMatrix.identity(rank)
     return KLattice(ident, ident)
@@ -357,12 +343,6 @@ def dim_vector(M: KLattice) -> DimVector:
     dv = DimVector(d_dot, *comps)
     ensure(dv.d_plus == M.rank, "the sign components do not fill the lattice")
     return dv
-
-
-def tube_membership(M: KLattice) -> bool:
-    """Dimension criterion 2 d_dot = d_plus (caller supplies indecomposability)."""
-    dv = dim_vector(M)
-    return 2 * dv.d_dot == dv.d_plus
 
 
 def invariant_sublattice_module(M: KLattice, S: ZLattice):

@@ -2,9 +2,9 @@
 
 A ZLattice is a subgroup of Z^n held in row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), so two
-lattices are equal iff their stored bases are equal.  On top of that sit the
-usual operations: sum, intersection, membership, index, quotient invariants,
-and saturation.
+lattices are equal iff their stored bases are equal.  On top of that sit
+sums, scaling, membership and coordinates; finite_quotient gives the
+structure of a quotient K/I.
 
 The second half lifts an invertible matrix over GF(2) to a unimodular
 integer matrix, which carries quiver-level automorphisms to honest
@@ -202,71 +202,6 @@ class ZLattice:
         self._check(other)
         return ZLattice(self.ambient_rank, list(self.basis) + list(other.basis))
 
-    def intersection(self, other: "ZLattice") -> "ZLattice":
-        self._check(other)
-        r1, r2 = len(self.basis), len(other.basis)
-        if r1 == 0 or r2 == 0:
-            return ZLattice.zero(self.ambient_rank)
-        # kernel of [B1^T | -B2^T]: combinations x B1 = y B2
-        stacked = IntMatrix(
-            [
-                [self.basis[i][t] for i in range(r1)] + [-other.basis[i][t] for i in range(r2)]
-                for t in range(self.ambient_rank)
-            ],
-            cols=r1 + r2,
-        )
-        from .intmat import kernel_basis
-
-        rows = []
-        for k in kernel_basis(stacked):
-            x = k[:r1]
-            rows.append(
-                [sum(x[i] * self.basis[i][t] for i in range(r1)) for t in range(self.ambient_rank)]
-            )
-        return ZLattice(self.ambient_rank, rows)
-
-    def quotient_invariants(self, sub: "ZLattice") -> tuple:
-        """Elementary divisors of self/sub (sub must be contained in self)."""
-        self._check(sub)
-        coords = []
-        for r in sub.basis:
-            c = self.coords(r)
-            if c is None:
-                raise ValueError("not a sublattice")
-            coords.append(list(c))
-        if len(self.basis) == 0:
-            return ()
-        C = IntMatrix(coords, cols=len(self.basis))
-        sf = smith_form(C)
-        diag = list(sf.invariants())
-        free = len(self.basis) - len(diag)
-        return tuple(d for d in diag if d != 1) + (0,) * free
-
-    def index_in(self, ambient: "ZLattice"):
-        """[ambient : self]; the string "infinite" when the ranks differ."""
-        inv = ambient.quotient_invariants(self)
-        if any(d == 0 for d in inv):
-            return "infinite"
-        out = 1
-        for d in inv:
-            out *= d
-        return out
-
-    def saturation(self) -> "ZLattice":
-        """Smallest saturated (pure in Z^n) lattice containing self."""
-        if not self.basis:
-            return self
-        from .intmat import kernel_basis
-
-        # vectors w orthogonal to every basis row
-        ker = kernel_basis(self.basis_matrix())
-        if not ker:
-            return ZLattice.full(self.ambient_rank)
-        W = IntMatrix(ker, cols=self.ambient_rank)
-        # saturation = {x : w . x = 0 for all relations w}
-        sat_rows = kernel_basis(W)
-        return ZLattice(self.ambient_rank, [list(v) for v in sat_rows])
-
     def _check(self, other: "ZLattice"):
         if self.ambient_rank != other.ambient_rank:
             raise ValueError("ambient ranks differ")
@@ -436,15 +371,9 @@ def intersection_mod(L1: ZLattice, L2: ZLattice, q: int) -> ZLattice:
     return kernel_mod(IntMatrix(stacked, cols=L1.ambient_rank), q)
 
 
-def inv_mod_2k(M: IntMatrix, k: int) -> IntMatrix:
-    """Inverse of a matrix invertible mod 2^k (odd determinant)."""
-    if M.cols != M.rows:
-        raise ValueError("not square")
-    return IntMatrix(_inv_mod_2k(M.data, k), cols=M.rows)
-
-
 def _inv_mod_2k(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """inv_mod_2k on a square matrix given and returned as rows."""
+    """Inverse mod 2^k of a square matrix with odd determinant, given and
+    returned as rows."""
     q = 1 << k
     n = len(rows)
     a = [[x % q for x in r] + [1 if t == i else 0 for t in range(n)] for i, r in enumerate(rows)]

@@ -11,9 +11,10 @@ whose Fitting power is a proper idempotent-like projection, split along its
 kernel and image, recurse.  identify_tube() names a regular indecomposable
 by its point on the projective line, by invariants alone: odd special
 members by their dimension vectors, even special ones by the one pair of
-arms whose stacked map is not injective (confirmed by a scan against the
-named normal form), homogeneous ones by the characteristic polynomial of
-the associated matrix pencil.
+arms whose stacked map is not injective, homogeneous ones by the
+characteristic polynomial f^e of the associated matrix pencil X.  Each
+label is then confirmed: a special one by a scan against the named normal
+form, a homogeneous one by the rank of f(X).
 
 Isomorphism of indecomposables is a scan of a hom basis (_scan_iso): End X
 is local, so when X and Y are isomorphic the non-isomorphisms X -> Y form a
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .checks import ensure
-from .f2 import F2Matrix, is_invertible, nullspace_bits, rank as f2_rank, rref, solve as f2_solve
+from .f2 import F2Matrix, is_invertible, nullspace_bits, rank as f2_rank, rref
 from .f2 import inverse as f2_inverse
 from .intmat import IntMatrix, solve_matrix_exact
 from .klein import (
@@ -357,42 +358,6 @@ def lift_morphism(phi_m: RepMorphism, M: KLattice, N: KLattice) -> IntMatrix:
         "lifted map is not K-equivariant",
     )
     return psi
-
-
-def reduce_morphism(psi: IntMatrix, M: KLattice, N: KLattice) -> RepMorphism:
-    """The induced morphism phi(M) -> phi(N) of an integer K-map."""
-    dM = phi_data(M)
-    dN = phi_data(N)
-    # centre component: classes of psi(u_k)
-    cols = [_center_coords(dN, psi.apply(u)) for u in dM.u_vectors]
-    phi_dot = F2Matrix(cols, cols=dN.rep.dims.d_dot).transpose()
-    phi = {}
-    for idx, key in enumerate(SIGN_KEYS):
-        compM = dM.sharp.components[idx]
-        compN = dN.sharp.components[idx]
-        num, den = dN.sharp.denom, dM.sharp.denom
-        cols = []
-        for w in compM.basis:
-            x = psi.apply(w)
-            if num % den == 0:
-                x = tuple(v * (num // den) for v in x)
-            else:
-                ensure(all(v % (den // num) == 0 for v in x), "image not divisible by the scale")
-                x = tuple(v // (den // num) for v in x)
-            c = compN.coords(x)
-            ensure(c is not None, "image not in the target's sharp component")
-            cols.append(c)
-        phi[key] = F2Matrix(cols, cols=compN.rank()).transpose()
-    return RepMorphism(phi_dot, phi)
-
-
-def _center_coords(d: PhiData, vec) -> tuple:
-    """Class of a module vector in M / 2 M^#, as 0/1 coordinates."""
-    # solve [u_1 ... u_d | basis of 2M^#] x = vec over GF(2)
-    gens = list(d.u_vectors) + list(d.two_msharp.basis)
-    sol = f2_solve(F2Matrix(gens, cols=len(vec)).transpose(), vec)
-    ensure(sol is not None, "vector outside the span of M / 2 M^#")
-    return sol[: len(d.u_vectors)]
 
 
 def _blockdiag(blocks: list[IntMatrix]) -> IntMatrix:
@@ -740,7 +705,10 @@ def special_tube_rep(lam: str, j: int, n: int) -> LambdaRep:
     else:
         t = (n - 1) // 2  # n = 2t + 1 columns, blocks t + t + 1
         last = 1 << (n - 1)
-        J = _jordan_one(t).bits
+        # nilpotent part on the superdiagonal, so that the extra column at
+        # row t - 1 meets the end of the Jordan chain and the member is
+        # indecomposable
+        J = _jordan_one(t).transpose().bits
         rows = (
             [1 << r for r in range(t)] + [last],
             [1 << (t + r) for r in range(t)] + [last],
@@ -788,10 +756,11 @@ def identify_tube(V: LambdaRep, seed: int = 0):
     """Tube label of a regular indecomposable, or the non-regular marker.
 
     The label is read off invariants: the dimension vector, the pairs of
-    arms whose stacked map is not injective, and the pencil.  An even
-    special label is confirmed by one scan against its normal form, so a
-    decomposable input there raises ValueError.  seed is read by nothing;
-    it is kept for callers that still pass it.
+    arms whose stacked map is not injective, and the pencil.  A special
+    label is confirmed by one scan against its normal form, and a
+    homogeneous one by the rank of f(X) on the pencil X, so a decomposable
+    input raises ValueError on every branch.  seed is read by nothing; it
+    is kept for callers that still pass it.
     """
     dims = V.dims
     if 2 * dims.d_dot != dims.d_plus:
@@ -809,26 +778,47 @@ def identify_tube(V: LambdaRep, seed: int = 0):
         ):
             raise ValueError("dimension vector is not of tube type")
         lam, j = _ODD_PATTERNS[pattern]
-        return TubeLabel(TubeId.special(lam), j, n)
+        return _confirmed(V, TubeLabel(TubeId.special(lam), j, n))
     # even, all components equal n / 2
     deficient = [
         pair for pair in _EVEN_PAIRS if f2_rank(V.f[pair[0]].vstack(V.f[pair[1]])) < n
     ]
-    # a decomposable V is a bad input, as in the odd branch, not a failed
-    # check; the scan against the named normal form is exact and rejects it
     if deficient:
         lam, j = _EVEN_PAIRS[deficient[0]]
-        label = TubeLabel(TubeId.special(lam), j, n)
-        if _scan_iso(V, label_rep(label)) is None:
-            raise ValueError("a special pattern of arms, but not an indecomposable member")
-        return label
+        return _confirmed(V, TubeLabel(TubeId.special(lam), j, n))
     X = _pencil_matrix(V)
     fac = primary_decomposition(char_poly(X)) if X is not None else []
     if len(fac) != 1 or fac[0][0] in (F2Poly.t(), F2Poly.from_string("t+1")):
         raise ValueError("the pencil is not that of a homogeneous member: not indecomposable")
     f, e = fac[0]
     ensure(f.degree() * e == n // 2, "pencil degree does not match the dimension")
+    # the pencil of a sum is block-diagonal, and f(X) has a kernel of
+    # dimension deg f on each block: one block leaves rank deg f (e - 1)
+    if f2_rank(_evaluate(f, X)) != f.degree() * (e - 1):
+        raise ValueError("the pencil of a sum of homogeneous members: not indecomposable")
     return TubeLabel(TubeId.homogeneous(f), None, e)
+
+
+def _confirmed(V: LambdaRep, label: TubeLabel) -> TubeLabel:
+    """label, once one scan against its normal form finds an isomorphism.
+
+    A decomposable V with the pattern of a special member is a bad input,
+    not a failed check; the scan is exact and rejects it.
+    """
+    if _scan_iso(V, label_rep(label)) is None:
+        raise ValueError("a special pattern, but not an indecomposable member")
+    return label
+
+
+def _evaluate(f: F2Poly, X: F2Matrix) -> F2Matrix:
+    """f(X) by Horner's rule."""
+    ident = F2Matrix.identity(X.rows)
+    out = F2Matrix.zero(X.rows, X.rows)
+    for c in reversed(f.coeffs):
+        out = out * X
+        if c:
+            out = out + ident
+    return out
 
 
 def random_rep_in_R(rng: random.Random, max_center: int = 4) -> LambdaRep:

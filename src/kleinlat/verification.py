@@ -263,22 +263,6 @@ def _orbit_cases():
     ]
 
 
-def _sum_automorphism_generators(sc: SumContext) -> list[IntMatrix]:
-    """The summands' families in their blocks, then identity + theta between summands."""
-    from .tubes import hom_klattices
-
-    gens = []
-    for i, ctx in enumerate(sc.ctxs):
-        for U in ctx.aut_generators():
-            gens.append(sc.block_witness(i, U))
-    for i in range(len(sc.summands)):
-        for j in range(len(sc.summands)):
-            if i != j:
-                for th in hom_klattices(sc.summands[i].lattice, sc.summands[j].lattice):
-                    gens.append(sc.unipotent_witness(i, j, th))
-    return gens
-
-
 def _random_sum_automorphism(gens: list[IntMatrix], rank: int, rng: random.Random) -> IntMatrix:
     out = IntMatrix.identity(rank)
     for _ in range(rng.randint(1, 6)):
@@ -313,7 +297,7 @@ def check_orbits(aut_count: int, seed: int):
         summands = [_tube(l) for l in labels]
         sc = SumContext(summands, 2)
         classes = list(sc.H.all_classes())
-        gens = _sum_automorphism_generators(sc)
+        gens = sc.automorphism_generators()
         for trial in range(aut_count):
             cls = classes[rng.randrange(len(classes))]
             U = _random_sum_automorphism(gens, sc.module.rank, rng)
@@ -392,11 +376,11 @@ def check_groups(pair_count: int, seed: int):
     # presentations hold mechanically (an infinity entry forces bbar^2 != 1)
     T = _tube(TubeLabel(s1, 1, 1))
     sc = SumContext([T], 2)
-    cf = canonical_form([T], sc.merge([sc.ctxs[0].e_class(0)]), 2, context=sc)
+    cf = canonical_form([T], sc.merge([sc.representative(0, 0)]), 2, context=sc)
     cr_presentation(cf.data, cf.m0_labels)
     Ti = _tube(TubeLabel(sinf, 1, 1))
     sci = SumContext([Ti], 2)
-    cfi = canonical_form([Ti], sci.merge([sci.ctxs[0].e_class(0)]), 2, context=sci)
+    cfi = canonical_form([Ti], sci.merge([sci.representative(0, 0)]), 2, context=sci)
     pres = cr_presentation(cfi.data, cfi.m0_labels)
     if not any(x % 2 for x in pres.section["einf"]):
         return False, "infinity entry did not populate the bbar square"
@@ -404,14 +388,14 @@ def check_groups(pair_count: int, seed: int):
 
     Tf2 = _tube(TubeLabel(hom, None, 2))
     dsc = DualSumContext([Tf2], 2)
-    dcf = co_canonical_form([Tf2], dsc.merge([dsc.ctxs[0].z_class(0)]), 2, context=dsc)
+    dcf = co_canonical_form([Tf2], dsc.merge([dsc.representative(0, 0)]), 2, context=dsc)
     ch_presentation(dcf.data, dcf.n0_labels)
     # classification: a twist is isomorphic, distinct positions are not
     from .cohomology import apply_group_automorphism, transport_class
 
     T2 = _tube(TubeLabel(s1, 1, 2))
     sc2 = SumContext([T2], 2)
-    c1 = sc2.merge([sc2.ctxs[0].e_class(1)])
+    c1 = sc2.merge([sc2.representative(0, 1)])
     for which in ("t2", "t3"):
         Mt, clst = apply_group_automorphism(which, sc2.module, c1)
         labt = transport_label(T2.label, which)
@@ -423,8 +407,8 @@ def check_groups(pair_count: int, seed: int):
             return False, f"twist by {which} not recognized: {res}"
     Tf2 = _tube(TubeLabel(hom, None, 2))
     scf = SumContext([Tf2], 2)
-    c0 = scf.merge([scf.ctxs[0].e_class(0)])
-    cpos1 = scf.merge([scf.ctxs[0].e_class(1)])
+    c0 = scf.merge([scf.representative(0, 0)])
+    cpos1 = scf.merge([scf.representative(0, 1)])
     res = classify([Tf2], c0, [Tf2], cpos1, context1=scf, context2=scf)
     if res.isomorphic:
         return False, "filtration positions 0 and 1 not distinguished"

@@ -7,6 +7,7 @@ which the family leaves out, act as the identity on H^n.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +17,10 @@ from kleinlat.colattices import DualSumContext, co_canonical_form
 from kleinlat.f2 import F2Matrix
 from kleinlat.intmat import IntMatrix, inverse_unimodular
 from kleinlat.polys import F2Poly
+from kleinlat.checks import VerificationError
 from kleinlat.quiver import TubeId
-from kleinlat.tubes import tube_module
+from kleinlat.tubes import sweep_labels, tube_module, tube_module_from_label
+from kleinlat.verification import _orbit_cases
 
 SIDES = [(SumContext, canonical_form), (DualSumContext, co_canonical_form)]
 SIDE_IDS = ["lattice", "dual"]
@@ -134,10 +137,16 @@ class _Point:
 
 
 class _MatrixContext:
-    """Generators acting on GF(2)^3 through their reductions mod 2."""
+    """Generators acting on GF(2)^3 through their reductions mod 2.
 
-    def __init__(self, gens):
+    Like a tube context, it names the rank of its member and the modulus
+    of its words.
+    """
+
+    def __init__(self, gens, modulus=0):
         self.gens = gens
+        self.T = SimpleNamespace(lattice=SimpleNamespace(rank=gens[0].rows))
+        self.modulus = modulus
         self.built = []
         self._actions = None
 
@@ -196,20 +205,20 @@ _GENS = [
 def test_parent_pointer_words_equal_the_expanded_search(modulus):
     points = [_Point(p) for p in itertools.product((0, 1), repeat=3) if any(p)]
     for src, dst in itertools.product(points, repeat=2):
-        W = _move_word(_MatrixContext(_GENS), src, dst, 3, modulus)
+        W = _move_word(_MatrixContext(_GENS, modulus), src, dst)
         assert W == _expanded_word(_MatrixContext(_GENS), src, dst, 3, modulus)
         if W is not None:
             assert tuple(c & 1 for c in W.apply(src.coords)) == dst.coords
-    W = _move_word(_MatrixContext(_GENS), _Point((1, 0, 0)), _Point((0, 0, 1)), 3, modulus)
+    W = _move_word(_MatrixContext(_GENS, modulus), _Point((1, 0, 0)), _Point((0, 0, 1)))
     expected = _GENS[0] * _GENS[1]
     assert W == (expected.mod(modulus) if modulus else expected)
 
 
 def test_the_search_builds_only_the_actions_it_reaches():
     ctx = _MatrixContext(_GENS)
-    assert _move_word(ctx, _Point((1, 1, 0)), _Point((1, 0, 1)), 3, 0) == _GENS[0]
+    assert _move_word(ctx, _Point((1, 1, 0)), _Point((1, 0, 1))) == _GENS[0]
     assert ctx.built == [_GENS[0]]
-    _move_word(ctx, _Point((1, 0, 0)), _Point((0, 0, 1)), 3, 0)
+    _move_word(ctx, _Point((1, 0, 0)), _Point((0, 0, 1)))
     assert ctx.built == _GENS
 
 
@@ -261,3 +270,99 @@ def test_the_family_matrices_are_kept_packed():
         assert [IntMatrix.unpack(b, r, r) for b in family._mats] == list(family)
         assert [U.pack() for U in family] == list(family._mats)
         assert all(U == IntMatrix(U.data) for U in family)
+
+
+def _tube_context(side, T, n):
+    """The tube context of one side, and the closed-form cocycle of a vector."""
+    inf = cohomology.is_infinity_tube(T.label)
+    if side == "lattice":
+        return cohomology.TubeCohContext(T, n), lambda ctx, v: cohomology.xi(T.lattice, v, n, inf)
+    return colattices.DualTubeContext(T, n), lambda ctx, u: colattices.eta(ctx.N, u, n, inf)
+
+
+@pytest.mark.parametrize("side", ["lattice", "dual"])
+def test_each_representative_is_the_closed_form_class_at_its_position(side):
+    nonempty = 0
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        for n in (1, 2, 3):
+            ctx, cocycle = _tube_context(side, T, n)
+            where = (side, str(label), n)
+            for k in range(T.m):
+                v = ctx.representative_vector(k)
+                cls = ctx.representative(k)
+                assert (v is None) == (cls is None), (where, k)
+                if v is None:
+                    continue
+                nonempty += 1
+                assert ctx.filtration_position(cls) == k, (where, k)
+                assert cls == ctx.H.class_of(cocycle(ctx, v)), (where, k)
+                assert ctx.representative(k) is cls and ctx.representative_vector(k) is v
+            # every nonzero class lies in a stratum that has a representative
+            for c in ctx.H.all_classes():
+                if not c.is_zero():
+                    assert ctx.representative(ctx.filtration_position(c)) is not None, (where, c)
+    assert nonempty > 0
+
+
+@pytest.mark.parametrize("side", ["lattice", "dual"])
+def test_a_representative_off_its_position_is_refused(side):
+    # the vector of stratum 1 stands in for that of stratum 0
+    T = _members()[0]
+    ctx, _cocycle = _tube_context(side, T, 2)
+    wrong = ctx.representative_vector(1)
+    assert wrong is not None
+    ctx._stratum_vector = lambda k: wrong
+    with pytest.raises(VerificationError, match="filtration position"):
+        ctx.representative(0)
+
+
+def _reference_orbits(sc):
+    """Orbits of the family that listed 1 - theta beside each 1 + theta,
+    with the swaps of equal summands, by pushing every class."""
+    gens = []
+    for i, ctx in enumerate(sc.ctxs):
+        gens += [sc.block_witness(i, U) for U in ctx.aut_generators()]
+    for i in range(len(sc.summands)):
+        for j in range(len(sc.summands)):
+            if i != j:
+                for th in sc.homs(i, j):
+                    gens.append(sc.unipotent_witness(i, j, th))
+                    gens.append(sc.unipotent_witness(i, j, th.scale(-1)))
+    for i in range(len(sc.summands)):
+        for j in range(i + 1, len(sc.summands)):
+            if sc.summands[i].label == sc.summands[j].label:
+                gens.append(sc.swap_witness(i, j))
+    moves = [lambda x, U=U: push_class(U, sc.H.from_coords(x), sc.H).coords for U in gens]
+    return cohomology._orbits([c.coords for c in sc.H.all_classes()], moves)
+
+
+@pytest.mark.parametrize("context", [SumContext, DualSumContext], ids=SIDE_IDS)
+def test_sum_orbits_equal_those_of_the_family_with_inverse_unipotents(context):
+    for labels in _orbit_cases():
+        sc = context([tube_module_from_label(l) for l in labels], 2)
+        got = sorted(map(frozenset, cohomology.sum_orbit_partition(sc)))
+        assert got == sorted(map(frozenset, _reference_orbits(sc))), [str(l) for l in labels]
+
+
+def test_the_sum_generators_keep_the_order_of_the_orbit_check():
+    # check_orbits draws its random automorphisms from this list by index
+    for labels in _orbit_cases():
+        sc = SumContext([tube_module_from_label(l) for l in labels], 2)
+        want = [sc.block_witness(i, U) for i, ctx in enumerate(sc.ctxs) for U in ctx.aut_generators()]
+        for i in range(len(labels)):
+            for j in range(len(labels)):
+                if i != j:
+                    want += [sc.unipotent_witness(i, j, th)
+                             for th in tubes.hom_klattices(sc.summands[i].lattice,
+                                                           sc.summands[j].lattice)]
+        assert sc.automorphism_generators() == want
+
+
+def test_the_orbit_oracle_exchanges_equal_summands_without_homomorphisms():
+    # with no unipotents between them, only the swap joins (1, 0) and (0, 1)
+    T = tube_module(TubeId.special("1"), 1, 1)
+    sc = SumContext([T, T], 2)
+    sc.homs = lambda i, j: []
+    orbits = sorted(sorted(o) for o in cohomology.sum_orbit_partition(sc))
+    assert orbits == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]

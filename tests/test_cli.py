@@ -157,6 +157,27 @@ def test_end_ring_detail_names_the_sizes_it_ran():
     assert detail == "homogeneous m <= 1 (two lifts) and special m <= 1"
 
 
+def test_endring_check_passes_on_odd_special_members_of_length_five(capsys):
+    for lam in ("0", "1", "inf"):
+        for j in ("1", "2"):
+            code, out = run(capsys, "endring-check", "--tube", f"special:{lam}", "--j", j, "--m", "5")
+            assert code == 0, (lam, j, out)
+
+
+def test_syzygy_refuses_a_decomposable_lattice(tmp_path, capsys):
+    # the syzygy of T[f]_1 + T[f]_1 is again a sum of two copies; it has the
+    # pencil degree of T[f]_2 but is not that member
+    from kleinlat.polys import F2Poly
+    from kleinlat.quiver import lattice_of, tube_rep
+
+    V = tube_rep(F2Poly.from_string("t^2+t+1"), 1)
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(lattice_of(V.direct_sum(V)).to_json()))
+    assert main(["syzygy", "-m", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not indecomposable" in captured.err
+
+
 def test_s3_takes_a_bare_tube_id(capsys):
     code, bare = run(capsys, "s3", "--which", "t2", "--tube", "1")
     assert code == 0

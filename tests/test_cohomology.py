@@ -100,8 +100,8 @@ def test_filtration_positions():
     Tf2 = tube_module(TubeId.homogeneous(F), None, 2)
     ctx = TubeCohContext(Tf2, 2)
     assert ctx.filtration_position(ctx.H.zero()) == "zero"
-    assert ctx.filtration_position(ctx.e_class(0)) == 0
-    assert ctx.filtration_position(ctx.e_class(1)) == 1
+    assert ctx.filtration_position(ctx.representative(0)) == 0
+    assert ctx.filtration_position(ctx.representative(1)) == 1
 
 
 def test_stratum_parity():
@@ -113,13 +113,14 @@ def test_stratum_parity():
             ctx = TubeCohContext(T, n)
             for k in range(3):
                 expected = (3 - k - j - n) % 2 == 0
-                assert (ctx.e_class(k) is not None) == expected, (j, n, k)
+                assert (ctx.representative(k) is not None) == expected, (j, n, k)
 
 
 def test_orbits_match_strata():
     Tf2 = tube_module(TubeId.homogeneous(F), None, 2)
-    ctx = TubeCohContext(Tf2, 2)
-    orbits = ctx.orbit_partition()
+    sc = SumContext([Tf2], 2)
+    ctx = sc.ctxs[0]
+    orbits = sum_orbit_partition(sc)
     assert sorted(len(o) for o in orbits) == [1, 3, 12]
     for orbit in orbits:
         positions = {ctx.filtration_position(ctx.H.from_coords(pt)) for pt in orbit}
@@ -147,14 +148,14 @@ def test_zero_class_empty_data():
     T = tube_module(TubeId.homogeneous(F), None, 1)
     sc = SumContext([T], 2)
     cf = canonical_form([T], sc.H.zero(), 2, context=sc)
-    assert cf.data.is_empty()
+    assert not cf.data.entries
     assert [str(l) for l in cf.m0_labels] == [str(T.label)]
 
 
 def test_apply_group_automorphism_transports_data():
     T = tube_module(TubeId.special("1"), 1, 2)
     sc = SumContext([T], 2)
-    cls = sc.merge([sc.ctxs[0].e_class(1)])
+    cls = sc.merge([sc.representative(0, 1)])
     for which in ("t2", "t3"):
         Mt, clst = apply_group_automorphism(which, sc.module, cls)
         lab = transport_label(T.label, which)

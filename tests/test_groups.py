@@ -72,7 +72,7 @@ def test_extension_square_realizes_class():
     # the square of the section generator lands on the canonical vector
     T = tube_module(TubeId.special("1"), 1, 1)
     sc = SumContext([T], 2)
-    cls = sc.merge([sc.ctxs[0].e_class(0)])
+    cls = sc.merge([sc.representative(0, 0)])
     pres = cr_presentation(
         canonical_form([T], cls, 2, context=sc).data, ()
     )
@@ -102,7 +102,7 @@ def test_extension_associativity_and_negative_control():
     goods = [
         extension_from_class(sc.module, sc.H.from_coords([1, 0])),
         extension_from_class(sc.module, sc.H.zero()),
-        extension_from_dual_class(dsc.merge([dsc.ctxs[0].z_class(1)])),
+        extension_from_dual_class(dsc.merge([dsc.representative(0, 1)])),
     ]
     for good in goods:
         r, q = good.ops.rank, good.ops.modulus
@@ -239,7 +239,7 @@ def test_failing_extension_check_survives_python_O():
 def test_cr_presentation_infinity_entry():
     Ti = tube_module(TubeId.special("inf"), 1, 1)
     sc = SumContext([Ti], 2)
-    cls = sc.merge([sc.ctxs[0].e_class(0)])
+    cls = sc.merge([sc.representative(0, 0)])
     cf = canonical_form([Ti], cls, 2, context=sc)
     pres = cr_presentation(cf.data, cf.m0_labels)
     assert any(x % 2 for x in pres.section["einf"])
@@ -247,7 +247,7 @@ def test_cr_presentation_infinity_entry():
     # and a finite entry fills abar^2 instead
     T1 = tube_module(TubeId.special("1"), 1, 1)
     sc1 = SumContext([T1], 2)
-    cf1 = canonical_form([T1], sc1.merge([sc1.ctxs[0].e_class(0)]), 2, context=sc1)
+    cf1 = canonical_form([T1], sc1.merge([sc1.representative(0, 0)]), 2, context=sc1)
     pres1 = cr_presentation(cf1.data, cf1.m0_labels)
     assert any(pres1.section["e0"])
     assert not any(pres1.section["einf"])
@@ -276,7 +276,7 @@ def test_is_crystallographic():
 def test_ch_presentation():
     T = tube_module(TubeId.homogeneous(F), None, 2)
     sc = DualSumContext([T], 2)
-    cls = sc.merge([sc.ctxs[0].z_class(1)])
+    cls = sc.merge([sc.representative(0, 1)])
     cf = co_canonical_form([T], cls, 2, context=sc)
     pres = ch_presentation(cf.data, cf.n0_labels)
     assert "abar^2" in pres.relations[3]
@@ -289,7 +289,7 @@ def test_ch_presentation():
 def test_classify_self_twist_and_positions():
     T = tube_module(TubeId.special("1"), 1, 2)
     sc = SumContext([T], 2)
-    cls = sc.merge([sc.ctxs[0].e_class(1)])
+    cls = sc.merge([sc.representative(0, 1)])
     res = classify([T], cls, [T], cls, context1=sc, context2=sc)
     assert res.isomorphic and res.psi == "id"
     for which in ("t2", "t3"):
@@ -302,15 +302,15 @@ def test_classify_self_twist_and_positions():
         assert res.isomorphic and res.psi == which
     Tf2 = tube_module(TubeId.homogeneous(F), None, 2)
     scf = SumContext([Tf2], 2)
-    c0 = scf.merge([scf.ctxs[0].e_class(0)])
-    c1 = scf.merge([scf.ctxs[0].e_class(1)])
+    c0 = scf.merge([scf.representative(0, 0)])
+    c1 = scf.merge([scf.representative(0, 1)])
     assert not classify([Tf2], c0, [Tf2], c1, context1=scf, context2=scf).isomorphic
 
 
 def test_co_classify():
     T = tube_module(TubeId.homogeneous(F), None, 2)
     sc = DualSumContext([T], 2)
-    c0 = sc.merge([sc.ctxs[0].z_class(0)])
-    c1 = sc.merge([sc.ctxs[0].z_class(1)])
+    c0 = sc.merge([sc.representative(0, 0)])
+    c1 = sc.merge([sc.representative(0, 1)])
     assert co_classify([T], c0, [T], c0, context1=sc, context2=sc).isomorphic
     assert not co_classify([T], c0, [T], c1, context1=sc, context2=sc).isomorphic

@@ -20,16 +20,16 @@ from kleinlat.klein import (
     eigencomponent,
     invariant_sublattice_module,
     is_A_lattice,
-    regular_quadruple,
     regular_representation,
     sharp,
-    sign_lattice,
     trivial_lattice,
-    tube_membership,
 )
-from kleinlat.lattices import ZLattice, hnf
+from kleinlat.lattices import ZLattice, finite_quotient, hnf
 from kleinlat.quiver import lattice_of, special_tube_rep, tube_rep
 from kleinlat.polys import F2Poly
+
+# the rank-1 module Z_{++}
+PLUS_PLUS = diagonal_sign_lattice((1, 0, 0, 0))
 
 
 def test_group_law():
@@ -37,16 +37,6 @@ def test_group_law():
     assert A * A == E
     names = sorted(g.name() for g in GROUP)
     assert names == ["1", "a", "b", "c"]
-
-
-def test_regular_quadruple():
-    assert regular_quadruple(A) == (1, 1, -1, -1)
-    assert regular_quadruple(B) == (1, -1, 1, -1)
-    assert regular_quadruple(C) == (1, -1, -1, 1)
-    for g in GROUP:
-        for h in GROUP:
-            gh = tuple(x * y for x, y in zip(regular_quadruple(g), regular_quadruple(h)))
-            assert gh == regular_quadruple(g * h)
 
 
 def test_klattice_validation():
@@ -74,7 +64,7 @@ def test_sharp_of_regular_representation():
 
 
 def test_dim_vectors():
-    assert dim_vector(sign_lattice("+", "+")).as_tuple() == (1, 1, 0, 0, 0)
+    assert dim_vector(PLUS_PLUS).as_tuple() == (1, 1, 0, 0, 0)
     f = F2Poly.from_string("t^2+t+1")
     M = lattice_of(tube_rep(f, 1))
     assert dim_vector(M).as_tuple() == (4, 2, 2, 2, 2)
@@ -90,15 +80,18 @@ def test_sharp_index_of_tube():
     assert sh.denom == 2
     # index of M in M^# is 2^(d_plus - d_dot) = 2
     scaled_m = ZLattice.full(M.rank).scale(sh.denom)
-    assert scaled_m.index_in(sh.msharp) == 2
+    assert finite_quotient(sh.msharp, scaled_m).invariants == (2,)
 
 
 def test_is_A_lattice_and_tube_membership():
-    assert is_A_lattice(sign_lattice("+", "+"))
-    assert not tube_membership(sign_lattice("+", "+"))
+    # tube members satisfy the dimension criterion 2 d_dot = d_plus
+    assert is_A_lattice(PLUS_PLUS)
+    dv = dim_vector(PLUS_PLUS)
+    assert 2 * dv.d_dot != dv.d_plus
     M = lattice_of(special_tube_rep("1", 1, 1))
     assert is_A_lattice(M)
-    assert tube_membership(M)
+    dv = dim_vector(M)
+    assert 2 * dv.d_dot == dv.d_plus
 
 
 def test_rank_additivity_of_sharp():
@@ -151,7 +144,7 @@ def test_failed_check_raises_under_python_O():
         "from types import SimpleNamespace\n"
         "import kleinlat.klein as klein\n"
         "klein.finite_quotient = lambda K, L: SimpleNamespace(invariants=(4,))\n"
-        "klein.dim_vector(klein.sign_lattice('+', '+'))\n"
+        "klein.dim_vector(klein.diagonal_sign_lattice((1, 0, 0, 0)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -7,8 +7,8 @@ import pytest
 
 import kleinlat
 
-from kleinlat.f2 import F2Matrix, is_invertible
-from kleinlat.klein import DimVector, dim_vector, sharp
+from kleinlat.f2 import F2Matrix, is_invertible, solve as f2_solve
+from kleinlat.klein import SIGN_KEYS, DimVector, dim_vector, sharp
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import (
     NON_REGULAR,
@@ -28,7 +28,6 @@ from kleinlat.quiver import (
     phi,
     phi_data,
     random_rep_in_R,
-    reduce_morphism,
     reps_isomorphic,
     special_tube_rep,
     tube_rep,
@@ -114,18 +113,51 @@ def test_hom_reps_dimensions():
     assert all(h.is_zero() for h in hom_reps(V, zero))
 
 
+def _reduce_morphism(psi, M, N):
+    """The induced morphism phi(M) -> phi(N) of an integer K-map: the
+    reference that lift_morphism inverts."""
+    dM, dN = phi_data(M), phi_data(N)
+    # centre component: classes of psi(u_k) in N / 2 N^#, solving
+    # [u_1 ... u_d | basis of 2N^#] x = psi(u_k) over GF(2)
+    gens = list(dN.u_vectors) + list(dN.two_msharp.basis)
+    span = F2Matrix(gens, cols=N.rank).transpose()
+    cols = []
+    for u in dM.u_vectors:
+        sol = f2_solve(span, psi.apply(u))
+        assert sol is not None, "vector outside the span of N / 2 N^#"
+        cols.append(sol[: len(dN.u_vectors)])
+    phi_dot = F2Matrix(cols, cols=dN.rep.dims.d_dot).transpose()
+    maps = {}
+    num, den = dN.sharp.denom, dM.sharp.denom
+    for idx, key in enumerate(SIGN_KEYS):
+        compN = dN.sharp.components[idx]
+        cols = []
+        for w in dM.sharp.components[idx].basis:
+            x = psi.apply(w)
+            if num % den == 0:
+                x = tuple(v * (num // den) for v in x)
+            else:
+                assert all(v % (den // num) == 0 for v in x), "image not divisible by the scale"
+                x = tuple(v // (den // num) for v in x)
+            c = compN.coords(x)
+            assert c is not None, "image not in the target's sharp component"
+            cols.append(c)
+        maps[key] = F2Matrix(cols, cols=compN.rank()).transpose()
+    return RepMorphism(phi_dot, maps)
+
+
 def test_lift_and_reduce_functorial():
     M = lattice_of(special_tube_rep("1", 1, 2))
     N = lattice_of(special_tube_rep("1", 2, 1))
     dM, dN = phi_data(M), phi_data(N)
     for h in hom_reps(dM.rep, dN.rep):
         psi = lift_morphism(h, M, N)
-        back = reduce_morphism(psi, M, N)
+        back = _reduce_morphism(psi, M, N)
         assert back.phi_dot == h.phi_dot
         assert all(back.phi[k] == h.phi[k] for k in ("pp", "pm", "mp", "mm"))
     ident = RepMorphism.identity(dM.rep)
     psi = lift_morphism(ident, M, M)
-    assert reduce_morphism(psi, M, M).phi_dot == ident.phi_dot
+    assert _reduce_morphism(psi, M, M).phi_dot == ident.phi_dot
     # a zero morphism lifts into twice the sharp overlattice
     zero = RepMorphism.zero(dM.rep, dN.rep)
     psi0 = lift_morphism(zero, M, N)
@@ -242,6 +274,42 @@ def test_identify_tube_rejects_a_decomposable_special_pattern():
     for V in (S.direct_sum(S), tube_rep(F, 1).direct_sum(S)):
         with pytest.raises(ValueError, match="not an indecomposable member"):
             identify_tube(V)
+
+
+def test_every_special_member_up_to_length_nine_is_indecomposable():
+    # a real-root dimension vector of a tame quiver has exactly one
+    # indecomposable, and the normal form must be it
+    for lam in ("0", "1", "inf"):
+        for j in (1, 2):
+            for n in range(1, 10):
+                parts = decompose(special_tube_rep(lam, j, n))
+                assert [mult for _W, mult in parts] == [1], (lam, j, n)
+                assert parts[0][0].dims == special_tube_rep(lam, j, n).dims, (lam, j, n)
+
+
+def test_identify_tube_rejects_every_decomposable_sum():
+    rng = random.Random(7)
+    # odd special: the dimension pattern of T[1,1]_3 and T[inf,1]_5
+    for a, b in ((("1", 1, 1), ("1", 1, 2)), (("inf", 1, 1), ("inf", 1, 4))):
+        V = special_tube_rep(*a).direct_sum(special_tube_rep(*b))
+        for W in (V, _rebased(V, rng)):
+            with pytest.raises(ValueError, match="not an indecomposable member"):
+                identify_tube(W)
+    # homogeneous: the pencil of T[f]_e, one block per summand
+    for f in (F, G3):
+        for a, b in ((1, 1), (1, 2), (2, 2), (1, 3)):
+            V = tube_rep(f, a).direct_sum(tube_rep(f, b))
+            for W in (V, _rebased(V, rng)):
+                with pytest.raises(ValueError, match="not indecomposable"):
+                    identify_tube(W)
+    # the members themselves still pass, whatever their basis
+    for lam in ("0", "1", "inf"):
+        for j in (1, 2):
+            for n in (3, 5, 7):
+                V = _rebased(special_tube_rep(lam, j, n), rng)
+                assert identify_tube(V) == TubeLabel(TubeId.special(lam), j, n)
+    for f, m in ((F, 3), (G3, 3)):
+        assert identify_tube(_rebased(tube_rep(f, m), rng)) == TubeLabel(TubeId.homogeneous(f), None, m)
 
 
 def _quasi_simple_sum(polys=("t^2+t+1", "t^3+t+1", "t^3+t^2+1")):

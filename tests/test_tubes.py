@@ -84,6 +84,31 @@ def test_syzygy_laws():
         syzygy(__import__("kleinlat.klein", fromlist=["trivial_lattice"]).trivial_lattice(1))
 
 
+def test_odd_special_members_of_length_five_and_seven():
+    # the normal forms at odd m >= 5 are indecomposable; the end-ring law,
+    # the syzygy laws and the closed-form ranks of H^1 and H^2 hold there
+    from kleinlat.cohomology import CohomologyGroup, verify_xi_iso
+
+    for lam in ("0", "1", "inf"):
+        for j in (1, 2):
+            for m in (5, 7):
+                label = TubeLabel(TubeId.special(lam), j, m)
+                T = tube_module_from_label(label)
+                assert end_ring_check(T), label
+                Om = syzygy(T.lattice)
+                dv, dOm = dim_vector(T.lattice), dim_vector(Om)
+                assert dOm.d_dot == dv.d_dot
+                for key in ("pp", "pm", "mp", "mm"):
+                    assert dOm.component(key) == dv.d_dot - dv.component(key), (label, key)
+                assert identify_tube(phi(Om)) == TubeLabel(label.tube, 3 - j, m)
+                assert identify_tube(phi(syzygy(Om))) == label
+                for n in (1, 2):
+                    H = CohomologyGroup(T.lattice, n)
+                    rank = (m + 1) // 2 if (n + j) % 2 else m // 2
+                    assert H.invariants == (2,) * rank, (label, n)
+                    assert verify_xi_iso(T, n, H), (label, n)
+
+
 def test_end_ring_checks():
     assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 1, with_chain=False))
     assert end_ring_check(tube_module(TubeId.special("1"), 1, 1, with_chain=False))
@@ -161,9 +186,9 @@ def test_s3_tubes_match_twisting():
 
 def test_is_regular():
     assert is_regular(tube_module(TubeId.special("1"), 1, 1).lattice)
-    from kleinlat.klein import sign_lattice
+    from kleinlat.klein import diagonal_sign_lattice
 
-    assert not is_regular(sign_lattice("+", "+"))
+    assert not is_regular(diagonal_sign_lattice((1, 0, 0, 0)))
 
 
 def test_failed_check_raises_under_python_O():
