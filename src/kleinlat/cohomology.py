@@ -194,7 +194,7 @@ class CohomologyGroup(ClassGroup):
     """H^n(K, M) with explicit generator cocycles and coordinates.
 
     Kernel modulo image of the integral cochain complex.  Since the exponent
-    divides four, the quotient is taken by fast 2-adic reduction mod 8, and a
+    divides four, the quotient is taken mod 8 (lattices.pow2_quotient), and a
     check confirms no invariant 8 shows up.
     """
 

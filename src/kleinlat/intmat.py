@@ -16,7 +16,8 @@ Products, ``apply`` and the reductions visit nonzero entries only.  Their
 row operations are the classical ones (Cohen, *A Course in Computational
 Algebraic Number Theory*, GTM 138, §2.4), in the order the dense code used,
 so every result is the same matrix.  The two workhorses are
-:func:`smith_form` and :func:`inverse_unimodular`.  The Smith reduction
+:func:`smith_form` and :func:`inverse_unimodular`, which reads the inverse
+off the Hermite form of lattices._echelon.  The Smith reduction
 always picks the nonzero entry of smallest absolute value, breaking ties by
 lowest (row, col), so equal inputs produce identical transforms; several
 callers rely on that for reproducibility.
@@ -353,6 +354,11 @@ class IntMatrix:
     @staticmethod
     def from_json(obj: dict) -> "IntMatrix":
         """Read {"rows", "cols", "data"}; every entry must be a JSON integer."""
+        if not isinstance(obj, dict):
+            raise ValueError("matrix: expected a JSON object with keys rows, cols and data")
+        for key in ("rows", "cols"):
+            if type(obj.get(key)) is not int or obj[key] < 0:
+                raise ValueError(f"{key}: expected a non-negative integer")
         data = obj["data"]
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ValueError("matrix data must be a list of rows")
@@ -489,14 +495,23 @@ def smith_form(A: IntMatrix) -> SmithForm:
 
 
 def inverse_unimodular(A: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
+    """Exact inverse of a matrix with determinant +-1.
+
+    The rows (e_j A, e_j) span {(x A, x)}, whose Hermite form is [I | A^-1]
+    exactly when A is unimodular.
+    """
+    from .lattices import _echelon  # local import to avoid a cycle
+
     if A.rows != A.cols:
         raise ValueError("not square")
-    sf = smith_form(A)
-    if not all(d == 1 for d in sf.diagonal()):
+    n = A.rows
+    work = A.row_dicts()
+    for j, row in enumerate(work):
+        row[n + j] = 1
+    rows = _echelon(work)
+    if len(rows) != n or any(min(r) != i or r[i] != 1 for i, r in enumerate(rows)):
         raise ValueError("matrix is not unimodular")
-    # U A V = I  =>  A^{-1} = V U.
-    return sf.V * sf.U
+    return IntMatrix.from_dicts([{t - n: x for t, x in r.items() if t >= n} for r in rows], n)
 
 
 def determinant(A: IntMatrix) -> int:

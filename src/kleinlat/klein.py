@@ -194,6 +194,14 @@ class KLattice:
 
     @staticmethod
     def from_json(obj: dict) -> "KLattice":
+        """Read {"a", "b", "rank"}; a and b must be JSON objects (see IntMatrix)."""
+        if not isinstance(obj, dict):
+            raise ValueError("lattice: expected a JSON object with keys a, b and rank")
+        for key in ("a", "b"):
+            if not isinstance(obj.get(key), dict):
+                raise ValueError(f"{key}: expected a JSON object")
+        if type(obj.get("rank")) is not int:
+            raise ValueError("rank: expected an integer")
         m = KLattice(IntMatrix.from_json(obj["a"]), IntMatrix.from_json(obj["b"]))
         if m.rank != obj["rank"]:
             raise ValueError("rank disagrees with matrices")

@@ -8,14 +8,19 @@ structure of a quotient K/I.
 
 The second half lifts an invertible matrix over GF(2) to a unimodular
 integer matrix, which carries quiver-level automorphisms to honest
-lattices, and works in (Z/2^k)^n: Hermite and Smith forms mod 2^k,
-kernels, annihilators and quotients.
+lattices, and works with subgroups of (Z/2^k)^n as lattices containing
+2^k Z^n: kernels, annihilators, intersections and quotients.  Every
+elimination is the one integral Hermite reduction (_echelon) or the
+integral Smith form (intmat.smith_form).  Inputs are reduced mod 2^k, and so
+are the generators and coordinates of a quotient; every step in between is
+integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from typing import Iterable, Sequence
 
 from .checks import ensure
@@ -35,34 +40,20 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _combine(c1: int, r1: dict, c2: int, r2: dict, q: int) -> dict:
-    """c1 r1 + c2 r2, reduced mod q when q > 0, as a row {column: nonzero value}."""
+def _combine(c1: int, r1: dict, c2: int, r2: dict) -> dict:
+    """c1 r1 + c2 r2 as a row {column: nonzero value}."""
     out = {j: c1 * x for j, x in r1.items()}
     for j, x in r2.items():
         out[j] = out.get(j, 0) + c2 * x
-    if q:
-        return {j: x % q for j, x in out.items() if x % q}
     return {j: x for j, x in out.items() if x}
 
 
-def _addmul_mod(dst: dict, src: dict, c: int, q: int) -> None:
-    """dst = (dst + c * src) mod q on the columns of src, rows as {column: nonzero value}."""
-    for j, x in src.items():
-        y = (dst.get(j, 0) + c * x) % q
-        if y:
-            dst[j] = y
-        else:
-            dst.pop(j, None)
-
-
-def _echelon(vecs: Iterable[dict], q: int = 0) -> list[dict]:
+def _echelon(vecs: Iterable[dict]) -> list[dict]:
     """Row-style HNF of rows {column: nonzero value}: zero rows dropped, rows
     in pivot order, positive pivots, entries above each pivot reduced.
 
-    With q > 0 every elimination step is reduced mod q, which is sound when
-    q Z^n lies in the span (see _hnf_rows_mod).  Each row is eliminated
-    against the pivot rows from its leading column on, and a step visits the
-    nonzero entries only; the input dicts are consumed.
+    Each row is eliminated against the pivot rows from its leading column on,
+    and a step visits the nonzero entries only; the input dicts are consumed.
     """
     piv: dict = {}  # pivot column -> its row
     for vec in vecs:
@@ -76,15 +67,10 @@ def _echelon(vecs: Iterable[dict], q: int = 0) -> list[dict]:
                 break
             a, b = row[j], vec[j]
             if b % a == 0:
-                if q:
-                    _addmul_mod(vec, row, -(b // a), q)
-                else:
-                    _addmul(vec, row, -(b // a))
+                _addmul(vec, row, -(b // a))
             else:
                 x, y, g = _xgcd(a, b)
-                row, vec = _combine(x, row, y, vec, q), _combine(-b // g, row, a // g, vec, q)
-                # x a + y b = g; with q > 0 the entries lie in (0, q], so g < q
-                # and reduction mod q keeps it
+                row, vec = _combine(x, row, y, vec), _combine(-b // g, row, a // g, vec)
                 ensure(row.get(j) == g, "a combined pivot is not the gcd")
                 piv[j] = row
     # reduce above pivots in ascending pivot order, so later reductions
@@ -251,107 +237,20 @@ def lift_invertible(Abar: F2Matrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _hnf_rows_mod(rows: list, cols: int, q: int) -> list[list[int]]:
-    """HNF of (row span + q Z^n), entries reduced mod q at every step.
-
-    Reduction is sound because multiples of q e_i lie in the lattice; the
-    final basis equals the plain HNF but intermediate growth is impossible.
-    """
-    work = [{j: x % q for j, x in enumerate(r) if x % q} for r in rows]
-    work.extend({i: q} for i in range(cols))
-    return [_dense(r, cols) for r in _echelon(work, q)]
-
-
 def hnf_mod(rows: Iterable[Sequence[int]], n: int, q: int) -> ZLattice:
-    """HNF basis of the lattice spanned by rows together with q Z^n.
+    """HNF basis of the lattice spanned by rows together with q Z^n: a
+    full-rank lattice containing qZ^n.
 
-    Entries are reduced mod q throughout, so this stays fast for the
-    mod 2^k computations; the result is a full-rank lattice containing qZ^n.
+    The q e_i come first, so every column has a pivot from the start and an
+    incoming row meets short pivot rows; the rows are reduced mod q on input,
+    which keeps the lattice.
     """
-    mat = [list(r) for r in rows]
-    for r in mat:
+    work = [{i: q} for i in range(n)]
+    for r in rows:
         if len(r) != n:
             raise ValueError("row length differs from ambient rank")
-    # the reduced rows are the Hermite form already
-    return ZLattice(n, _hnf_rows_mod(mat, n, q), _canonical=True)
-
-
-def _val2(x: int, k: int) -> int:
-    """2-adic valuation of x mod 2^k, capped at k."""
-    x &= (1 << k) - 1
-    if x == 0:
-        return k
-    v = 0
-    while x & 1 == 0:
-        x >>= 1
-        v += 1
-    return v
-
-
-def smith_mod_2k(A: IntMatrix, k: int, want_u: bool = True):
-    """Diagonalize A over Z/2^k: U A V = diag(2^v_i) mod 2^k.
-
-    Pivots are entries of minimal 2-adic valuation, so a single clearing
-    pass per step suffices and entries never leave [0, 2^k).  Returns
-    (U, vals, V) with U, V invertible mod 2^k, as lists of rows, and vals
-    the pivot valuations; U is None when want_u is false.
-    """
-    q = 1 << k
-    rows, cols = A.rows, A.cols
-    m = [[x % q for x in r] for r in A.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if want_u else None
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vals = []
-    for s in range(min(rows, cols)):
-        best = None
-        for i in range(s, rows):
-            mi = m[i]
-            for j in range(s, cols):
-                if mi[j]:
-                    val = _val2(mi[j], k)
-                    if best is None or val < best[0]:
-                        best = (val, i, j)
-                        if val == 0:
-                            break
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        val, pi, pj = best
-        if pi != s:
-            m[pi], m[s] = m[s], m[pi]
-            if want_u:
-                u[pi], u[s] = u[s], u[pi]
-        if pj != s:
-            for r in m:
-                r[pj], r[s] = r[s], r[pj]
-            for r in v:
-                r[pj], r[s] = r[s], r[pj]
-        unit = m[s][s] >> val
-        inv = pow(unit, -1, q)
-        m[s] = [(x * inv) % q for x in m[s]]
-        if want_u:
-            u[s] = [(x * inv) % q for x in u[s]]
-        p = 1 << val
-        for i in range(s + 1, rows):
-            if m[i][s]:
-                f = m[i][s] // p
-                mi, ms = m[i], m[s]
-                for t in range(cols):
-                    mi[t] = (mi[t] - f * ms[t]) % q
-                if want_u:
-                    ui, us = u[i], u[s]
-                    for t in range(rows):
-                        ui[t] = (ui[t] - f * us[t]) % q
-        for j in range(s + 1, cols):
-            if m[s][j]:
-                f = m[s][j] // p
-                for r in m:
-                    r[j] = (r[j] - f * r[s]) % q
-                for r in v:
-                    r[j] = (r[j] - f * r[s]) % q
-        vals.append(val)
-    return u, vals, v
+        work.append({j: x % q for j, x in enumerate(r) if x % q})
+    return ZLattice(n, [_dense(r, n) for r in _echelon(work)], _canonical=True)
 
 
 def annihilator_mod(L: ZLattice, q: int) -> ZLattice:
@@ -371,37 +270,14 @@ def intersection_mod(L1: ZLattice, L2: ZLattice, q: int) -> ZLattice:
     return kernel_mod(IntMatrix(stacked, cols=L1.ambient_rank), q)
 
 
-def _inv_mod_2k(rows: Sequence[Sequence[int]], k: int) -> list[list[int]]:
-    """Inverse mod 2^k of a square matrix with odd determinant, given and
-    returned as rows."""
-    q = 1 << k
-    n = len(rows)
-    a = [[x % q for x in r] + [1 if t == i else 0 for t in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] % 2 == 1:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix not invertible mod 2")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, q)
-        a[col] = [(x * inv) % q for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[col])]
-    return [r[n:] for r in a]
-
-
 @dataclass(frozen=True, slots=True)
 class Pow2Quotient:
     """Z^s modulo (row space of C + 2^k Z^s), with coordinates.
 
     invariants are the cyclic orders (powers of two, > 1); generators[i] is a
     vector of Z^s generating the i-th factor.  Of the left Smith transform U
-    only the rows at positions are kept, in _rows: coordinates read no other.
+    only the rows at positions are kept, each reduced mod its order, in _rows:
+    coordinates read no other.
     """
 
     s: int
@@ -422,51 +298,45 @@ class Pow2Quotient:
 
 
 def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
-    """Quotient of Z^s by the subgroup generated by the rows of C and 2^k."""
+    """Quotient of Z^s by the subgroup generated by the rows of C and 2^k.
+
+    With U C^T V = D the Smith form of C^T, the coordinates y = U x carry
+    row space(C) + 2^k Z^s onto the sum of the gcd(d_i, 2^k) Z, where d_i = 0
+    (or no d_i) counts as 2^k; the columns of U^-1 generate the factors.
+    """
     q = 1 << k
-    if C.rows == 0:
-        Ct = IntMatrix.zero(s, 0)
-    else:
-        Ct = C.transpose()
-    U, vals, _V = smith_mod_2k(Ct, k)
-    vals = list(vals) + [k] * (s - len(vals))
-    Uinv = _inv_mod_2k(U, k)
-    invariants = []
-    positions = []
-    gens = []
-    for i in range(s):
-        d = 1 << vals[i]
-        if d == 1:
-            continue
-        invariants.append(d)
-        positions.append(i)
-        gens.append(tuple(Uinv[t][i] % q for t in range(s)))
+    sf = smith_form(C.transpose())
+    diag = sf.diagonal()
+    orders = [gcd(d, q) for d in diag] + [q] * (s - len(diag))
+    positions = tuple(i for i, d in enumerate(orders) if d != 1)
+    U = sf.U.data
+    Uinv_cols = tuple(zip(*inverse_unimodular(sf.U).data))
     return Pow2Quotient(
         s=s,
         k=k,
-        invariants=tuple(invariants),
-        positions=tuple(positions),
-        generators=tuple(gens),
-        _rows=tuple(tuple(U[p]) for p in positions),
+        invariants=tuple(orders[i] for i in positions),
+        positions=positions,
+        generators=tuple(tuple(x % q for x in Uinv_cols[i]) for i in positions),
+        _rows=tuple(tuple(x % orders[i] for x in U[i]) for i in positions),
     )
 
 
 def kernel_mod(A: IntMatrix, q: int) -> ZLattice:
-    """The lattice {x in Z^n : A x = 0 mod q} (contains q Z^n), q a power of two."""
-    n = A.cols
-    k = q.bit_length() - 1
-    ensure(q == 1 << k, f"kernel_mod needs a power of two, not q = {q}")
-    if A.rows == 0 or q == 1:
-        return ZLattice.full(n)
-    _U, vals, V = smith_mod_2k(A, k, want_u=False)
-    gens = []
-    for i in range(n):
-        if i < len(vals):
-            scale = 1 << (k - vals[i])
-            gens.append([(scale * V[t][i]) % q for t in range(n)])
-        else:
-            gens.append([V[t][i] % q for t in range(n)])
-    return hnf_mod(gens, n, q)
+    """The lattice {x in Z^n : A x = 0 mod q} (contains q Z^n), q a power of two.
+
+    For A with m rows it is read off the Hermite form of the rows (q e_i, 0)
+    and (A e_j, e_j) of Z^m x Z^n: the rows that vanish on Z^m are the Hermite
+    basis of {(0, x) : A x = 0 mod q}.
+    """
+    m, n = A.rows, A.cols
+    ensure(q > 0 and q & (q - 1) == 0, f"kernel_mod needs a power of two, not q = {q}")
+    work = [{i: q} for i in range(m)]
+    for j, col in enumerate(A._col_dicts()):
+        row = {i: x % q for i, x in col.items() if x % q}
+        row[m + j] = 1
+        work.append(row)
+    basis = [_dense({t - m: x for t, x in r.items()}, n) for r in _echelon(work) if min(r) >= m]
+    return ZLattice(n, basis, _canonical=True)
 
 
 @dataclass(frozen=True)

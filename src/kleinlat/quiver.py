@@ -6,9 +6,9 @@ objects ("category R") are those with every f_ab surjective and the stacked
 map injective; these correspond exactly to lattices over the minimal
 overring, via phi() one way and lattice_of() the other.
 
-decompose() is a Meataxe-style splitter over GF(2): find an endomorphism
-whose Fitting power is a proper idempotent-like projection, split along its
-kernel and image, recurse.  identify_tube() names a regular indecomposable
+decompose() is a Fitting splitter over GF(2): find an endomorphism in a
+span search of End whose Fitting power is a proper idempotent-like
+projection, split along its kernel and image, recurse.  identify_tube() names a regular indecomposable
 by its point on the projective line, by invariants alone: odd special
 members by their dimension vectors, even special ones by the one pair of
 arms whose stacked map is not injective, homogeneous ones by the

@@ -186,3 +186,24 @@ def test_s3_takes_a_bare_tube_id(capsys):
     code, out = run(capsys, "s3", "--which", "t3", "--tube", "hom:t^2+t+1")
     assert code == 0
     assert json.loads(out)["image"] == "t^2+t+1"
+
+
+def test_malformed_lattice_files_are_input_errors(tmp_path, capsys):
+    good = tmp_path / "t.json"
+    run(capsys, "build-tube", "--tube", "special:1", "--j", "1", "--m", "2", "-o", str(good))
+    lattice = json.loads(good.read_text())
+    cases = [([], "lattice:"), (5, "lattice:"), (None, "lattice:"),
+             ({"a": 5, "b": 5}, "a:"), ({"b": lattice["b"], "rank": 2}, "a:"),
+             (dict(lattice, b=[[1, 0], [0, 1]]), "b:"), (dict(lattice, b="x"), "b:"),
+             (dict(lattice, a={"rows": 0, "cols": "x", "data": []}), "cols:"),
+             (dict(lattice, a={"cols": 2, "data": []}), "rows:"),
+             ({"a": lattice["a"], "b": lattice["b"]}, "rank:")]
+    path = tmp_path / "bad.json"
+    for bad, where in cases:
+        path.write_text(json.dumps(bad))
+        for argv in (["dim"], ["phi"], ["cohomology", "-n", "2"], ["syzygy"]):
+            code = main(argv + ["-m", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (bad, argv)
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"input error: {where}"), (bad, argv, lines)

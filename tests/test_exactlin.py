@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ from kleinlat.checks import VerificationError
 from kleinlat.intmat import (
     IntMatrix,
     determinant,
+    inverse_unimodular,
     kernel_basis,
     smith_form,
     solve_int,
@@ -19,16 +21,13 @@ from kleinlat.f2 import F2Matrix, inverse, is_invertible, nullspace, rank, rref,
 from kleinlat.lattices import (
     ZLattice,
     _hnf_rows,
-    _hnf_rows_mod,
     finite_quotient,
     hnf,
     hnf_mod,
-    _inv_mod_2k,
     intersection_mod,
     kernel_mod,
     lift_invertible,
     pow2_quotient,
-    smith_mod_2k,
 )
 
 
@@ -234,6 +233,28 @@ def test_failed_lift_check_raises_under_python_O():
     assert "VerificationError: the unimodular lift does not reduce to the input" in out.stderr
 
 
+def test_inverse_unimodular():
+    rng = random.Random(10)
+    for n in range(6):
+        for _ in range(20):
+            A = IntMatrix.identity(n)
+            for _ in range(3 * n):
+                i, j = rng.randrange(n), rng.randrange(n)
+                E = [[int(a == b) for b in range(n)] for a in range(n)]
+                if i == j:
+                    E[i][i] = -1
+                else:
+                    E[i][j] = rng.randint(-3, 3)
+                A = A * IntMatrix(E, cols=n)
+            B = inverse_unimodular(A)
+            assert (A * B).is_identity() and (B * A).is_identity()
+    for bad in ([[2]], [[0]], [[1, 1], [1, 1]], [[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 3]]):
+        with pytest.raises(ValueError, match="not unimodular"):
+            inverse_unimodular(IntMatrix(bad))
+    with pytest.raises(ValueError, match="not square"):
+        inverse_unimodular(IntMatrix([[1, 0]]))
+
+
 def test_kernel_basis_is_saturated():
     rng = random.Random(2)
     for _ in range(50):
@@ -406,12 +427,6 @@ def test_mod_2k_machinery():
         q = 1 << k
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         A = IntMatrix([[rng.randint(0, q - 1) for _ in range(cols)] for _ in range(rows)])
-        U, vals, V = smith_mod_2k(A, k)
-        prod = (IntMatrix(U, cols=rows) * A * IntMatrix(V, cols=cols)).mod(q)
-        for i in range(rows):
-            for j in range(cols):
-                want = (1 << vals[i]) % q if (i == j and i < len(vals)) else 0
-                assert prod.data[i][j] == want
         ker = kernel_mod(A, q)
         for row in ker.basis:
             assert all(x % q == 0 for x in A.apply(row))
@@ -442,38 +457,85 @@ def test_pow2_quotient_against_finite_quotient():
         assert tuple(sorted(pq.invariants)) == tuple(sorted(fq.invariants))
 
 
-def test_pow2_quotient_coords_match_the_full_transform():
-    # the quotient keeps only the rows of U it reads; the reference is the
-    # whole left transform of smith_mod_2k
-    rng = random.Random(6)
-    for _ in range(40):
-        s = rng.randint(1, 6)
-        k = rng.randint(1, 4)
-        gens = [[rng.randint(-9, 9) for _ in range(s)] for _ in range(rng.randint(0, 5))]
-        C = IntMatrix(gens, cols=s) if gens else IntMatrix.zero(0, s)
-        pq = pow2_quotient(C, s, k)
-        U, _vals, _V = smith_mod_2k(C.transpose() if gens else IntMatrix.zero(s, 0), k)
-        for _ in range(5):
-            v = [rng.randint(-50, 50) for _ in range(s)]
-            full = IntMatrix(U, cols=s).apply(v)
-            assert pq.coords(v) == tuple(full[p] % d for p, d in zip(pq.positions, pq.invariants))
-        for bad in (s - 1, s + 1):
-            with pytest.raises(ValueError):
-                pq.coords([1] * bad)
+# Exhaustive checks on (Z/2^k)^n for n, k <= 3: every element of the group is
+# visited, and subgroups are closed up by brute force, not by a normal form.
 
 
-def test_inv_mod_2k():
-    rng = random.Random(5)
-    for _ in range(30):
-        n = rng.randint(1, 5)
-        k = rng.randint(1, 4)
+def _box(n, q):
+    return itertools.product(range(q), repeat=n)
+
+
+def _span_mod(rows, n, q):
+    """The subgroup of (Z/q)^n generated by rows, as a set of tuples."""
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for r in rows:
+            y = tuple((a + b) % q for a, b in zip(x, r))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def _small_matrices(n, q, rng, count):
+    """Matrices with n columns and 0 to 3 rows: no rows, a zero row, the
+    identity, a diagonal of 6, 12, 18 mod q (elementary divisors that are not
+    powers of two), two dense rows, and random ones."""
+    out = [[], [[0] * n], [[int(i == j) for j in range(n)] for i in range(n)],
+           [[(6 * (i + 1) if i == j else 0) % q for j in range(n)] for i in range(n)],
+           [[3 * (j + 1) % q for j in range(n)], [q - 2] * n]]
+    for _ in range(count):
+        out.append([[rng.randrange(-q, 2 * q) for _ in range(n)] for _ in range(rng.randint(1, 3))])
+    return out
+
+
+def test_pow2_quotient_is_the_quotient_map_exhaustively():
+    rng = random.Random(8)
+    for k in (1, 2, 3):
         q = 1 << k
-        while True:
-            M = IntMatrix([[rng.randint(0, q - 1) for _ in range(n)] for _ in range(n)])
-            if determinant(M) % 2 == 1:
-                break
-        Minv = IntMatrix(_inv_mod_2k(M.data, k), cols=n)
-        assert (M * Minv).mod(q) == IntMatrix.identity(n).mod(q)
+        for s in (1, 2, 3):
+            units = [tuple(int(i == j) for j in range(s)) for i in range(s)]
+            for rows in _small_matrices(s, q, rng, 12):
+                pq = pow2_quotient(IntMatrix(rows, cols=s), s, k)
+                orders = pq.invariants
+                assert all(d > 1 and q % d == 0 for d in orders), (rows, k, orders)
+                sub = _span_mod(rows, s, q)
+                zero = (0,) * len(orders)
+                image = set()
+                for x in _box(s, q):
+                    c = pq.coords(x)
+                    image.add(c)
+                    # the kernel is exactly row space + q Z^s
+                    assert (c == zero) == (x in sub), (rows, k, x)
+                    # additive on Z^s: a step along e_t adds coords(e_t),
+                    # also where it leaves the box [0, q)^s
+                    for t, e in enumerate(units):
+                        y = list(x)
+                        y[t] += 1
+                        want = tuple((a + b) % d for a, b, d in zip(c, pq.coords(e), orders))
+                        assert pq.coords(y) == want, (rows, k, x, t)
+                # onto the sum of the Z/d_i
+                assert image == set(itertools.product(*(range(d) for d in orders))), (rows, k)
+                for i, g in enumerate(pq.generators):
+                    assert pq.coords(g) == tuple(int(t == i) for t in range(len(orders))), (rows, k)
+            for bad in (s - 1, s + 1):
+                with pytest.raises(ValueError):
+                    pq.coords([1] * bad)
+
+
+def test_kernel_mod_is_the_solution_set_exhaustively():
+    rng = random.Random(9)
+    for k in (1, 2, 3):
+        q = 1 << k
+        for n in (1, 2, 3):
+            for rows in _small_matrices(n, q, rng, 12):
+                A = IntMatrix(rows, cols=n)
+                ker = kernel_mod(A, q)
+                assert ker.contains_lattice(ZLattice.full(n).scale(q)), (rows, k)
+                brute = {x for x in _box(n, q) if all(v % q == 0 for v in A.apply(x))}
+                assert _span_mod(ker.basis, n, q) == brute, (rows, k)
 
 
 def test_intersection_mod():
@@ -573,7 +635,8 @@ def _dense_xgcd(a, b):
 
 
 def _dense_hnf(rows, cols, q=0):
-    """The old _hnf_rows (q = 0) and _hnf_rows_mod (q > 0) on lists."""
+    """The old _hnf_rows (q = 0) and the old mod-q Hermite form of the rows
+    together with q Z^n (q > 0), on lists."""
     work = [[x % q if q else x for x in r] for r in rows]
     if q:
         work.extend([q * int(i == j) for j in range(cols)] for i in range(cols))
@@ -715,5 +778,5 @@ def test_hermite_forms_match_the_dense_reference(case, k):
     rows, cols, _vec, _other, _k = case
     q = 1 << k
     assert _hnf_rows([list(r) for r in rows], cols) == _dense_hnf(rows, cols)
-    assert _hnf_rows_mod([list(r) for r in rows], cols, q) == _dense_hnf(rows, cols, q)
+    assert [list(r) for r in hnf_mod(rows, cols, q).basis] == _dense_hnf(rows, cols, q)
     assert kernel_basis(IntMatrix(rows, cols=cols)) == _dense_kernel(rows, cols)

@@ -56,7 +56,7 @@ CASES = [
     (("co-canonical", "--summands", "hom:t^2+t+1:1,special:0:2:2", "--coords", "1,1,1", "-n", "2"), 0,
      "1716f7d52cab2b6e3825b376e4a61f76e5e7af5671c92376d1bc4fd51a11e540", None),
     (("present-cr", "--summands", "special:1:1:1", "--coords", "1"), 0,
-     "a21338205cc4c7785166d0cea620d0f3f0afaab5e233e11e064263a856227572", None),
+     "34751cf9cd3011441dd3a83fce3d18e7e71e8c4ea2b46f069471fe3dd90f4466", None),
     (("--format", "text", "present-cr", "--summands", "special:1:1:1", "--coords", "1"), 0,
      "8610d6dad0f24fec3c9c6c30fb38113c559a76273e620defab157ee6f3362ad7", None),
     (("present-ch", "--summands", "hom:t^2+t+1:2", "--coords", "1,0,0,0"), 0,
