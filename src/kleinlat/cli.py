@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

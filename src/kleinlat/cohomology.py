@@ -1,7 +1,10 @@
 """Group cohomology of Kleinian lattices and canonical forms of classes.
 
 Cochains in degree n are (n+1)-tuples of module vectors, the value on the
-monomial x^j y^(n-j) sitting at index j.  H^n is computed exactly from the
+monomial x^j y^(n-j) sitting at index j.  The coboundary has one
+implementation, differential_matrix, the matrix of C^n -> C^(n+1) on
+flattened cochains: the groups reduce it, and the closed-form cocycles and
+the dual side's connecting map apply it.  H^n is computed exactly from the
 polynomial resolution by Smith reduction of kernel modulo image; every class
 carries coordinates against the computed cyclic generators.
 
@@ -17,10 +20,13 @@ to the fixed stratum representatives and then cancels components against
 each other with unipotent automorphisms, emitting (co)standard data, the
 complementary summand list, and an explicit witness automorphism.  The sum
 context supplies what differs between the two sides: the tube contexts, the
-homomorphisms between summands and the modulus of the witnesses.
-canonical_form() is the lattice side, with lengths decreasing.  A
-brute-force orbit closure is included as the independent oracle for the
-orbit structure on small groups, on either side.
+homomorphisms between summands and the modulus of the witnesses.  A tube
+context belongs to its member: TubeCohContext.of keeps it in the member's
+contexts dict, keyed by side, degree and (on the dual side) level, so every
+sum over a member reads the same one, and a sum of one member takes its
+group from that context.  canonical_form() is the lattice side, with
+lengths decreasing.  A brute-force orbit closure is included as the
+independent oracle for the orbit structure on small groups, on either side.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .checks import ensure
 from .f2 import F2Matrix, is_invertible
 from .f2 import solve as f2_solve
 from .intmat import IntMatrix, kernel_basis, solve_int
-from .klein import KLattice, SignPair, eigencomponent
+from .klein import A, B, KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
 from .resolutions import r_apply, twist_chain_maps
@@ -83,33 +89,6 @@ class Cochain:
         if not modulus:
             return self
         return Cochain(self.n, tuple(tuple(x % modulus for x in v) for v in self.values))
-
-
-def coboundary(gamma: Cochain, M: KLattice) -> Cochain:
-    """The differential: values of the degree-(n+1) coboundary."""
-    n = gamma.n
-    rank = M.rank
-    for v in gamma.values:
-        if len(v) != rank:
-            raise ValueError("cochain values do not match the module rank")
-    out = []
-    for k in range(n + 2):
-        acc = [0] * rank
-        sk = 1 if k % 2 == 0 else -1
-        if 1 <= k <= n + 1:
-            prev = gamma.values[k - 1]
-            av = M.act_a.apply(prev)
-            for t in range(rank):
-                acc[t] += av[t] + sk * prev[t]
-        if k <= n:
-            cur = gamma.values[k]
-            l = n + 1 - k
-            sl = 1 if l % 2 == 0 else -1
-            bv = M.act_b.apply(cur)
-            for t in range(rank):
-                acc[t] += sk * (bv[t] + sl * cur[t])
-        out.append(tuple(acc))
-    return Cochain(n + 1, tuple(out))
 
 
 def differential_matrix(M: KLattice, n: int) -> IntMatrix:
@@ -359,14 +338,16 @@ def target_component(M: KLattice, n: int, in_infinity: bool) -> ZLattice:
 
 def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool) -> Cochain:
     """The one-slot cocycle with value v on x^n (or on y^n for the infinity tube)."""
-    comp = target_component(M, n, in_infinity)
-    if comp.coords(v) is None:
+    # M(n) is the saturated lattice of the vectors on which a and b act by
+    # the signs of its character, so membership is those two equations
+    chi = SignPair.from_key(target_component_key(n, in_infinity))
+    if any(M.apply(g, v) != tuple(chi.value(g) * x for x in v) for g in (A, B)):
         raise ValueError("v not in M(n)")
     slot = 0 if in_infinity else n
     values = [tuple([0] * M.rank) for _ in range(n + 1)]
     values[slot] = tuple(v)
     gamma = Cochain(n, tuple(values))
-    ensure(all(x == 0 for w in coboundary(gamma, M).values for x in w), "xi is not a cocycle")
+    ensure(not any(differential_matrix(M, n).apply(gamma.flatten())), "xi is not a cocycle")
     return gamma
 
 
@@ -417,22 +398,32 @@ class TubeCohContext:
 
     The lattice side; colattices.DualTubeContext overrides what differs on
     the dual: the group, the chain, the filtration position, the stratum
-    vector search, the cocycle and the automorphism family.
+    vector search, the cocycle and the automorphism family.  The sums read
+    a member's contexts through of(), which keeps them on the member.
     """
 
     modulus = 0  # witnesses are integral
 
-    def __init__(self, T: TubeModule, n: int, H: ClassGroup | None = None):
+    def __init__(self, T: TubeModule, n: int):
         self.T = T
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
-        self.H = H if H is not None else self._cohomology()
+        self.H = self._cohomology()
         ensure(all(d == 2 for d in self.H.invariants),
                "cohomology of a tube member is not elementary abelian")
         self._images: Optional[list] = None
         self._representatives: dict = {}
         self._vectors: dict = {}
         self._actions: Optional[_ActionMemo] = None
+
+    @classmethod
+    def of(cls, T: TubeModule, *key):
+        """T's context at key (the degree, and the level on the dual side),
+        built on first use and kept in T.contexts for every later sum."""
+        ctx = T.contexts.get((cls,) + key)
+        if ctx is None:
+            ctx = T.contexts[(cls,) + key] = cls(T, *key)
+        return ctx
 
     # -- what a side supplies --------------------------------------------
 
@@ -665,7 +656,9 @@ class SumContext:
     This is the lattice side of the normal form; DualSumContext specialises
     it to the duals.  A side supplies its cohomology and tube contexts, the
     homomorphisms between summands and the modulus of the witnesses (0
-    here: they are integral).
+    here: they are integral).  The tube contexts belong to the members
+    (TubeCohContext.of), so sums over one member share them; a sum of one
+    member takes its group from that member's context.
     """
 
     modulus = 0
@@ -684,19 +677,17 @@ class SumContext:
         for T in summands:
             self.offsets.append(off)
             off += T.lattice.rank
-        self.H = self._cohomology()
-        # a sum of one member has the member's lattice as its module, so its
-        # group is the tube context's group: built once, shared
-        shared = self.H if len(summands) == 1 else None
-        self.ctxs = [self._tube_context(T, shared) for T in summands]
+        self.ctxs = [self._tube_context(T) for T in summands]
+        # a sum of one member has the member's lattice as its module
+        self.H = self.ctxs[0].H if len(summands) == 1 else self._cohomology()
 
     # -- what a side supplies ----------------------------------------------
 
     def _cohomology(self) -> ClassGroup:
         return CohomologyGroup(self.module, self.n)
 
-    def _tube_context(self, T: TubeModule, H=None):
-        return TubeCohContext(T, self.n, H)
+    def _tube_context(self, T: TubeModule) -> TubeCohContext:
+        return TubeCohContext.of(T, self.n)
 
     def homs(self, i: int, j: int) -> list[IntMatrix]:
         """Generators of the homomorphisms from summand i to summand j."""

@@ -7,7 +7,9 @@ n >= 1 the connecting map of 0 -> M* -> M* (x) Q2 -> DM -> 0 is an
 isomorphism H^n(K, DM) = H^(n+1)(K, M*) (Brown, Cohomology of Groups, GTM 87):
 a carrier cocycle is lifted to Z, its integral coboundary divided by q.  So
 StableDualCohomology takes its invariants and coordinates from one integral
-group.  Its carrier cocycles are those of the stable image
+group, and keeps the one coboundary of M* in degree n
+(cohomology.differential_matrix) for its generators and for class_of.  Its
+carrier cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
@@ -19,7 +21,8 @@ M*.  So it is the lattice-side filtration (cohomology.chain_images) of the
 annihilator chain of M*, one degree up, and no sub-complex is reduced mod 2^k.
 
 co_canonical_form() runs the normal-form engine of cohomology.  This side
-supplies, through DualTubeContext (a cohomology.TubeCohContext) and
+supplies, through DualTubeContext (a cohomology.TubeCohContext, kept on its
+member per degree and level like the lattice-side contexts) and
 DualSumContext, the stratum representatives (eta over fixed two-torsion
 vectors), the homomorphisms between summands mod 2^k (dual_hom_mod),
 witnesses reduced mod 2^k, and the costandard length order.
@@ -47,7 +50,6 @@ from .cohomology import (
     _classes_form_basis,
     _move_word,
     _normal_form,
-    coboundary,
     differential_matrix,
     in_span,
     is_infinity_tube,
@@ -111,11 +113,12 @@ class StableDualCohomology(ClassGroup):
         # of 0 -> N_level -> N_level+1 -> N_1 -> 0)
         Dprev = differential_matrix(mod, n - 1)
         self._coboundaries_mod2 = RowSpan(F2Matrix.from_int(Dprev.transpose()))
+        # D_n, the differential of M*, is the connecting map of class_of
+        self._D = D = differential_matrix(mod, n)
         gens = []
         if I.generators:
             # z of order d has d z = D c; (q/d) c is a carrier cocycle with
             # connecting image z, and is in E since q/d is even
-            D = differential_matrix(mod, n)
             sf = smith_form(D)
             for z, d in zip(I.generators, I.invariants):
                 c = solve_int(D, z.scale(d).flatten(), sf)
@@ -129,13 +132,13 @@ class StableDualCohomology(ClassGroup):
     def class_of(self, gamma: Cochain) -> CohClass:
         """Class of a carrier cocycle in the stable image, through the connecting map."""
         q = self.modulus
-        lifted = gamma.reduce(q)
-        boundary = coboundary(lifted, self.module)
-        if any(x % q for v in boundary.values for x in v):
+        lifted = gamma.reduce(q).flatten()
+        boundary = self._D.apply(lifted)
+        if any(x % q for x in boundary):
             raise ValueError(f"not a cocycle mod {q}")
-        if lifted.flatten() not in self._coboundaries_mod2:
+        if lifted not in self._coboundaries_mod2:
             raise ValueError("class is not in the stable image")
-        z = Cochain(self.n + 1, tuple(tuple(x // q for x in v) for v in boundary.values))
+        z = Cochain.unflatten(self.n + 1, self.module.rank, [x // q for x in boundary])
         return CohClass(self, self._integral.class_of(z).coords)
 
 
@@ -210,9 +213,8 @@ def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cocha
     values = [tuple([0] * N.rank) for _ in range(n + 1)]
     values[slot] = tuple(x % q for x in u)
     gamma = Cochain(n, tuple(values))
-    mod = N.transposed_module()
-    ensure(all(x % q == 0 for v in coboundary(gamma, mod).values for x in v),
-           "eta is not a cocycle mod 2^k")
+    D = differential_matrix(N.transposed_module(), n)
+    ensure(not any(x % q for x in D.apply(gamma.flatten())), "eta is not a cocycle mod 2^k")
     return gamma
 
 
@@ -241,11 +243,10 @@ class DualTubeContext(TubeCohContext):
     chain images, run on M* one degree up.
     """
 
-    def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
-                 H: StableDualCohomology | None = None):
+    def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL):
         self.level = level
         self._gens: Optional[_TransposedFamily] = None
-        super().__init__(T, n, H)
+        super().__init__(T, n)
         self.N = self.H.colattice  # carrier level
         self.modulus = self.N.modulus
 
@@ -391,8 +392,8 @@ class DualSumContext(SumContext):
     def _cohomology(self) -> StableDualCohomology:
         return StableDualCohomology(self.module, self.n, self.level)
 
-    def _tube_context(self, T: TubeModule, H=None) -> DualTubeContext:
-        return DualTubeContext(T, self.n, self.level, H)
+    def _tube_context(self, T: TubeModule) -> DualTubeContext:
+        return DualTubeContext.of(T, self.n, self.level)
 
     def homs(self, i: int, j: int) -> list[IntMatrix]:
         return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)

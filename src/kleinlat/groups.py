@@ -2,10 +2,13 @@
 
 A degree-2 class is converted to a multiplication table through the bar
 comparison maps, giving an honest group on pairs (module element, group
-element).  The standard crystallographic and Chernikov presentations are
-produced from canonical (co)standard data; their defining relations are
-verified mechanically on the constructed extension by solving for a section
-with the prescribed squares.
+element).  One builder, extension_from_class, serves both sides: it reads
+the modulus from the class's group (0 for a lattice, the carrier modulus of
+a dual).  The standard crystallographic and Chernikov presentations are
+produced from canonical (co)standard data by one recipe (_presentation),
+and differ only in their sum context and in how they print; their defining
+relations are verified mechanically on the constructed extension by solving
+for a section with the prescribed squares.
 
 classify() decides isomorphism of two extensions with regular base: both
 classes are brought to canonical data and compared across the six
@@ -205,18 +208,15 @@ def bar_cocycle_from_class(cls: CohClass, acting: KLattice, modulus: int = 0) ->
 
 
 def extension_from_class(M: KLattice, cls: CohClass) -> ExtensionGroup:
-    """The extension of the Kleinian group by M with the given class."""
-    return _extension(M, cls, 0)
+    """The extension of the Kleinian group by M with the given class.
 
-
-def extension_from_dual_class(cls: CohClass) -> ExtensionGroup:
-    """Extension by a finite-level dual (Chernikov approximation)."""
-    return _extension(cls.group.module, cls, cls.group.colattice.modulus)
-
-
-def _extension(acting: KLattice, cls: CohClass, modulus: int) -> ExtensionGroup:
-    gamma = bar_cocycle_from_class(cls, acting, modulus=modulus)
-    ops = ModuleOps(acting, modulus=modulus)
+    The modulus is the class group's: 0 on the lattice side, and on the dual
+    side the carrier modulus, with M the transposed module of the group (a
+    finite-level Chernikov approximation).
+    """
+    q = cls.group.modulus
+    gamma = bar_cocycle_from_class(cls, M, modulus=q)
+    ops = ModuleOps(M, modulus=q)
     ext = ExtensionGroup(ops, gamma)
     ensure(gamma.is_cocycle(ops), "the bar table of the class is not a 2-cocycle")
     return ext
@@ -296,19 +296,29 @@ def _data_class_and_vectors(sc: SumContext, entries):
     return sc.merge(comps), tuple(v0), tuple(vinf)
 
 
-def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> GroupPresentation:
-    """Presentation of the standard crystallographic group over the data."""
+def _presentation(data: StandardData, cleared, context):
+    """The steps both presentations share.
+
+    Builds the sum over the data's labels and the cleared ones with
+    context, the class of the data's stratum representatives, its
+    extension and a section with the standard squares.  Returns the
+    labels, the sum context, the two square vectors and the section.
+    """
     _check_even_special(data.entries)
-    labels = _data_labels(data.entries) + list(m0_labels)
+    labels = _data_labels(data.entries) + list(cleared)
     if not labels:
         raise ValueError("empty base")
-    summands = [tube_module_from_label(l) for l in labels]
-    sc = SumContext(summands, 2)
-    cls, e0, einf = _data_class_and_vectors(sc, data.entries)
-    ext = extension_from_class(sc.module, cls)
-    section = _solve_section(ext, e0, einf)
+    sc = context([tube_module_from_label(l) for l in labels])
+    cls, v0, vinf = _data_class_and_vectors(sc, data.entries)
+    section = _solve_section(extension_from_class(cls.group.module, cls), v0, vinf)
     ensure(section is not None, "constructed extension does not satisfy the relations")
-    w_a, w_b = section
+    return labels, sc, v0, vinf, section
+
+
+def cr_presentation(data: StandardData, m0_labels: Sequence[TubeLabel] = ()) -> GroupPresentation:
+    """Presentation of the standard crystallographic group over the data."""
+    labels, sc, e0, einf, (w_a, w_b) = _presentation(
+        data, m0_labels, lambda summands: SumContext(summands, 2))
     gens = ("abar", "bbar") + tuple(f"w{i+1}" for i in range(sc.module.rank))
     rels = (
         "abar w = (a.w) abar  for every w in the base",
@@ -386,19 +396,10 @@ def is_crystallographic(M: KLattice) -> bool:
 def ch_presentation(data: StandardData, n0_labels: Sequence[TubeLabel] = (),
                     level: int = 3) -> GroupPresentation:
     """Presentation of the standard Chernikov group over costandard data."""
-    _check_even_special(data.entries)
-    labels = _data_labels(data.entries) + list(n0_labels)
-    if not labels:
-        raise ValueError("empty base")
-    summands = [tube_module_from_label(l) for l in labels]
-    sc = DualSumContext(summands, 2, level)
-    q = sc.N.modulus
     # the z vectors are reduced mod q already, so z0 and zinf are too
-    cls, z0, zinf = _data_class_and_vectors(sc, data.entries)
-    ext = extension_from_dual_class(cls)
-    section = _solve_section(ext, z0, zinf)
-    ensure(section is not None, "constructed extension does not satisfy the relations")
-    w_a, w_b = section
+    labels, sc, z0, zinf, (w_a, w_b) = _presentation(
+        data, n0_labels, lambda summands: DualSumContext(summands, 2, level))
+    q = sc.N.modulus
 
     def dyadic(vec):
         return "(" + ", ".join(f"{x % q}/{q}" for x in vec) + ")"

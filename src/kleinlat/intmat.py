@@ -138,6 +138,12 @@ class IntMatrix:
         return _make(len(ptr) - 1, sum(widths), ptr, idx, val)
 
     @staticmethod
+    def block_diagonal(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
+        """The blocks down the diagonal, zeros elsewhere."""
+        return IntMatrix.block([[b if i == j else IntMatrix.zero(b.rows, c.cols)
+                                 for j, c in enumerate(blocks)] for i, b in enumerate(blocks)])
+
+    @staticmethod
     def from_dicts(rows: Sequence[dict], cols: int) -> "IntMatrix":
         """The matrix whose row i has the entries {column: value} of rows[i].
 
@@ -359,9 +365,9 @@ class IntMatrix:
         for key in ("rows", "cols"):
             if type(obj.get(key)) is not int or obj[key] < 0:
                 raise ValueError(f"{key}: expected a non-negative integer")
-        data = obj["data"]
+        data = obj.get("data")
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-            raise ValueError("matrix data must be a list of rows")
+            raise ValueError("data: expected a list of rows")
         for row in data:
             for x in row:
                 if type(x) is not int:  # also rejects bools

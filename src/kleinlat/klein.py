@@ -179,11 +179,8 @@ class KLattice:
         return out
 
     def direct_sum(self, other: "KLattice") -> "KLattice":
-        def block(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-            n1, n2 = m1.rows, m2.rows
-            return IntMatrix.block([[m1, IntMatrix.zero(n1, n2)], [IntMatrix.zero(n2, n1), m2]])
-
-        return KLattice(block(self.act_a, other.act_a), block(self.act_b, other.act_b))
+        diag = IntMatrix.block_diagonal
+        return KLattice(diag([self.act_a, other.act_a]), diag([self.act_b, other.act_b]))
 
     def twist(self, image_a: GroupElt, image_b: GroupElt) -> "KLattice":
         """Module with the action precomposed with a |-> image_a, b |-> image_b."""
@@ -213,15 +210,16 @@ def trivial_lattice(rank: int = 1) -> KLattice:
     return KLattice(ident, ident)
 
 
-def regular_representation() -> KLattice:
-    """ZK acting on itself, basis (1, a, b, ab)."""
+def regular_representation(copies: int = 1) -> KLattice:
+    """ZK^copies with the regular action, basis grouped as (1, a, b, ab) blocks."""
     order = {g: t for t, g in enumerate(GROUP)}
 
     def perm(g: GroupElt) -> IntMatrix:
-        m = [[0] * 4 for _ in range(4)]
-        for t, h in enumerate(GROUP):
-            m[order[g * h]][t] = 1
-        return IntMatrix(m)
+        rows = [None] * (4 * copies)
+        for i in range(copies):
+            for t, h in enumerate(GROUP):
+                rows[4 * i + order[g * h]] = {4 * i + t: 1}
+        return IntMatrix.from_dicts(rows, 4 * copies)
 
     return KLattice(perm(A), perm(B))
 

@@ -101,8 +101,29 @@ class LambdaRep:
 
     @staticmethod
     def from_json(obj: dict) -> "LambdaRep":
-        dims = DimVector(*obj["dims"])
-        return LambdaRep(dims, {k: F2Matrix.from_json(obj["f"][k]) for k in SIGN_KEYS})
+        """Read {"dims", "f"}; a ValueError names the JSON path at fault."""
+        if not isinstance(obj, dict):
+            raise ValueError("representation: expected a JSON object with keys dims and f")
+        dims = obj.get("dims")
+        if not (isinstance(dims, list) and len(dims) == 5
+                and all(type(d) is int and d >= 0 for d in dims)):
+            raise ValueError("dims: expected five non-negative integers")
+        dims = DimVector(*dims)
+        arms = obj.get("f")
+        if not isinstance(arms, dict):
+            raise ValueError("f: expected a JSON object with keys " + ", ".join(SIGN_KEYS))
+        f = {}
+        for k in SIGN_KEYS:
+            if k not in arms:
+                raise ValueError(f"f.{k}: missing")
+            try:
+                f[k] = F2Matrix.from_json(arms[k])
+            except ValueError as e:
+                raise ValueError(f"f.{k}: {e}") from None
+            if (f[k].rows, f[k].cols) != (dims.component(k), dims.d_dot):
+                raise ValueError(f"f.{k}: shape {f[k].rows}x{f[k].cols}, dims need "
+                                 f"{dims.component(k)}x{dims.d_dot}")
+        return LambdaRep(dims, f)
 
 
 def in_category_R(V: LambdaRep) -> bool:
@@ -351,25 +372,13 @@ def lift_morphism(phi_m: RepMorphism, M: KLattice, N: KLattice) -> IntMatrix:
     dN = phi_data(N)
     if not is_morphism(phi_m, dM.rep, dN.rep):
         raise ValueError("morphism incompatible with representations")
-    L = _blockdiag([phi_m.phi[key].to_int() for key in SIGN_KEYS])
+    L = IntMatrix.block_diagonal([phi_m.phi[key].to_int() for key in SIGN_KEYS])
     psi = solve_matrix_exact(_embedding_matrix(dN), L * _embedding_matrix(dM))
     ensure(
         psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi,
         "lifted map is not K-equivariant",
     )
     return psi
-
-
-def _blockdiag(blocks: list[IntMatrix]) -> IntMatrix:
-    n = sum(b.rows for b in blocks)
-    m = sum(b.cols for b in blocks)
-    rows = []
-    coff = 0
-    for b in blocks:
-        for r in b.data:
-            rows.append([0] * coff + list(r) + [0] * (m - coff - b.cols))
-        coff += b.cols
-    return IntMatrix(rows, cols=m)
 
 
 # ---------------------------------------------------------------------------

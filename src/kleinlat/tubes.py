@@ -23,7 +23,7 @@ from .checks import ensure
 from .f2 import F2Matrix, nullspace as f2_nullspace, rank as f2_rank
 from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
 from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
-from .klein import sharp, two_msharp_in_m
+from .klein import regular_representation, sharp, two_msharp_in_m
 from .lattices import ZLattice, hnf, kernel_mod, lift_invertible
 from .polys import F2Poly, companion_matrix
 from .quiver import (
@@ -33,7 +33,6 @@ from .quiver import (
     PhiData,
     TubeId,
     TubeLabel,
-    _blockdiag,
     _embedding_matrix,
     _span_elements,
     decompose,
@@ -92,6 +91,16 @@ class TubeModule:
         cohomology contexts of every degree on both sides.
         """
         return _aut_generator_family(self)
+
+    @cached_property
+    def contexts(self) -> dict:
+        """The cohomology contexts of this member, built on first use.
+
+        Keyed by (context class, degree) on the lattice side and (context
+        class, degree, level) on the dual side; TubeCohContext.of fills it,
+        so every sum over the member shares one context per key.
+        """
+        return {}
 
     @cached_property
     def annihilator_chain(self) -> tuple:
@@ -328,7 +337,8 @@ def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
 
     for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
         if e.is_invertible():
-            push(_ambient_to_module(T, _blockdiag([lift_invertible(e.phi[k]) for k in SIGN_KEYS])))
+            push(_ambient_to_module(T, IntMatrix.block_diagonal(
+                [lift_invertible(e.phi[k]) for k in SIGN_KEYS])))
     push(IntMatrix.identity(T.lattice.rank).scale(-1))
     return _PackedFamily(out, T.lattice.rank)
 
@@ -401,6 +411,8 @@ def is_regular(M: KLattice) -> bool:
 
 def syzygy(M: KLattice) -> KLattice:
     """Kernel of the free cover R^{d_dot} -> M on lifted generators."""
+    if M.rank == 0:
+        raise ValueError("rank 0: the zero lattice has a zero free cover and no syzygy")
     if not is_regular(M):
         raise ValueError("not regular")
     d = phi_data(M)
@@ -416,24 +428,10 @@ def syzygy(M: KLattice) -> KLattice:
     sf = smith_form(Psi)
     ensure(sf.rank() == M.rank and all(x == 1 for x in sf.invariants()), "cover not onto")
     ker = hnf([list(v) for v in kernel_basis(Psi)], 4 * dd)
-    free = _free_module(dd)
+    free = regular_representation(dd)
     sub, _quot, _embed, _proj = invariant_sublattice_module(free, ker)
     ensure(sub is not None, "the syzygy is zero")
     return sub
-
-
-def _free_module(copies: int) -> KLattice:
-    """R^copies with the regular action, basis grouped as (1,a,b,ab) blocks."""
-    order = {g: t for t, g in enumerate(GROUP)}
-
-    def perm(g: GroupElt) -> IntMatrix:
-        m = [[0] * (4 * copies) for _ in range(4 * copies)]
-        for i in range(copies):
-            for t, h in enumerate(GROUP):
-                m[4 * i + order[g * h]][4 * i + t] = 1
-        return IntMatrix(m)
-
-    return KLattice(perm(GroupElt(1, 0)), perm(GroupElt(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +657,10 @@ def transport_label(label: TubeLabel, which: str) -> TubeLabel:
     return got
 
 
-def sweep_labels(max_m: int, homogeneous=("t^2+t+1", "t^3+t+1")) -> list[TubeLabel]:
+def sweep_labels(max_m: int) -> list[TubeLabel]:
     """The standard test sweep of tube labels."""
     out = []
-    for txt in homogeneous:
+    for txt in ("t^2+t+1", "t^3+t+1"):
         f = F2Poly.from_string(txt)
         for m in range(1, max_m + 1):
             out.append(TubeLabel(TubeId.homogeneous(f), None, m))

@@ -54,13 +54,6 @@ from .groups import (
     extension_from_class,
 )
 
-SWEEP_HOMOGENEOUS = ("t^2+t+1", "t^3+t+1")
-
-
-def _sweep(max_m: int) -> list[TubeLabel]:
-    return sweep_labels(max_m, SWEEP_HOMOGENEOUS)
-
-
 _TUBE_CACHE: dict = {}
 
 
@@ -74,7 +67,7 @@ def _tube(label: TubeLabel):
 def check_round_trip(max_m: int, random_count: int, seed: int):
     """Criterion 1: the functor and its quasi-inverse are mutually inverse."""
     rng = random.Random(seed)
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         V = label_rep(label)
         M = lattice_of(V)
         W = phi(M)
@@ -101,7 +94,7 @@ def check_round_trip(max_m: int, random_count: int, seed: int):
 
 def check_dimensions(max_m: int):
     """Criterion 2: dimension vectors match the closed forms exactly."""
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         T = _tube(label)
         dv = dim_vector(T.lattice).as_tuple()
         if label.tube.kind == "hom":
@@ -130,7 +123,7 @@ def check_dimensions(max_m: int):
 
 def check_cohomology(max_m: int, degrees):
     """Criterion 3: H^n elementary abelian of the predicted rank, xi a basis."""
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         T = _tube(label)
         inf = is_infinity_tube(label)
         for n in degrees:
@@ -145,7 +138,7 @@ def check_cohomology(max_m: int, degrees):
 
 def check_dual_cohomology(max_m: int, degrees):
     """Criterion 4: stable dual cohomology, through H^(n+1)(K, M*), with eta bases."""
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         T = _tube(label)
         for n in degrees:
             if not verify_eta_iso(T, n):
@@ -170,7 +163,7 @@ def check_torsion_bounds(seed: int):
             for d in H.invariants:
                 if 4 % d != 0:
                     return False, f"exponent exceeds 4 at rank {M.rank}, n={n}"
-    for label in _sweep(2):
+    for label in sweep_labels(2):
         T = _tube(label)
         for n in (1, 2):
             H = CohomologyGroup(T.lattice, n)
@@ -181,7 +174,7 @@ def check_torsion_bounds(seed: int):
 
 def check_syzygy(max_m: int):
     """Criterion 6: syzygy dimension law, label behavior, involutivity."""
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         T = _tube(label)
         dv = dim_vector(T.lattice)
         Om = syzygy(T.lattice)
@@ -229,7 +222,7 @@ def check_end_rings(max_hom_m: int, max_special_m: int):
 def check_cross_tube(pair_count: int, seed: int):
     """Criterion 8: cross-tube homomorphisms land in twice the overlattice."""
     rng = random.Random(seed)
-    labels = [l for l in _sweep(2) if l.m <= 2]
+    labels = [l for l in sweep_labels(2) if l.m <= 2]
     pairs = []
     while len(pairs) < pair_count:
         a, b = rng.choice(labels), rng.choice(labels)
@@ -333,7 +326,7 @@ def check_s3(max_m: int):
     if g != f3:
         return False, "composite is not of order three on cubic labels"
     # transport commutes with twisting
-    for label in _sweep(max_m):
+    for label in sweep_labels(max_m):
         for which in ("t2", "t3"):
             moved = transport_label(label, which)
             want = s3_on_tube(label.tube, which)

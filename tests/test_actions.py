@@ -243,6 +243,32 @@ def test_a_one_member_sum_shares_its_group_with_the_tube_context(context, form):
         assert shared.positions == own.positions
 
 
+@pytest.mark.parametrize("context", [SumContext, DualSumContext], ids=SIDE_IDS)
+def test_sums_over_one_member_read_the_same_context(context):
+    T, S = _members()
+    a, b = context([T, S], 2), context([S, T, S], 2)
+    assert a.ctxs[0] is b.ctxs[1]
+    assert a.ctxs[1] is b.ctxs[0] is b.ctxs[2]
+    # another degree is another context
+    assert context([T], 3).ctxs[0] is not a.ctxs[0]
+
+
+def test_member_contexts_are_kept_apart_by_side_and_level():
+    T = _members()[1]
+    lattice, dual = SumContext([T], 2).ctxs[0], DualSumContext([T], 2).ctxs[0]
+    assert type(lattice) is cohomology.TubeCohContext
+    assert type(dual) is colattices.DualTubeContext
+    assert DualSumContext([T], 2, level=2).ctxs[0] is not dual
+    assert DualSumContext([T], 2, level=colattices.DEFAULT_LEVEL).ctxs[0] is dual
+
+
+@pytest.mark.parametrize("context", [SumContext, DualSumContext], ids=SIDE_IDS)
+def test_a_one_member_sum_takes_the_group_of_the_member_context(context):
+    T = _members()[1]
+    ctx = context([T, T], 2).ctxs[0]
+    assert context([T], 2).H is ctx.H
+
+
 def test_dual_generators_are_the_distinct_transposes_mod_q():
     for T in _members():
         for n in (2, 3):

@@ -207,3 +207,42 @@ def test_malformed_lattice_files_are_input_errors(tmp_path, capsys):
             assert code == 2 and captured.out == "", (bad, argv)
             lines = captured.err.splitlines()
             assert len(lines) == 1 and lines[0].startswith(f"input error: {where}"), (bad, argv, lines)
+
+
+def test_malformed_representation_files_are_input_errors(tmp_path, capsys):
+    good = tmp_path / "t.json"
+    rep_path = tmp_path / "r.json"
+    run(capsys, "build-tube", "--tube", "special:1", "--j", "1", "--m", "2", "-o", str(good))
+    run(capsys, "phi", "-m", str(good), "-o", str(rep_path))
+    rep = json.loads(rep_path.read_text())
+    arms = rep["f"]
+    cases = [([], "representation:"), (None, "representation:"),
+             ({"f": arms}, "dims:"), (dict(rep, dims="x"), "dims:"),
+             (dict(rep, dims=rep["dims"][:4]), "dims:"), (dict(rep, dims=[2, 1, 1, 1, -1]), "dims:"),
+             (dict(rep, dims=[2, 1, 1, 1, True]), "dims:"), (dict(rep, dims=[2.0, 1, 1, 1, 1]), "dims:"),
+             ({"dims": rep["dims"]}, "f:"), (dict(rep, f=[]), "f:"),
+             (dict(rep, f={k: v for k, v in arms.items() if k != "pm"}), "f.pm:"),
+             (dict(rep, f=dict(arms, mm=5)), "f.mm:"),
+             (dict(rep, f=dict(arms, mp={"rows": 1, "cols": 2})), "f.mp: data:"),
+             (dict(rep, f=dict(arms, pp=dict(arms["pp"], data=[[2, 0]]))), "f.pp:"),
+             (dict(rep, dims=[2, 2, 1, 1, 1]), "f.pp: shape"),
+             (dict(rep, dims=[3, 1, 1, 1, 1]), "f.pp: shape")]
+    path = tmp_path / "bad.json"
+    for bad, where in cases:
+        path.write_text(json.dumps(bad))
+        code = main(["lattice-of", "-r", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", bad
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"input error: {where}"), (bad, lines)
+
+
+def test_the_syzygy_of_the_zero_lattice_is_an_input_error(tmp_path, capsys):
+    zero = {"rows": 0, "cols": 0, "data": []}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"rank": 0, "a": zero, "b": zero}))
+    assert main(["syzygy", "-m", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("input error: rank 0")

@@ -29,7 +29,6 @@ from kleinlat.groups import (
     co_classify,
     cr_presentation,
     extension_from_class,
-    extension_from_dual_class,
     is_crystallographic,
 )
 
@@ -102,7 +101,7 @@ def test_extension_associativity_and_negative_control():
     goods = [
         extension_from_class(sc.module, sc.H.from_coords([1, 0])),
         extension_from_class(sc.module, sc.H.zero()),
-        extension_from_dual_class(dsc.merge([dsc.representative(0, 1)])),
+        extension_from_class(dsc.H.module, dsc.merge([dsc.representative(0, 1)])),
     ]
     for good in goods:
         r, q = good.ops.rank, good.ops.modulus
@@ -169,7 +168,7 @@ def test_extension_tables_match_the_reference_product_and_checks():
     dsc = DualSumContext([Td], 2)
     sc = SumContext([tube_module(TubeId.special("1"), 1, 1), tube_module(TubeId.special("1"), 2, 1)], 2)
     goods = [extension_from_class(sc.module, c) for c in list(sc.H.all_classes())[:4]]
-    goods += [extension_from_dual_class(c) for c in list(dsc.H.all_classes())[-3:]]
+    goods += [extension_from_class(dsc.H.module, c) for c in list(dsc.H.all_classes())[-3:]]
     # the dual module at level 4 gives modulus 16; reduce it to 2, 4 and 8
     for k in (1, 2, 3):
         q = 1 << k
@@ -224,7 +223,7 @@ def test_failing_extension_check_survives_python_O():
         "H = CohomologyGroup(Z, 2)\n"
         "G.bar_cocycle_from_class = lambda cls, acting, modulus=0: "
         "G.BarCocycle(1, {(A, B): (1,)}, modulus)\n"
-        "G._extension(Z, H.zero(), 0)\n"
+        "G.extension_from_class(Z, H.zero())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
@@ -280,7 +279,7 @@ def test_ch_presentation():
     cf = co_canonical_form([T], cls, 2, context=sc)
     pres = ch_presentation(cf.data, cf.n0_labels)
     assert "abar^2" in pres.relations[3]
-    ext = extension_from_dual_class(cls)
+    ext = extension_from_class(cls.group.module, cls)
     rng = random.Random(9)
     sample = [tuple(tuple(rng.randrange(16) for _ in range(sc.base.rank)) for _ in range(3))]
     assert ext.associativity_check(sample)
