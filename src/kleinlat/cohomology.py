@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .checks import ensure
-from .f2 import F2Matrix, is_invertible
+from .f2 import F2Matrix, RowSpan, inverse, is_invertible
 from .f2 import solve as f2_solve
-from .intmat import IntMatrix, kernel_basis, solve_int
+from .intmat import IntMatrix, kernel_basis
 from .klein import A, B, KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
@@ -299,23 +299,6 @@ def push_class(psi: IntMatrix, cls: CohClass, dst: CohomologyGroup) -> CohClass:
     return dst.class_of(gamma.map_values(psi))
 
 
-def in_span(gens: list[CohClass], target: CohClass) -> bool:
-    """Membership of target in the subgroup generated by gens."""
-    group = target.group
-    if target.is_zero():
-        return True
-    if not gens:
-        return False
-    # [generators as columns | diag(invariants)] x = target
-    inv = group.invariants
-    aug = IntMatrix(
-        [[g.coords[i] for g in gens] + [d if t == i else 0 for t in range(len(inv))]
-         for i, d in enumerate(inv)],
-        cols=len(gens) + len(inv),
-    )
-    return solve_int(aug, list(target.coords)) is not None
-
-
 # ---------------------------------------------------------------------------
 # the closed-form cocycles
 # ---------------------------------------------------------------------------
@@ -336,8 +319,10 @@ def target_component(M: KLattice, n: int, in_infinity: bool) -> ZLattice:
     return eigencomponent(M, SignPair.from_key(target_component_key(n, in_infinity)))
 
 
-def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool) -> Cochain:
-    """The one-slot cocycle with value v on x^n (or on y^n for the infinity tube)."""
+def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool,
+       D: IntMatrix | None = None) -> Cochain:
+    """The one-slot cocycle with value v on x^n (or on y^n for the infinity tube),
+    checked by D, the coboundary of M in degree n (built when not given)."""
     # M(n) is the saturated lattice of the vectors on which a and b act by
     # the signs of its character, so membership is those two equations
     chi = SignPair.from_key(target_component_key(n, in_infinity))
@@ -347,7 +332,8 @@ def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool) -> Cochain:
     values = [tuple([0] * M.rank) for _ in range(n + 1)]
     values[slot] = tuple(v)
     gamma = Cochain(n, tuple(values))
-    ensure(not any(differential_matrix(M, n).apply(gamma.flatten())), "xi is not a cocycle")
+    D = differential_matrix(M, n) if D is None else D
+    ensure(not any(D.apply(gamma.flatten())), "xi is not a cocycle")
     return gamma
 
 
@@ -357,7 +343,8 @@ def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None) -> bo
     inf = is_infinity_tube(T.label)
     comp = target_component(M, n, inf)
     H = H or CohomologyGroup(M, n)
-    return _classes_form_basis(H, comp.basis, lambda v: xi(M, v, n, inf))
+    D = differential_matrix(M, n)
+    return _classes_form_basis(H, comp.basis, lambda v: xi(M, v, n, inf, D))
 
 
 def _classes_form_basis(H: ClassGroup, vectors, cocycle) -> bool:
@@ -399,7 +386,10 @@ class TubeCohContext:
     The lattice side; colattices.DualTubeContext overrides what differs on
     the dual: the group, the chain, the filtration position, the stratum
     vector search, the cocycle and the automorphism family.  The sums read
-    a member's contexts through of(), which keeps them on the member.
+    a member's contexts through of(), which keeps them on the member.  The
+    group is elementary abelian, so the context keeps its filtration as
+    GF(2) row spans of class coordinates (chain_spans) and the generators'
+    actions as GF(2) matrices (actions), each built on first use.
     """
 
     modulus = 0  # witnesses are integral
@@ -409,9 +399,8 @@ class TubeCohContext:
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
         self.H = self._cohomology()
-        ensure(all(d == 2 for d in self.H.invariants),
-               "cohomology of a tube member is not elementary abelian")
-        self._images: Optional[list] = None
+        _ensure_elementary(self.H, "cohomology of a tube member")
+        self._spans: Optional[list] = None
         self._representatives: dict = {}
         self._vectors: dict = {}
         self._actions: Optional[_ActionMemo] = None
@@ -438,10 +427,9 @@ class TubeCohContext:
         """The last k with the class in the image of M_k."""
         if cls.is_zero():
             return "zero"
-        images = self._chain_images()
         pos = 0
-        for k in range(len(images)):
-            if in_span(images[k], cls):
+        for k, span in enumerate(self.chain_spans()):
+            if cls.coords in span:
                 pos = k
             else:
                 break
@@ -467,10 +455,17 @@ class TubeCohContext:
 
     # -- shared ------------------------------------------------------------
 
-    def _chain_images(self) -> list:
-        if self._images is None:
-            self._images = chain_images(*self._chain())
-        return self._images
+    def chain_spans(self) -> list:
+        """The chain images as GF(2) row spans of class coordinates, built on
+        first use; the chain group is elementary abelian, so a membership
+        test is a few XORs."""
+        if self._spans is None:
+            group, chain, n = self._chain()
+            _ensure_elementary(group, "cohomology of the chain's module")
+            s = len(group.invariants)
+            self._spans = [RowSpan(F2Matrix([c.coords for c in img], cols=s))
+                           for img in chain_images(group, chain, n)]
+        return self._spans
 
     def representative_vector(self, k: int):
         """The vector of representative(k), or None when stratum k is empty."""
@@ -515,6 +510,10 @@ class TubeCohContext:
     def move_to(self, src: CohClass, dst: CohClass):
         """Automorphism word carrying src to dst, as one matrix, or None."""
         return _move_word(self, src, dst)
+
+
+def _ensure_elementary(H: ClassGroup, what: str) -> None:
+    ensure(all(d == 2 for d in H.invariants), f"{what} is not elementary abelian")
 
 
 def _class_action(H: ClassGroup, U: IntMatrix) -> F2Matrix:
@@ -659,6 +658,11 @@ class SumContext:
     here: they are integral).  The tube contexts belong to the members
     (TubeCohContext.of), so sums over one member share them; a sum of one
     member takes its group from that member's context.
+
+    The group is elementary abelian like its summands', and the context
+    keeps, each from its first use, the GF(2) matrices of split and merge
+    between its coordinates and the summands' concatenated ones, and the
+    hom basis of each pair of summands.
     """
 
     modulus = 0
@@ -680,6 +684,8 @@ class SumContext:
         self.ctxs = [self._tube_context(T) for T in summands]
         # a sum of one member has the member's lattice as its module
         self.H = self.ctxs[0].H if len(summands) == 1 else self._cohomology()
+        self._split: Optional[tuple] = None
+        self._homs: dict = {}
 
     # -- what a side supplies ----------------------------------------------
 
@@ -689,11 +695,18 @@ class SumContext:
     def _tube_context(self, T: TubeModule) -> TubeCohContext:
         return TubeCohContext.of(T, self.n)
 
-    def homs(self, i: int, j: int) -> list[IntMatrix]:
-        """Generators of the homomorphisms from summand i to summand j."""
+    def _hom_basis(self, i: int, j: int) -> list[IntMatrix]:
         return hom_klattices(self.summands[i].lattice, self.summands[j].lattice)
 
     # -- shared ------------------------------------------------------------
+
+    def homs(self, i: int, j: int) -> list[IntMatrix]:
+        """Generators of the homomorphisms from summand i to summand j, kept
+        per pair from the first call."""
+        got = self._homs.get((i, j))
+        if got is None:
+            got = self._homs[(i, j)] = self._hom_basis(i, j)
+        return got
 
     def representative(self, i: int, k: int):
         """Fixed class of stratum k of summand i, or None."""
@@ -717,12 +730,6 @@ class SumContext:
     def reduce(self, W: IntMatrix) -> IntMatrix:
         return W.mod(self.modulus) if self.modulus else W
 
-    def embed_matrix(self, i: int) -> IntMatrix:
-        r = self.module.rank
-        ri = self.summands[i].lattice.rank
-        off = self.offsets[i]
-        return IntMatrix.from_dicts([{t - off: 1} if off <= t < off + ri else {} for t in range(r)], ri)
-
     def project_values(self, gamma: Cochain, i: int) -> Cochain:
         off = self.offsets[i]
         ri = self.summands[i].lattice.rank
@@ -730,19 +737,37 @@ class SumContext:
             gamma.n, tuple(tuple(v[off: off + ri]) for v in gamma.values)
         )
 
+    def split_matrices(self) -> tuple[F2Matrix, F2Matrix]:
+        """(split, merge) over GF(2), built on first use: split takes the
+        coordinates of a class to the summands' concatenated coordinates,
+        by the cochain route (project_values, class_of) on each basis class,
+        and merge is its inverse, which a non-additive sum does not have."""
+        if self._split is None:
+            _ensure_elementary(self.H, "cohomology of the sum")
+            s = len(self.H.invariants)
+            cols = []
+            for a in range(s):
+                gamma = self.H.cochain_of(self.H.from_coords([int(t == a) for t in range(s)]))
+                cols.append([c for i, ctx in enumerate(self.ctxs)
+                             for c in ctx.H.class_of(self.project_values(gamma, i)).coords])
+            width = sum(len(ctx.H.invariants) for ctx in self.ctxs)
+            S = F2Matrix(cols, cols=width).transpose()
+            self._split = (S, inverse(S))
+        return self._split
+
     def split(self, cls: CohClass) -> list[CohClass]:
-        gamma = self.H.cochain_of(cls)
+        flat = self.split_matrices()[0].apply(cls.coords)
         out = []
-        for i, ctx in enumerate(self.ctxs):
-            out.append(ctx.H.class_of(self.project_values(gamma, i)))
+        off = 0
+        for ctx in self.ctxs:
+            s = len(ctx.H.invariants)
+            out.append(CohClass(ctx.H, flat[off: off + s]))
+            off += s
         return out
 
     def merge(self, comps: list[CohClass]) -> CohClass:
-        gamma = Cochain.zero(self.n, self.module.rank)
-        for i, c in enumerate(comps):
-            emb = self.embed_matrix(i)
-            gamma = gamma.add(c.group.cochain_of(c).map_values(emb))
-        return self.H.class_of(gamma)
+        flat = [c for comp in comps for c in comp.coords]
+        return CohClass(self.H, self.split_matrices()[1].apply(flat))
 
     def block_witness(self, i: int, U: IntMatrix) -> IntMatrix:
         r = self.module.rank

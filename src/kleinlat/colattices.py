@@ -51,7 +51,6 @@ from .cohomology import (
     _move_word,
     _normal_form,
     differential_matrix,
-    in_span,
     is_infinity_tube,
     target_component_key,
 )
@@ -202,8 +201,10 @@ def dual_target_basis(N: ColatticeLevel, n: int, in_infinity: bool) -> list[tupl
     return component_f2_basis(N, L)
 
 
-def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cochain:
-    """One-slot cocycle mod 2^k with value u in N(n)."""
+def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool,
+        D: IntMatrix | None = None) -> Cochain:
+    """One-slot cocycle mod 2^k with value u in N(n), checked by D, the
+    coboundary of M* in degree n (built when not given)."""
     q = N.modulus
     L = divisible_two_torsion_lattice(N, target_component_key(n + 1, in_infinity))
     if L.coords([x % q for x in u]) is None:
@@ -213,19 +214,22 @@ def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool) -> Cocha
     values = [tuple([0] * N.rank) for _ in range(n + 1)]
     values[slot] = tuple(x % q for x in u)
     gamma = Cochain(n, tuple(values))
-    D = differential_matrix(N.transposed_module(), n)
+    D = differential_matrix(N.transposed_module(), n) if D is None else D
     ensure(not any(x % q for x in D.apply(gamma.flatten())), "eta is not a cocycle mod 2^k")
     return gamma
 
 
 def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
                    H: StableDualCohomology | None = None) -> bool:
-    """The eta classes over a basis of N(n) form a GF(2)-basis of H^n(K, DM)."""
+    """The eta classes over a basis of N(n) form a GF(2)-basis of H^n(K, DM).
+
+    Each eta cocycle is checked against H's own coboundary of M*.
+    """
     H = H or StableDualCohomology(T.lattice, n, level)
     N = H.colattice
     inf = is_infinity_tube(T.label)
     basis = dual_target_basis(N, n, inf)
-    return _classes_form_basis(H, basis, lambda u: eta(N, u, n, inf))
+    return _classes_form_basis(H, basis, lambda u: eta(N, u, n, inf, H._D))
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +259,17 @@ class DualTubeContext(TubeCohContext):
 
     def _chain(self):
         """Classes of the integral group H^(n+1)(K, M*), whose coordinates
-        are those of H; in_span reads only the coordinates."""
+        are those of H; the kept spans (chain_spans) hold only the
+        coordinates, mod 2."""
         return self.H._integral, self.T.annihilator_chain, self.n + 1
 
     def filtration_position(self, cls: CohClass):
         """Smallest Z-set index k with the class visible from A_{k+1}."""
         if cls.is_zero():
             return "zero"
-        images = self._chain_images()
-        for k in range(1, len(images)):
-            if in_span(images[k], cls):
+        spans = self.chain_spans()
+        for k in range(1, len(spans)):
+            if cls.coords in spans[k]:
                 return k - 1
         raise VerificationError("class not even in the image of the full module")
 
@@ -395,7 +400,7 @@ class DualSumContext(SumContext):
     def _tube_context(self, T: TubeModule) -> DualTubeContext:
         return DualTubeContext.of(T, self.n, self.level)
 
-    def homs(self, i: int, j: int) -> list[IntMatrix]:
+    def _hom_basis(self, i: int, j: int) -> list[IntMatrix]:
         return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)
 
 

@@ -350,16 +350,17 @@ def check_groups(pair_count: int, seed: int):
         [TubeLabel(sinf, 2, 1)],
         [TubeLabel(s1, 1, 2)],
     ]
-    contexts = []
-    for labels in pools:
-        summands = [_tube(l) for l in labels]
-        contexts.append((summands, SumContext(summands, 2)))
+    contexts = [SumContext([_tube(l) for l in labels], 2) for labels in pools]
+    # one extension per drawn (context, class), checked on every sample drawn for it
+    extensions = {}
     checked = 0
     while checked < pair_count:
-        summands, sc = contexts[rng.randrange(len(contexts))]
+        t = rng.randrange(len(contexts))
+        sc = contexts[t]
         coords = tuple(rng.randrange(d) for d in sc.H.invariants)
-        cls = sc.H.from_coords(coords)
-        ext = extension_from_class(sc.module, cls)
+        ext = extensions.get((t, coords))
+        if ext is None:
+            ext = extensions[(t, coords)] = extension_from_class(sc.module, sc.H.from_coords(coords))
         samples = [
             tuple(tuple(rng.randint(-2, 2) for _ in range(sc.module.rank)) for _ in range(3))
         ]

@@ -6,19 +6,22 @@ the stratum representatives.  The units congruent to the identity mod 2,
 which the family leaves out, act as the identity on H^n.
 """
 
+import importlib
 import itertools
+import os
+import sys
 from types import SimpleNamespace
 
 import pytest
 
-from kleinlat import cohomology, colattices, tubes
-from kleinlat.cohomology import SumContext, _ActionMemo, _move_word, canonical_form, push_class
+from kleinlat import cohomology, colattices, polys, quiver, tubes, verification
+from kleinlat.cohomology import Cochain, SumContext, _ActionMemo, _move_word, canonical_form, push_class
 from kleinlat.colattices import DualSumContext, co_canonical_form
 from kleinlat.f2 import F2Matrix
 from kleinlat.intmat import IntMatrix, inverse_unimodular
 from kleinlat.polys import F2Poly
 from kleinlat.checks import VerificationError
-from kleinlat.quiver import TubeId
+from kleinlat.quiver import TubeId, TubeLabel
 from kleinlat.tubes import sweep_labels, tube_module, tube_module_from_label
 from kleinlat.verification import _orbit_cases
 
@@ -392,3 +395,63 @@ def test_the_orbit_oracle_exchanges_equal_summands_without_homomorphisms():
     sc.homs = lambda i, j: []
     orbits = sorted(sorted(o) for o in cohomology.sum_orbit_partition(sc))
     assert orbits == [[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]
+
+
+def _census_sums():
+    """The label lists of the benchmark's census sums, from bench/workloads.py."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    K = SimpleNamespace(quiver=quiver, polys=polys, verification=verification)
+    return [labels for labels, *_queries in workloads._census_pool(K, "full")]
+
+
+def _cochain_split(sc, cls):
+    """The components of a class by restricting its cochain to each block."""
+    gamma = sc.H.cochain_of(cls)
+    return [ctx.H.class_of(sc.project_values(gamma, i)) for i, ctx in enumerate(sc.ctxs)]
+
+
+def _cochain_merge(sc, comps):
+    """The class of the sum of the components' cochains, each embedded in its block."""
+    r = sc.module.rank
+    gamma = Cochain.zero(sc.n, r)
+    for i, c in enumerate(comps):
+        off, ri = sc.offsets[i], sc.summands[i].lattice.rank
+        embed = IntMatrix.from_dicts([{t - off: 1} if off <= t < off + ri else {} for t in range(r)], ri)
+        gamma = gamma.add(c.group.cochain_of(c).map_values(embed))
+    return sc.H.class_of(gamma)
+
+
+@pytest.mark.parametrize("context", [SumContext, DualSumContext], ids=SIDE_IDS)
+def test_split_and_merge_matrices_agree_with_the_cochain_route(context):
+    sums = _census_sums()
+    assert len(sums) > len(_orbit_cases()) + 4
+    # the census sums all have the identity as split matrix; these do not
+    hom = TubeLabel(TubeId.homogeneous(F2Poly.from_string("t^2+t+1")), None, 1)
+    sums += [[hom, TubeLabel(TubeId.special("0"), 1, 1)], [hom, hom]]
+    members = {}
+    count = 0
+    mixed = 0
+    for labels in sums:
+        summands = [members.setdefault(str(l), tube_module_from_label(l)) for l in labels]
+        for n in (2, 3):
+            sc = context(summands, n)
+            split = sc.split_matrices()[0]
+            mixed += split != F2Matrix.identity(split.rows)
+            for cls in sc.H.all_classes():
+                comps = sc.split(cls)
+                assert comps == _cochain_split(sc, cls), ([str(l) for l in labels], n, cls.coords)
+                assert sc.merge(comps) == cls == _cochain_merge(sc, comps)
+                count += 1
+    assert count > 300 and mixed >= 2
+
+
+def test_a_sum_whose_group_is_not_the_product_has_no_merge():
+    sc = SumContext(_members(), 2)
+    sc.ctxs = sc.ctxs[:1]  # the coordinates of one summand go missing
+    with pytest.raises(ValueError, match="not square"):
+        sc.split_matrices()

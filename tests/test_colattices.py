@@ -22,9 +22,10 @@ from kleinlat.cohomology import (
     Cochain,
     CohClass,
     _kernel_quotient,
+    TubeCohContext,
     _representatives,
+    chain_images,
     differential_matrix,
-    in_span,
     push_class,
     sum_orbit_partition,
 )
@@ -39,6 +40,26 @@ from kleinlat.lattices import (
 )
 
 F = F2Poly.from_string("t^2+t+1")
+
+
+def in_span(gens, target):
+    """Membership of target in the subgroup generated by gens, by one
+    integral solve of [gens as columns | diag(invariants)] x = target.
+
+    The integral oracle of the filtration tests: it holds for any finite
+    group, where the engine tests GF(2) spans of elementary abelian ones.
+    """
+    if target.is_zero():
+        return True
+    if not gens:
+        return False
+    inv = target.group.invariants
+    aug = IntMatrix(
+        [[g.coords[i] for g in gens] + [d if t == i else 0 for t in range(len(inv))]
+         for i, d in enumerate(inv)],
+        cols=len(gens) + len(inv),
+    )
+    return solve_int(aug, list(target.coords)) is not None
 
 
 def test_dual_level_basics():
@@ -254,6 +275,8 @@ class _ThreeLevelStable(ClassGroup):
         low = _LevelCohomology(M, n, level)
         self.carrier = _LevelCohomology(M, n, level + 1)
         self.module = self.carrier.module
+        # verify_eta_iso checks its eta cocycles against the group's D_n of M*
+        self._D = differential_matrix(self.module, n)
         gens = _image_gens(low, self.carrier)
         lower = _LevelCohomology(M, n, level - 1)
         assert _subgroup_order(low, _image_gens(lower, low)) == _subgroup_order(self.carrier, gens)
@@ -445,10 +468,39 @@ def test_dual_filtration_matches_the_mod_2k_reference():
                 ctx = DualTubeContext(T, n, level)
                 H = ctx.H
                 old = _reference_images(H, T, level)
-                new = ctx._chain_images()
+                new = chain_images(*ctx._chain())
                 assert len(new) == len(old) == T.m + 1, where
                 for k in range(len(old)):
                     both = _subgroup_order(H, old[k] + new[k])
                     assert _subgroup_order(H, old[k]) == _subgroup_order(H, new[k]) == both, (where, k)
                 for cls in H.all_classes():
                     assert ctx.filtration_position(cls) == _reference_position(old, cls), (where, cls)
+
+
+def _in_span_position(ctx, images, cls):
+    """The filtration position by in_span on the chain images, either side."""
+    if cls.is_zero():
+        return "zero"
+    if isinstance(ctx, DualTubeContext):
+        return _reference_position(images, cls)
+    pos = 0
+    while pos + 1 < len(images) and in_span(images[pos + 1], cls):
+        pos += 1
+    return pos
+
+
+@pytest.mark.parametrize("context", [TubeCohContext, DualTubeContext], ids=["lattice", "dual"])
+def test_filtration_position_matches_the_integral_span_route(context):
+    # the kept GF(2) spans against in_span on the chain images, class by class
+    count = 0
+    for label in sweep_labels(3):
+        T = tube_module_from_label(label)
+        for n in (1, 2, 3):
+            ctx = context(T, n)
+            images = chain_images(*ctx._chain())
+            for cls in ctx.H.all_classes():
+                if not cls.is_zero():
+                    count += 1
+                    assert ctx.filtration_position(cls) == _in_span_position(ctx, images, cls), \
+                        (str(label), n, cls.coords)
+    assert count > 1000

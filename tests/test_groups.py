@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import kleinlat
+from kleinlat import verification as V
 from kleinlat.klein import A, B, C, E, GROUP, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
@@ -313,3 +314,96 @@ def test_co_classify():
     c1 = sc.merge([sc.representative(0, 1)])
     assert co_classify([T], c0, [T], c0, context1=sc, context2=sc).isomorphic
     assert not co_classify([T], c0, [T], c1, context1=sc, context2=sc).isomorphic
+
+
+def _pool_contexts(monkeypatch):
+    """Record the sum contexts check_groups builds, in the order it builds them."""
+    made = []
+
+    class Recording(SumContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(V, "SumContext", Recording)
+    return made
+
+
+def _drawn_trials(pools, pair_count, seed):
+    """(group, coords, samples) of each trial, drawn in check_groups' order:
+    a pool, the class's coordinates, then the samples for that trial."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(pair_count):
+        sc = pools[rng.randrange(len(pools))]
+        coords = tuple(rng.randrange(d) for d in sc.H.invariants)
+        samples = [tuple(tuple(rng.randint(-2, 2) for _ in range(sc.module.rank)) for _ in range(3))]
+        out.append((sc.H, coords, samples))
+    return out
+
+
+def test_check_groups_builds_one_extension_per_drawn_class(monkeypatch):
+    made = _pool_contexts(monkeypatch)
+    built = {}
+    checked = []
+    real_build = V.extension_from_class
+    real_check = ExtensionGroup.associativity_check
+
+    def counting_build(M, cls):
+        ext = real_build(M, cls)
+        built.setdefault((id(cls.group), cls.coords), []).append(ext)
+        return ext
+
+    def recording_check(ext, samples):
+        checked.append((ext, samples))
+        return real_check(ext, samples)
+
+    monkeypatch.setattr(V, "extension_from_class", counting_build)
+    monkeypatch.setattr(ExtensionGroup, "associativity_check", recording_check)
+    ok, detail = V.check_groups(pair_count=300, seed=4)
+    assert ok, detail
+    want = _drawn_trials(made[:6], 300, 4)
+    # every trial is still checked, on the same (context, class, samples)
+    assert len(checked) == 300
+    owner = {id(exts[0]): key for key, exts in built.items()}
+    assert [(owner[id(ext)], s) for ext, s in checked] == \
+        [((id(H), coords), s) for H, coords, s in want]
+    # and each distinct (context, class) built its extension once
+    assert all(len(exts) == 1 for exts in built.values())
+    assert len(built) == len({(id(H), coords) for H, coords, _s in want}) < 300
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_check_groups_fails_on_a_kept_extension_with_a_non_cocycle_table(monkeypatch, flags):
+    # the second extension built gets a table that is not a cocycle; the
+    # failure is reported at the first trial that draws its class, and the
+    # check is not an assert, so python -O keeps it
+    made = _pool_contexts(monkeypatch)
+    V.check_groups(pair_count=1, seed=0)
+    trials = _drawn_trials(made[:6], 200, 0)
+    keys = list(dict.fromkeys((id(H), coords) for H, coords, _s in trials))
+    first = next(t for t, (H, coords, _s) in enumerate(trials) if (id(H), coords) == keys[1])
+    assert first > 0
+    code = (
+        "import kleinlat.groups as G\n"
+        "import kleinlat.verification as V\n"
+        "from kleinlat.klein import A, B\n"
+        "real = V.extension_from_class\n"
+        "built = []\n"
+        "def corrupt_second(M, cls):\n"
+        "    ext = real(M, cls)\n"
+        "    built.append(ext)\n"
+        "    if len(built) != 2:\n"
+        "        return ext\n"
+        "    table = dict(ext.gamma.table)\n"
+        "    table[(A, B)] = tuple(x + (i == 0) for i, x in enumerate(table[(A, B)]))\n"
+        "    return G.ExtensionGroup(ext.ops, G.BarCocycle(ext.ops.rank, table, ext.ops.modulus))\n"
+        "V.extension_from_class = corrupt_second\n"
+        "print(V.check_groups(200, 0))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == repr((False, f"non-associative extension at trial {first}"))
