@@ -420,8 +420,8 @@ class TubeCohContext:
         return CohomologyGroup(self.T.lattice, self.n)
 
     def _chain(self):
-        """(group, chain, degree) whose chain_images give the filtration."""
-        return self.H, zip(self.T.chain_modules, self.T.chain_embeds), self.n
+        """(group, chain of (sub, embed) pairs, degree) for chain_images."""
+        return self.H, tuple(zip(self.T.chain_modules, self.T.chain_embeds)), self.n
 
     def filtration_position(self, cls: CohClass):
         """The last k with the class in the image of M_k."""
@@ -436,19 +436,25 @@ class TubeCohContext:
         return pos
 
     def _component_lattice(self, k: int) -> ZLattice:
-        sub = self.T.chain_modules[k]
+        """M_k(n) in Z^r; A_k(n + 1) on the dual, which reads its own _chain."""
+        _group, chain, n = self._chain()
+        sub, emb = chain[k]
         n_amb = self.T.lattice.rank
         if sub is None or sub.rank == 0:
             return ZLattice.zero(n_amb)
-        comp = target_component(sub, self.n, self.in_inf)
-        emb = self.T.chain_embeds[k]
+        comp = target_component(sub, n, self.in_inf)
         return hnf([emb.apply(r) for r in comp.basis], n_amb)
 
+    def _component_span(self, k: int) -> RowSpan:
+        """The span of _component_lattice(k) mod 2."""
+        L = self._component_lattice(k)
+        return RowSpan(F2Matrix(L.basis, cols=L.ambient_rank))
+
     def _stratum_vector(self, k: int):
-        """An element of M_k(n) outside 2 M_k(n) + M_(k+1)(n), or None."""
-        Mk = self._component_lattice(k)
-        excl = Mk.scale(2).sum(self._component_lattice(k + 1))
-        return next((tuple(v) for v in Mk.basis if excl.coords(v) is None), None)
+        """An element of M_k(n) outside 2 M_k(n) + M_(k+1)(n), or None: M_k(n)
+        is pure, so 2 M_k(n) = M_k(n) & 2Z^r and the test is mod 2."""
+        lower = self._component_span(k + 1)
+        return next((tuple(v) for v in self._component_lattice(k).basis if v not in lower), None)
 
     def _cocycle(self, v) -> Cochain:
         return xi(self.T.lattice, v, self.n, self.in_inf)

@@ -20,6 +20,14 @@ H^n(K, D(M/M_k)) is that of H^(n+1)(K, A_k), A_k = Ann(M_k) = (M/M_k)* in
 M*.  So it is the lattice-side filtration (cohomology.chain_images) of the
 annihilator chain of M*, one degree up, and no sub-complex is reduced mod 2^k.
 
+The eta cocycles take their values in N(n) = (q/2)(M*(n+1) mod 2), M*(n+1)
+the lattice side's target component one degree up.  N(n) is the two-torsion
+of the divisible part of a sign component of DM; that part is S (x) Q2/Z2,
+S the saturated eigencomponent of M* (on bare two-torsion the sign of an
+involution is invisible), and its elements of order 2 are the s (x) 1/2,
+zero for s in 2S.  The dual strata read the components of the A_k in degree
+n + 1 the same way, mod 2, and no lattice mod 2^k is needed.
+
 co_canonical_form() runs the normal-form engine of cohomology.  This side
 supplies, through DualTubeContext (a cohomology.TubeCohContext, kept on its
 member per degree and level like the lattice-side contexts) and
@@ -34,10 +42,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .checks import VerificationError, ensure
-from .f2 import F2Matrix, RowSpan
+from .f2 import F2Matrix, RowSpan, rref
 from .intmat import IntMatrix, smith_form, solve_int
-from .klein import KLattice, SignPair
-from .lattices import ZLattice, hnf_mod, intersection_mod, kernel_mod
+from .klein import KLattice, SignPair, eigencomponent
+from .lattices import kernel_mod
 from .cohomology import (
     ClassGroup,
     CohClass,
@@ -63,8 +71,8 @@ DEFAULT_LEVEL = 3
 class ColatticeLevel:
     """Hom(M, 2^-k Z / Z) as (Z/2^k)^rank with the contragredient action.
 
-    The divisible two-torsion lattice of each sign component is kept in
-    _torsion, by sign key, from its first use.
+    The divisible two-torsion of each sign component (divisible_two_torsion)
+    is kept in _torsion, by sign key, from its first use.
     """
 
     base: KLattice
@@ -146,59 +154,22 @@ class StableDualCohomology(ClassGroup):
 # ---------------------------------------------------------------------------
 
 
-def _sign_value(key: str):
-    sp = SignPair.from_key(key)
-    return (1 if sp.alpha == "+" else -1, 1 if sp.beta == "+" else -1)
-
-
-def eigen_congruence_lattice(N: ColatticeLevel, key: str) -> ZLattice:
-    """Lattice of x with the sign conditions mod 2^k, containing qZ^r."""
-    q = N.modulus
-    sa, sb = _sign_value(key)
-    ident = IntMatrix.identity(N.rank)
-    mod = N.transposed_module()
-    stacked = (mod.act_a - ident.scale(sa)).vstack(mod.act_b - ident.scale(sb))
-    return kernel_mod(stacked, q)
-
-
-def divisible_two_torsion_lattice(N: ColatticeLevel, key: str) -> ZLattice:
-    """Two-torsion of the divisible part of the sign component.
-
-    On bare two-torsion the sign of an involution is invisible; the honest
-    component is reached by scaling the full mod-2^k eigencomponent by
-    2^(k-1), which keeps exactly the part divisible all the way down.
-    Kept on N from the first call for each key.
-    """
+def divisible_two_torsion(N: ColatticeLevel, key: str) -> F2Matrix:
+    """Two-torsion of the divisible part of the sign component, over q/2:
+    the reduced echelon rows of S = eigencomponent(M*, key) mod 2, pivot
+    columns increasing, one per basis row of the saturated S."""
     got = N._torsion.get(key)
     if got is None:
-        q = N.modulus
-        L = eigen_congruence_lattice(N, key)
-        rows = [[(x * (q // 2)) % q for x in row] for row in L.basis]
-        got = N._torsion[key] = hnf_mod(rows, N.rank, q)
+        S = eigencomponent(N.transposed_module(), SignPair.from_key(key))
+        got = N._torsion[key] = rref(F2Matrix(S.basis, cols=N.rank))[0]
     return got
-
-
-def component_f2_basis(N: ColatticeLevel, L: ZLattice) -> list[tuple]:
-    """GF(2)-basis of the elementary subgroup L/qZ^r."""
-    q = N.modulus
-    r = N.rank
-    gens = []
-    sub = hnf_mod([[2 * x for x in row] for row in L.basis], r, q)
-    for row in L.basis:
-        vec = tuple(x % q for x in row)
-        if all(x == 0 for x in vec):
-            continue
-        if sub.coords(vec) is not None:
-            continue
-        gens.append(vec)
-        sub = hnf_mod([list(b) for b in sub.basis] + [list(vec)], r, q)
-    return gens
 
 
 def dual_target_basis(N: ColatticeLevel, n: int, in_infinity: bool) -> list[tuple]:
     """GF(2)-basis of the component N(n) feeding the eta cocycles."""
-    L = divisible_two_torsion_lattice(N, target_component_key(n + 1, in_infinity))
-    return component_f2_basis(N, L)
+    half = N.modulus // 2
+    rows = divisible_two_torsion(N, target_component_key(n + 1, in_infinity))
+    return [tuple(half * x for x in row) for row in rows.data]
 
 
 def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool,
@@ -206,8 +177,9 @@ def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool,
     """One-slot cocycle mod 2^k with value u in N(n), checked by D, the
     coboundary of M* in degree n (built when not given)."""
     q = N.modulus
-    L = divisible_two_torsion_lattice(N, target_component_key(n + 1, in_infinity))
-    if L.coords([x % q for x in u]) is None:
+    half = q // 2
+    rows = divisible_two_torsion(N, target_component_key(n + 1, in_infinity))
+    if any(x % half for x in u) or [x // half for x in u] not in RowSpan(rows):
         raise ValueError("u not in N(n)")
     # the infinity tube takes the value on y^n in every degree, like xi
     slot = 0 if in_infinity else n
@@ -273,28 +245,19 @@ class DualTubeContext(TubeCohContext):
                 return k - 1
         raise VerificationError("class not even in the image of the full module")
 
-    def _component_in(self, k: int) -> ZLattice:
-        """Divisible two-torsion of the component inside A_k mod q."""
-        q = self.N.modulus
-        emb = self.T.annihilator_chain[k][1]
-        A = hnf_mod(emb.transpose().data, self.N.rank, q)
-        eig = eigen_congruence_lattice(self.N, target_component_key(self.n + 1, self.in_inf))
-        inter = intersection_mod(eig, A, q)
-        rows = [[(x * (q // 2)) % q for x in row] for row in inter.basis]
-        return hnf_mod(rows, self.N.rank, q)
-
     def _stratum_vector(self, k: int):
-        """An element of A_(k+1)(n) outside A_k(n), mod q, or None."""
-        q = self.N.modulus
-        lower = self._component_in(k)
-        for row in self._component_in(k + 1).basis:
-            vec = tuple(x % q for x in row)
-            if any(vec) and lower.coords(vec) is None:
-                return vec
+        """q/2 times the first echelon row of A_(k+1)(n + 1) mod 2 outside
+        the span of A_k(n + 1) mod 2, or None."""
+        half = self.N.modulus // 2
+        lower = self._component_span(k)
+        upper = rref(F2Matrix(self._component_lattice(k + 1).basis, cols=self.N.rank))[0]
+        for row in upper.data:
+            if row not in lower:  # zero rows are in every span
+                return tuple(half * x for x in row)
         return None
 
     def _cocycle(self, u) -> Cochain:
-        return eta(self.N, u, self.n, self.in_inf)
+        return eta(self.N, u, self.n, self.in_inf, self.H._D)
 
     def aut_generators(self) -> "_TransposedFamily":
         """The transposes mod 2^k of T.aut_family, without repeats, in its order.

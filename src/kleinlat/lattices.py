@@ -3,14 +3,14 @@
 A ZLattice is a subgroup of Z^n held in row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), so two
 lattices are equal iff their stored bases are equal.  On top of that sit
-sums, scaling, membership and coordinates; finite_quotient gives the
-structure of a quotient K/I.
+membership and coordinates; finite_quotient gives the structure of a
+quotient K/I.
 
 The second half lifts an invertible matrix over GF(2) to a unimodular
 integer matrix, which carries quiver-level automorphisms to honest
-lattices, and works with subgroups of (Z/2^k)^n as lattices containing
-2^k Z^n: kernels, annihilators, intersections and quotients.  Every
-elimination is the one integral Hermite reduction (_echelon) or the
+lattices, and works mod 2^k: the kernel of a matrix mod 2^k, as a lattice
+containing 2^k Z^n, and the quotient of Z^s by a row space and 2^k Z^s.
+Every elimination is the one integral Hermite reduction (_echelon) or the
 integral Smith form (intmat.smith_form).  Inputs are reduced mod 2^k, and so
 are the generators and coordinates of a quotient; every step in between is
 integral.
@@ -179,19 +179,6 @@ class ZLattice:
     def contains_lattice(self, other: "ZLattice") -> bool:
         return all(self.coords(r) is not None for r in other.basis)
 
-    # -- arithmetic ------------------------------------------------------
-
-    def scale(self, c: int) -> "ZLattice":
-        return ZLattice(self.ambient_rank, [[c * x for x in r] for r in self.basis])
-
-    def sum(self, other: "ZLattice") -> "ZLattice":
-        self._check(other)
-        return ZLattice(self.ambient_rank, list(self.basis) + list(other.basis))
-
-    def _check(self, other: "ZLattice"):
-        if self.ambient_rank != other.ambient_rank:
-            raise ValueError("ambient ranks differ")
-
     def to_json(self) -> dict:
         return {"ambient_rank": self.ambient_rank, "basis": [list(r) for r in self.basis]}
 
@@ -235,39 +222,6 @@ def lift_invertible(Abar: F2Matrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # subgroups of (Z/2^k)^n
 # ---------------------------------------------------------------------------
-
-
-def hnf_mod(rows: Iterable[Sequence[int]], n: int, q: int) -> ZLattice:
-    """HNF basis of the lattice spanned by rows together with q Z^n: a
-    full-rank lattice containing qZ^n.
-
-    The q e_i come first, so every column has a pivot from the start and an
-    incoming row meets short pivot rows; the rows are reduced mod q on input,
-    which keeps the lattice.
-    """
-    work = [{i: q} for i in range(n)]
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("row length differs from ambient rank")
-        work.append({j: x % q for j, x in enumerate(r) if x % q})
-    return ZLattice(n, [_dense(r, n) for r in _echelon(work)], _canonical=True)
-
-
-def annihilator_mod(L: ZLattice, q: int) -> ZLattice:
-    """{w : <w, x> = 0 mod q for all x in L}, for lattices containing qZ^n."""
-    if not L.basis:
-        return ZLattice.full(L.ambient_rank)
-    return kernel_mod(L.basis_matrix(), q)
-
-
-def intersection_mod(L1: ZLattice, L2: ZLattice, q: int) -> ZLattice:
-    """Intersection of two lattices containing qZ^n, all arithmetic mod q."""
-    A1 = annihilator_mod(L1, q)
-    A2 = annihilator_mod(L2, q)
-    stacked = [list(r) for r in A1.basis] + [list(r) for r in A2.basis]
-    if not stacked:
-        return ZLattice.full(L1.ambient_rank)
-    return kernel_mod(IntMatrix(stacked, cols=L1.ambient_rank), q)
 
 
 @dataclass(frozen=True, slots=True)

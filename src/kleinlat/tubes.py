@@ -30,7 +30,6 @@ from .quiver import (
     NON_REGULAR,
     LambdaRep,
     LatticeModel,
-    PhiData,
     TubeId,
     TubeLabel,
     _embedding_matrix,
@@ -249,10 +248,10 @@ def _block_slots(dimsN, dimsM):
     return slots
 
 
-def hom_klattices(M: KLattice, N: KLattice, dM: PhiData | None = None, dN: PhiData | None = None):
+def hom_klattices(M: KLattice, N: KLattice):
     """Z-basis of the K-equivariant maps M -> N (both overring lattices)."""
-    dM = dM or phi_data(M)
-    dN = dN or phi_data(N)
+    dM = phi_data(M)
+    dN = phi_data(N)
     E_M = _embedding_matrix(dM)
     E_N = _embedding_matrix(dN)
     det_N = determinant(E_N)

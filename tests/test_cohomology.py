@@ -11,7 +11,7 @@ from kleinlat.klein import regular_representation, trivial_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, lattice_of, random_rep_in_R
 from kleinlat.intmat import IntMatrix, kernel_basis
-from kleinlat.lattices import hnf
+from kleinlat.lattices import ZLattice, hnf
 from kleinlat.tubes import sweep_labels, transport_label, tube_module, tube_module_from_label
 from kleinlat.cohomology import (
     Cochain,
@@ -22,6 +22,7 @@ from kleinlat.cohomology import (
     canonical_form,
     cohomology_invariants_generic,
     differential_matrix,
+    is_infinity_tube,
     push_class,
     sum_orbit_partition,
     target_component,
@@ -253,3 +254,36 @@ def test_unipotent_witness_on_one_block_adds_theta_to_the_identity():
         theta = IntMatrix([[2 * (a == b) - (b == a + 1) for b in range(r)] for a in range(r)])
         want = sc.block_witness(i, IntMatrix.identity(r) + theta)
         assert sc.unipotent_witness(i, i, theta) == want
+
+
+def _integral_stratum_vector(T, n, k):
+    """The first Hermite row of M_k(n) outside 2 M_k(n) + M_(k+1)(n), by
+    integral membership in that sum, with M_j(n) built from the member."""
+    r = T.lattice.rank
+    inf = is_infinity_tube(T.label)
+
+    def component(j):
+        sub, emb = T.chain_modules[j], T.chain_embeds[j]
+        if sub is None or sub.rank == 0:
+            return ZLattice.zero(r)
+        return hnf([emb.apply(v) for v in target_component(sub, n, inf).basis], r)
+
+    Mk = component(k)
+    excl = hnf([[2 * x for x in v] for v in Mk.basis] + [list(v) for v in component(k + 1).basis], r)
+    return next((tuple(v) for v in Mk.basis if v not in excl), None)
+
+
+def test_lattice_stratum_vectors_match_the_integral_route():
+    # the context tests v mod 2 against M_(k+1)(n) mod 2, which needs M_k(n)
+    # pure; the integral route needs nothing
+    cases = found = 0
+    for label in sweep_labels(4):
+        T = tube_module_from_label(label)
+        for n in (1, 2, 3, 4):
+            ctx = TubeCohContext(T, n)
+            for k in range(T.m):
+                got = ctx._stratum_vector(k)
+                assert got == _integral_stratum_vector(T, n, k), (str(label), n, k)
+                cases += 1
+                found += got is not None
+    assert cases == 320 and 0 < found < cases

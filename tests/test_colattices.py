@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from kleinlat.intmat import IntMatrix, smith_form, solve_int
-from kleinlat.klein import diagonal_sign_lattice
+from kleinlat.klein import A, B, SignPair, diagonal_sign_lattice
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
 from kleinlat.tubes import sweep_labels, tube_module, tube_module_from_label
@@ -26,20 +27,62 @@ from kleinlat.cohomology import (
     _representatives,
     chain_images,
     differential_matrix,
+    is_infinity_tube,
     push_class,
     sum_orbit_partition,
+    target_component_key,
 )
 from kleinlat.lattices import (
     ZLattice,
     finite_quotient,
     hnf,
-    hnf_mod,
-    intersection_mod,
     kernel_mod,
     pow2_quotient,
 )
 
 F = F2Poly.from_string("t^2+t+1")
+
+
+# ---------------------------------------------------------------------------
+# the mod-2^k reference: subgroups of (Z/q)^n as lattices containing qZ^n
+# ---------------------------------------------------------------------------
+
+
+def hnf_mod(rows, n, q):
+    """The lattice spanned by rows together with qZ^n, rows reduced mod q.
+
+    The q e_i come first, so every column has a short pivot row when the
+    rows arrive, and the Hermite reduction keeps its entries small.
+    """
+    reduced = [[x % q for x in r] for r in rows]
+    return hnf([[q if i == j else 0 for j in range(n)] for i in range(n)] + reduced, n)
+
+
+def annihilator_mod(L, q):
+    """{w : <w, x> = 0 mod q for all x in L}, for lattices containing qZ^n."""
+    if not L.basis:
+        return ZLattice.full(L.ambient_rank)
+    return kernel_mod(L.basis_matrix(), q)
+
+
+def intersection_mod(L1, L2, q):
+    """Intersection of two lattices containing qZ^n, all arithmetic mod q."""
+    stacked = list(annihilator_mod(L1, q).basis) + list(annihilator_mod(L2, q).basis)
+    if not stacked:
+        return ZLattice.full(L1.ambient_rank)
+    return kernel_mod(IntMatrix(stacked, cols=L1.ambient_rank), q)
+
+
+def test_intersection_mod():
+    q = 8
+    L1 = hnf_mod([[2, 0]], 2, q)
+    L2 = hnf_mod([[0, 2], [4, 0]], 2, q)
+    inter = intersection_mod(L1, L2, q)
+    # (2Z + 8Z) x 8Z meets 4Z x 2Z in 4Z x 8Z
+    assert inter == hnf_mod([[4, 0]], 2, q)
+    for row in inter.basis:
+        assert L1.coords([x % q for x in row]) is not None
+        assert L2.coords([x % q for x in row]) is not None
 
 
 def in_span(gens, target):
@@ -504,3 +547,118 @@ def test_filtration_position_matches_the_integral_span_route(context):
                     assert ctx.filtration_position(cls) == _in_span_position(ctx, images, cls), \
                         (str(label), n, cls.coords)
     assert count > 1000
+
+
+# ---------------------------------------------------------------------------
+# the eta bases and the dual strata against the congruence lattices mod q
+# ---------------------------------------------------------------------------
+
+
+def _eigen_congruence_lattice(N, key):
+    """The x with a x = alpha x and b x = beta x mod q, for the signs of key."""
+    chi = SignPair.from_key(key)
+    mod = N.transposed_module()
+    ident = IntMatrix.identity(N.rank)
+    stacked = (mod.act_a - ident.scale(chi.value(A))).vstack(mod.act_b - ident.scale(chi.value(B)))
+    return kernel_mod(stacked, N.modulus)
+
+
+def _halved(L, q):
+    """(q/2) L + qZ^r: what of a congruence lattice is divisible down to two-torsion."""
+    return hnf_mod([[x * (q // 2) for x in row] for row in L.basis], L.ambient_rank, q)
+
+
+def _f2_basis_mod(L, q):
+    """A GF(2)-basis of the elementary group L/qZ^r, read off L's Hermite rows in order."""
+    r = L.ambient_rank
+    gens = []
+    sub = hnf_mod([[2 * x for x in row] for row in L.basis], r, q)
+    for row in L.basis:
+        vec = tuple(x % q for x in row)
+        if any(vec) and sub.coords(vec) is None:
+            gens.append(vec)
+            sub = hnf_mod(list(sub.basis) + [vec], r, q)
+    return gens
+
+
+def _reference_torsion(N, n, inf):
+    """N(n) as a lattice containing qZ^r."""
+    return _halved(_eigen_congruence_lattice(N, target_component_key(n + 1, inf)), N.modulus)
+
+
+def _reference_components(N, T, key):
+    """The eta basis of the component of key, and for each annihilator A_k
+    the two-torsion of the component met with A_k, from the congruence
+    lattice of M* and A_k mod q."""
+    q = N.modulus
+    eig = _eigen_congruence_lattice(N, key)
+    inside = [_halved(intersection_mod(eig, hnf_mod(emb.transpose().data, N.rank, q), q), q)
+              for _sub, emb in T.annihilator_chain]
+    return _f2_basis_mod(_halved(eig, q), q), inside
+
+
+def _reference_stratum_vector(inside, k, q):
+    """The first Hermite row of component k + 1 outside component k, mod q."""
+    for row in inside[k + 1].basis:
+        vec = tuple(x % q for x in row)
+        if any(vec) and inside[k].coords(vec) is None:
+            return vec
+    return None
+
+
+def test_eta_bases_and_dual_strata_match_the_mod_2k_reference():
+    # equal vectors, not equal spans: the representatives fix the output
+    # bytes.  The reference depends on the sign key, not on n, so it is
+    # built once per (member, level, key).
+    strata = found = 0
+    for label in sweep_labels(3):
+        T = tube_module_from_label(label)
+        for level in (2, 3, 4):
+            refs = {}
+            for n in (1, 2, 3, 4):
+                where = (str(label), n, level)
+                ctx = DualTubeContext(T, n, level)
+                N = ctx.N
+                key = target_component_key(n + 1, ctx.in_inf)
+                if key not in refs:
+                    refs[key] = _reference_components(N, T, key)
+                basis, inside = refs[key]
+                assert dual_target_basis(N, n, ctx.in_inf) == basis, where
+                for k in range(T.m):
+                    got = ctx._stratum_vector(k)
+                    assert got == _reference_stratum_vector(inside, k, N.modulus), (where, k)
+                    strata += 1
+                    found += got is not None
+    assert strata == 576 and 0 < found < strata
+
+
+def _zero_one_vectors(r):
+    """All of {0, 1}^r up to rank 8; above it the e_i and the e_i + e_j."""
+    if r <= 8:
+        return list(itertools.product((0, 1), repeat=r))
+    return [tuple(int(t in (i, j)) for t in range(r)) for i in range(r) for j in range(i, r)]
+
+
+def test_eta_takes_exactly_the_two_torsion_of_the_component():
+    # two-torsion vectors (q/2) x, x in {0, 1}^r: eta refuses those outside
+    # N(n), not only the vectors that are not two-torsion
+    refused = taken = 0
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        inf = is_infinity_tube(T.label)
+        for n in (1, 2):
+            H = StableDualCohomology(T.lattice, n)
+            N, q = H.colattice, H.modulus
+            ref = _reference_torsion(N, n, inf)
+            for x in _zero_one_vectors(N.rank):
+                u = tuple(q // 2 * t for t in x)
+                if ref.coords(u) is None:
+                    with pytest.raises(ValueError, match="not in N"):
+                        eta(N, u, n, inf, H._D)
+                    refused += 1
+                else:
+                    assert eta(N, u, n, inf, H._D).values[0 if inf else n] == u
+                    taken += 1
+            with pytest.raises(ValueError, match="not in N"):
+                eta(N, (1,) + (0,) * (N.rank - 1), n, inf, H._D)
+    assert refused > taken > 0

@@ -23,8 +23,6 @@ from kleinlat.lattices import (
     _hnf_rows,
     finite_quotient,
     hnf,
-    hnf_mod,
-    intersection_mod,
     kernel_mod,
     lift_invertible,
     pow2_quotient,
@@ -110,41 +108,20 @@ def test_hnf_idempotent_and_mixing_invariant(data, rng):
         assert hnf(mixed, n) == L
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 8).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.lists(st.integers(-40, 40), min_size=n, max_size=n),
-                min_size=0,
-                max_size=6,
-            ),
-            st.integers(1, 5),
-        )
-    )
-)
-@example((0, [], 1))
-@example((3, [], 4))
-@example((2, [[-1, -7], [6, 5]], 3))
-def test_hnf_mod_is_the_hermite_form_of_rows_plus_q(case):
-    # hnf_mod builds its lattice without a second Hermite reduction, so its
-    # rows must already be the canonical basis of span(rows) + q Z^n
-    n, rows, k = case
-    q = 1 << k
-    full = [list(r) for r in rows] + [[q if i == j else 0 for j in range(n)] for i in range(n)]
-    assert hnf_mod(rows, n, q).basis == ZLattice(n, full).basis
-
-
-def test_hnf_mod_checks_row_lengths():
+def test_hnf_checks_row_lengths():
     for bad in ([1, 2], [1, 2, 3, 4]):
-        with pytest.raises(ValueError):
-            hnf_mod([bad], 3, 4)
+        with pytest.raises(ValueError, match="row length"):
+            hnf([[1, 0, 0], bad], 3)
+
+
+def _scalar_rows(n, q):
+    """The rows q e_i of Z^n."""
+    return [[q if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_lattice_ops_examples():
     full = ZLattice.full(2)
-    two = full.scale(2)
+    two = hnf(_scalar_rows(2, 2))
     assert finite_quotient(full, two).invariants == (2, 2)
     assert finite_quotient(full, full).invariants == ()
     L = hnf([[1, 1], [0, 2]])
@@ -161,7 +138,7 @@ def test_lattice_ops_examples():
 def test_membership_and_sum_intersection():
     L1 = hnf([[2, 0], [0, 3]])
     L2 = hnf([[3, 0], [0, 2]])
-    s = L1.sum(L2)
+    s = hnf(L1.basis + L2.basis)
     assert s == ZLattice.full(2)
     assert (2, 3) in L1 and (2, 2) not in L1
     with pytest.raises(ValueError):
@@ -452,7 +429,7 @@ def test_pow2_quotient_against_finite_quotient():
         gens = [[rng.randint(0, 7) for _ in range(s)] for _ in range(rng.randint(0, 4))]
         C = IntMatrix(gens, cols=s) if gens else IntMatrix.zero(0, s)
         pq = pow2_quotient(C, s, k)
-        L = hnf_mod(gens, s, 1 << k)
+        L = hnf(_scalar_rows(s, 1 << k) + gens, s)
         fq = finite_quotient(ZLattice.full(s), L)
         assert tuple(sorted(pq.invariants)) == tuple(sorted(fq.invariants))
 
@@ -533,19 +510,9 @@ def test_kernel_mod_is_the_solution_set_exhaustively():
             for rows in _small_matrices(n, q, rng, 12):
                 A = IntMatrix(rows, cols=n)
                 ker = kernel_mod(A, q)
-                assert ker.contains_lattice(ZLattice.full(n).scale(q)), (rows, k)
+                assert ker.contains_lattice(hnf(_scalar_rows(n, q))), (rows, k)
                 brute = {x for x in _box(n, q) if all(v % q == 0 for v in A.apply(x))}
                 assert _span_mod(ker.basis, n, q) == brute, (rows, k)
-
-
-def test_intersection_mod():
-    q = 8
-    L1 = hnf_mod([[2, 0]], 2, q)
-    L2 = hnf_mod([[0, 2], [4, 0]], 2, q)
-    inter = intersection_mod(L1, L2, q)
-    for row in inter.basis:
-        assert L1.coords([x % q for x in row]) is not None
-        assert L2.coords([x % q for x in row]) is not None
 
 
 # Reference implementations: the dense row-list code that IntMatrix, the
@@ -778,5 +745,6 @@ def test_hermite_forms_match_the_dense_reference(case, k):
     rows, cols, _vec, _other, _k = case
     q = 1 << k
     assert _hnf_rows([list(r) for r in rows], cols) == _dense_hnf(rows, cols)
-    assert [list(r) for r in hnf_mod(rows, cols, q).basis] == _dense_hnf(rows, cols, q)
+    reduced = [[x % q for x in r] for r in rows]
+    assert [list(r) for r in hnf(_scalar_rows(cols, q) + reduced, cols).basis] == _dense_hnf(rows, cols, q)
     assert kernel_basis(IntMatrix(rows, cols=cols)) == _dense_kernel(rows, cols)

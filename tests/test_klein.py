@@ -79,7 +79,7 @@ def test_sharp_index_of_tube():
     sh = sharp(M)
     assert sh.denom == 2
     # index of M in M^# is 2^(d_plus - d_dot) = 2
-    scaled_m = ZLattice.full(M.rank).scale(sh.denom)
+    scaled_m = hnf([[sh.denom * int(i == j) for j in range(M.rank)] for i in range(M.rank)])
     assert finite_quotient(sh.msharp, scaled_m).invariants == (2,)
 
 
@@ -109,7 +109,8 @@ def test_rank_additivity_of_sharp():
 
         L = two_msharp_in_m(M, sh)
         assert L is not None
-        assert all(list(r) in L for r in ZLattice.full(M.rank).scale(2).basis)
+        two_m = hnf([[2 * int(i == j) for j in range(M.rank)] for i in range(M.rank)])
+        assert all(list(r) in L for r in two_m.basis)
 
 
 def test_eigencomponent_inside_sharp_component():
