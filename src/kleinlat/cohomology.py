@@ -337,11 +337,16 @@ def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool,
     return gamma
 
 
-def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None) -> bool:
-    """The closed-form classes over a basis of M(n) form a GF(2)-basis of H^n."""
+def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None,
+                  comp: ZLattice | None = None) -> bool:
+    """The closed-form classes over a basis of M(n) form a GF(2)-basis of H^n.
+
+    comp is M(n), target_component of T's lattice (built when not given).
+    """
     M = T.lattice
     inf = is_infinity_tube(T.label)
-    comp = target_component(M, n, inf)
+    if comp is None:
+        comp = target_component(M, n, inf)
     H = H or CohomologyGroup(M, n)
     D = differential_matrix(M, n)
     return _classes_form_basis(H, comp.basis, lambda v: xi(M, v, n, inf, D))

@@ -8,8 +8,10 @@ isomorphism H^n(K, DM) = H^(n+1)(K, M*) (Brown, Cohomology of Groups, GTM 87):
 a carrier cocycle is lifted to Z, its integral coboundary divided by q.  So
 StableDualCohomology takes its invariants and coordinates from one integral
 group, and keeps the one coboundary of M* in degree n
-(cohomology.differential_matrix) for its generators and for class_of.  Its
-carrier cocycles are those of the stable image
+(cohomology.differential_matrix) for class_of.  Its generator cocycles need
+a Smith form of that coboundary, so they are built on first read: the eta
+basis check reads class_of only and runs no Smith form.  Its carrier
+cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
@@ -98,9 +100,11 @@ class ColatticeLevel:
 class StableDualCohomology(ClassGroup):
     """H^n(K, DM) for n >= 1, as H^(n+1)(K, M*) through the connecting map.
 
-    Classes are carried by cocycles mod q = 2^(level+1) in the stable image;
-    the generators are such cocycles, one over each generator of
-    H^(n+1)(K, M*), and class_of takes a carrier cocycle to its coordinates.
+    Classes are carried by cocycles mod q = 2^(level+1) in the stable image.
+    The constructor keeps what class_of reads: the integral group, the
+    coboundary D_n of M* and the mod-2 coboundaries.  The generators, one
+    carrier cocycle over each generator of H^(n+1)(K, M*), are built on
+    first read, as CohomologyGroup.generators are.
     """
 
     def __init__(self, M: KLattice, n: int, level: int = DEFAULT_LEVEL):
@@ -112,7 +116,7 @@ class StableDualCohomology(ClassGroup):
         self.n = n
         self.level = level
         self.colattice = ColatticeLevel(M, level + 1)
-        self.modulus = q = self.colattice.modulus
+        self.modulus = self.colattice.modulus
         self.module = mod = self.colattice.transposed_module()
         self._integral = I = CohomologyGroup(mod, n + 1)
         self.invariants = I.invariants
@@ -121,20 +125,28 @@ class StableDualCohomology(ClassGroup):
         Dprev = differential_matrix(mod, n - 1)
         self._coboundaries_mod2 = RowSpan(F2Matrix.from_int(Dprev.transpose()))
         # D_n, the differential of M*, is the connecting map of class_of
-        self._D = D = differential_matrix(mod, n)
-        gens = []
-        if I.generators:
-            # z of order d has d z = D c; (q/d) c is a carrier cocycle with
-            # connecting image z, and is in E since q/d is even
-            sf = smith_form(D)
-            for z, d in zip(I.generators, I.invariants):
-                c = solve_int(D, z.scale(d).flatten(), sf)
-                ensure(c is not None, "d z is not a coboundary for z of order d")
-                gens.append(Cochain.unflatten(n, mod.rank, c).scale(q // d).reduce(q))
-        self.generators = tuple(gens)
-        # the integral group is kept for class_of and the filtration, which
-        # read its kernel rows and coordinates only
-        I.forget_generators()
+        self._D = differential_matrix(mod, n)
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple:
+        """A carrier cocycle for each cyclic factor, built on first read."""
+        if self._generators is None:
+            I, D, q = self._integral, self._D, self.modulus
+            gens = []
+            if self.invariants:
+                # z of order d has d z = D c; (q/d) c is a carrier cocycle
+                # with connecting image z, and is in E since q/d is even
+                sf = smith_form(D)
+                for z, d in zip(I.generators, self.invariants):
+                    c = solve_int(D, z.scale(d).flatten(), sf)
+                    ensure(c is not None, "d z is not a coboundary for z of order d")
+                    gens.append(Cochain.unflatten(self.n, self.module.rank, c).scale(q // d).reduce(q))
+                # the integral group is kept for class_of and the filtration,
+                # which read its kernel rows and coordinates only
+                I.forget_generators()
+            self._generators = tuple(gens)
+        return self._generators
 
     def class_of(self, gamma: Cochain) -> CohClass:
         """Class of a carrier cocycle in the stable image, through the connecting map."""

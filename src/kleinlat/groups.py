@@ -150,9 +150,12 @@ class ExtensionGroup:
         self.ops = ops
         self.gamma = gamma
 
-    def _product(self, u, s: int, v, t: int) -> tuple:
-        """The vector of (u, GROUP[s]) (v, GROUP[t])."""
-        gv = _moved(self.ops.acts[s], v) if s else v
+    def _act(self, s: int, v) -> tuple:
+        """GROUP[s] v, unreduced."""
+        return _moved(self.ops.acts[s], v) if s else v
+
+    def _product(self, u, s: int, gv, t: int) -> tuple:
+        """The vector of (u, GROUP[s]) (v, GROUP[t]), given gv = GROUP[s] v."""
         q = self.ops.modulus
         if q:
             return tuple([(a + b + c) % q for a, b, c in zip(u, gv, self.gamma.values[s][t])])
@@ -162,7 +165,7 @@ class ExtensionGroup:
         u, g = x
         v, h = y
         s, t = _index(g), _index(h)
-        return (self._product(u, s, v, t), GROUP[s ^ t])
+        return (self._product(u, s, self._act(s, v), t), GROUP[s ^ t])
 
     def identity(self):
         return (self.ops.zero(), E)
@@ -170,18 +173,24 @@ class ExtensionGroup:
     def associativity_check(self, samples) -> bool:
         """(xy)z = x(yz) for x, y, z over each sample and all triples in K.
 
-        x.y is formed once per (g, h) and y.z once per (h, k); the element of
-        K is the same on both sides, so only the vectors are compared.
+        g.v and g.w are formed once per sample and g in K, x.y once per
+        (g, h) and y.z once per (h, k); the (xy)z side reads gh.w from the
+        table, so g.(yz) is the one action product formed per triple.  The
+        element of K is the same on both sides, so only the vectors are
+        compared.
         """
-        prod = self._product
+        prod, act = self._product, self._act
         R = range(4)
         for (u, v, w) in samples:
-            xy = [[prod(u, s, v, t) for t in R] for s in R]
-            yz = [[prod(v, t, w, r) for r in R] for t in R]
+            gv = [act(s, v) for s in R]
+            gw = [act(s, w) for s in R]
+            xy = [[prod(u, s, gv[s], t) for t in R] for s in R]
+            yz = [[prod(v, t, gw[t], r) for r in R] for t in R]
             for s in R:
                 for t in R:
+                    st = s ^ t
                     for r in R:
-                        if prod(xy[s][t], s ^ t, w, r) != prod(u, s, yz[t][r], t ^ r):
+                        if prod(xy[s][t], st, gw[st], r) != prod(u, s, act(s, yz[t][r]), t ^ r):
                             return False
         return True
 

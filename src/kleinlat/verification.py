@@ -131,7 +131,7 @@ def check_cohomology(max_m: int, degrees):
             comp = target_component(T.lattice, n, inf)
             if H.invariants != tuple([2] * comp.rank()):
                 return False, f"{label}, n={n}: invariants {H.invariants}"
-            if not verify_xi_iso(T, n, H):
+            if not verify_xi_iso(T, n, H, comp):
                 return False, f"{label}, n={n}: xi classes are not a basis"
     return True, f"sweep x degrees {list(degrees)}"
 
@@ -256,9 +256,11 @@ def _orbit_cases():
     ]
 
 
-def _random_sum_automorphism(gens: list[IntMatrix], rank: int, rng: random.Random) -> IntMatrix:
-    out = IntMatrix.identity(rank)
-    for _ in range(rng.randint(1, 6)):
+def _random_sum_automorphism(gens: list[IntMatrix], rng: random.Random) -> IntMatrix:
+    """A product of one to six generators drawn by rng, the last drawn leftmost."""
+    k = rng.randint(1, 6)
+    out = rng.choice(gens)
+    for _ in range(k - 1):
         out = rng.choice(gens) * out
     return out
 
@@ -293,7 +295,7 @@ def check_orbits(aut_count: int, seed: int):
         gens = sc.automorphism_generators()
         for trial in range(aut_count):
             cls = classes[rng.randrange(len(classes))]
-            U = _random_sum_automorphism(gens, sc.module.rank, rng)
+            U = _random_sum_automorphism(gens, rng)
             moved = push_class(U, cls, sc.H)
             a = canonical_form(summands, cls, 2, context=sc)
             b = canonical_form(summands, moved, 2, context=sc)

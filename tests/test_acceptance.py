@@ -4,7 +4,15 @@ The sizes are the full ones of verification.criteria(), the table run_all
 reads.  Each test prints one PASS/FAIL line; run with -s to see them.
 """
 
+import random
+from collections import Counter
+
+from kleinlat import cohomology
 from kleinlat import verification as V
+from kleinlat.cohomology import SumContext
+from kleinlat.intmat import IntMatrix
+from kleinlat.lattices import ZLattice
+from kleinlat.tubes import sweep_labels
 
 FULL = {check: (name, kwargs) for name, check, kwargs in V.criteria()}
 
@@ -70,3 +78,68 @@ def test_orbit_check_fails_on_a_group_beyond_its_oracle(monkeypatch):
     monkeypatch.setattr(V, "ORBIT_ORACLE_MAX", 1)
     ok, detail = V.check_orbits(aut_count=1, seed=0)
     assert not ok and "beyond the orbit oracle" in detail
+
+
+def _old_random_sum_automorphism(gens, rank, rng):
+    """Criterion 9's draw as it was first written: the identity times each
+    drawn generator, the last drawn leftmost."""
+    out = IntMatrix.identity(rank)
+    for _ in range(rng.randint(1, 6)):
+        out = rng.choice(gens) * out
+    return out
+
+
+def _raw(U):
+    """Every stored field of an IntMatrix, with its type."""
+    return tuple((type(x), x) for x in (U.rows, U.cols, U._ptr, U._idx, U._val))
+
+
+def test_random_sum_automorphisms_are_the_draws_of_the_identity_start():
+    # the verify digest does not see which automorphisms criterion 9 draws,
+    # so this pins them: the same matrices, byte for byte, and the same
+    # generator state after each draw, over criterion 9's full trial count
+    aut_count = FULL["check_orbits"][1]["aut_count"]
+    cases = (V._orbit_cases()[1], V._orbit_cases()[4])
+    contexts = [SumContext([V._tube(l) for l in labels], 2) for labels in cases]
+    for seed in range(10):
+        new, old = random.Random(seed), random.Random(seed)
+        for sc in contexts:
+            gens = sc.automorphism_generators()
+            order = sc.H.order()
+            for _ in range(aut_count):
+                assert new.randrange(order) == old.randrange(order)
+                U = V._random_sum_automorphism(gens, new)
+                W = _old_random_sum_automorphism(gens, sc.module.rank, old)
+                assert _raw(U) == _raw(W), seed
+                assert new.getstate() == old.getstate(), seed
+
+
+def test_check_cohomology_builds_one_target_component_per_member_and_degree(monkeypatch):
+    built = Counter()
+    real = V.target_component
+
+    def counting(M, n, in_infinity):
+        built[(id(M), n)] += 1
+        return real(M, n, in_infinity)
+
+    monkeypatch.setattr(V, "target_component", counting)
+    monkeypatch.setattr(cohomology, "target_component", counting)
+    degrees = (1, 2, 3, 4)
+    ok, detail = V.check_cohomology(max_m=2, degrees=degrees)
+    assert ok, detail
+    assert len(built) == len(sweep_labels(2)) * len(degrees)
+    assert set(built.values()) == {1}
+
+
+def test_verify_xi_iso_reads_the_component_it_is_given():
+    for label in sweep_labels(2):
+        T = V._tube(label)
+        inf = cohomology.is_infinity_tube(label)
+        for n in (1, 2, 3, 4):
+            H = cohomology.CohomologyGroup(T.lattice, n)
+            comp = cohomology.target_component(T.lattice, n, inf)
+            assert cohomology.verify_xi_iso(T, n) is True, (label, n)
+            assert cohomology.verify_xi_iso(T, n, H, comp) is True, (label, n)
+            # an empty component is read as given, not built again
+            empty = ZLattice.zero(T.lattice.rank)
+            assert cohomology.verify_xi_iso(T, n, H, empty) is (not H.invariants), (label, n)

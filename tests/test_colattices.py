@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kleinlat
+from kleinlat import colattices
 from kleinlat.intmat import IntMatrix, smith_form, solve_int
 from kleinlat.klein import A, B, SignPair, diagonal_sign_lattice
 from kleinlat.polys import F2Poly
@@ -22,6 +27,7 @@ from kleinlat.cohomology import (
     ClassGroup,
     Cochain,
     CohClass,
+    CohomologyGroup,
     _kernel_quotient,
     TubeCohContext,
     _representatives,
@@ -256,6 +262,88 @@ def test_class_of_rejects_non_cocycles_and_classes_outside_the_stable_image():
     r = H.module.rank
     with pytest.raises(ValueError, match="not a cocycle"):
         H.class_of(Cochain(1, ((1,) * r, (0,) * r)))
+
+
+def _eager_generators(M, n, level):
+    """The carrier generators as the constructor once built them: the
+    integral group's generators, one Smith form of D_n, and (q/d) c for a
+    lift c of d z, z of order d."""
+    q = 1 << (level + 1)
+    mod = M.transposed()
+    I = CohomologyGroup(mod, n + 1)
+    D = differential_matrix(mod, n)
+    gens = []
+    if I.generators:
+        sf = smith_form(D)
+        for z, d in zip(I.generators, I.invariants):
+            c = solve_int(D, z.scale(d).flatten(), sf)
+            assert c is not None
+            gens.append(Cochain.unflatten(n, mod.rank, c).scale(q // d).reduce(q))
+    return tuple(gens)
+
+
+def test_generators_built_on_first_read_equal_the_eager_construction():
+    for label in sweep_labels(3):
+        M = tube_module_from_label(label, with_chain=False).lattice
+        for n in (1, 2, 3):
+            for level in (2, 3):
+                H = StableDualCohomology(M, n, level)
+                assert H._generators is None
+                gens = H.generators
+                assert gens == _eager_generators(M, n, level), (label, n, level)
+                assert H.generators is gens
+                assert H._integral._generators is None
+                for i, g in enumerate(gens):
+                    assert H.class_of(g).coords == tuple(int(t == i) for t in range(len(gens)))
+
+
+def test_the_eta_basis_check_runs_no_smith_form(monkeypatch):
+    calls = []
+    real = colattices.smith_form
+
+    def counting(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(colattices, "smith_form", counting)
+    groups = []
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        for n in (1, 2, 3, 4):
+            H = StableDualCohomology(T.lattice, n)
+            assert verify_eta_iso(T, n, H=H), (label, n)
+            assert verify_eta_iso(T, n), (label, n)
+            groups.append(H)
+    assert calls == []
+    # the Smith form of D_n is run by the first read of the generators, once
+    H = next(H for H in groups if H.invariants)
+    assert H.generators is H.generators
+    assert calls == [H._D]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_generator_without_a_lift_is_refused_when_read(flags):
+    # the lift check is not an assert, so python -O keeps it; the group is
+    # built without reading its generators, so the check runs on first read
+    code = (
+        "from kleinlat import colattices\n"
+        "from kleinlat.checks import VerificationError\n"
+        "from kleinlat.quiver import TubeId\n"
+        "from kleinlat.tubes import tube_module\n"
+        "colattices.solve_int = lambda *args: None\n"
+        "H = colattices.StableDualCohomology(tube_module(TubeId.special('1'), 1, 1).lattice, 1)\n"
+        "print(H.invariants)\n"
+        "try:\n"
+        "    H.generators\n"
+        "except VerificationError as e:\n"
+        "    print('refused:', e)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["(2,)", "refused: d z is not a coboundary for z of order d"]
 
 
 # ---------------------------------------------------------------------------
