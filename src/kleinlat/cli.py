@@ -88,7 +88,7 @@ def degrees_of(text: str) -> list[int]:
 
 def cmd_build_tube(args):
     label = parse_tube_label(args.tube, args.j, args.m)
-    T = tube_module_from_label(label, with_chain=False)
+    T = tube_module_from_label(label)
     emit(T.lattice.to_json(), args)
     return 0
 
@@ -161,7 +161,7 @@ def cmd_syzygy(args):
 
 def cmd_endring_check(args):
     label = parse_tube_label(args.tube, args.j, args.m)
-    T = tube_module_from_label(label, with_chain=False)
+    T = tube_module_from_label(label)
     ok = end_ring_check(T)
     emit({"tube": str(label), "end_ring_matches": ok}, args)
     return 0 if ok else 1

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 from .checks import ensure
 from .f2 import F2Matrix, RowSpan, inverse, is_invertible
 from .f2 import solve as f2_solve
-from .intmat import IntMatrix, kernel_basis
+from .intmat import IntMatrix, determinant, kernel_basis
 from .klein import A, B, KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
@@ -426,7 +426,7 @@ class TubeCohContext:
 
     def _chain(self):
         """(group, chain of (sub, embed) pairs, degree) for chain_images."""
-        return self.H, tuple(zip(self.T.chain_modules, self.T.chain_embeds)), self.n
+        return self.H, self.T.chain, self.n
 
     def filtration_position(self, cls: CohClass):
         """The last k with the class in the image of M_k."""
@@ -1014,12 +1014,16 @@ def _orbits(points, moves) -> list[set]:
 
 
 def transport_class(Msrc: KLattice, cls: CohClass, dst_group: CohomologyGroup) -> CohClass:
-    """Map a class through a lifted isomorphism Msrc -> module of dst_group."""
+    """Map a class along the lift psi: Msrc -> module of dst_group of an
+    isomorphism of their Phi.  psi can have det 3 or 5; an odd det is checked,
+    since then its cokernel is odd, has no H^n for n >= 1 and maps to zero in
+    the 2-group H^n, so psi pushes H^n isomorphically for n >= 1."""
     from .quiver import lift_morphism, phi, reps_isomorphic
 
     iso = reps_isomorphic(phi(Msrc), phi(dst_group.module))
     ensure(iso is not None, "modules are not isomorphic")
     psi = lift_morphism(iso, Msrc, dst_group.module)
+    ensure(determinant(psi) % 2 == 1, "the lifted isomorphism has even determinant")
     return push_class(psi, cls, dst_group)
 
 

@@ -314,13 +314,13 @@ def sharp(M: KLattice, projectors: list[IntMatrix] | None = None) -> SharpData:
     return data
 
 
-def two_msharp_in_m(M: KLattice, sh: SharpData | None = None):
+def two_msharp_in_m(M: KLattice):
     """The lattice 2 M^# expressed in the coordinates of M, or None.
 
     Returns None when 2 M^# is not contained in M (then M is not a module
     over the minimal overring).
     """
-    sh = sh or sharp(M)
+    sh = sharp(M)
     if sh.denom == 4:
         return None
     mult = 2 // sh.denom
@@ -339,7 +339,7 @@ def is_A_lattice(M: KLattice) -> bool:
 def dim_vector(M: KLattice) -> DimVector:
     """The quintuple (d_dot; d_ab): sharp component ranks and dim M/2M^#."""
     sh = sharp(M)
-    L = two_msharp_in_m(M, sh)
+    L = two_msharp_in_m(M)
     if L is None:
         raise ValueError("not an A-lattice")
     fq = finite_quotient(ZLattice.full(M.rank), L)

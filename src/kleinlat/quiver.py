@@ -302,7 +302,7 @@ def phi_data(M: KLattice) -> PhiData:
         return M._phi
     projs = _projectors(M)
     sh = sharp(M, projs)
-    L = two_msharp_in_m(M, sh)
+    L = two_msharp_in_m(M)
     if L is None:
         raise ValueError("not an A-lattice")
     fq = finite_quotient(ZLattice.full(M.rank), L)

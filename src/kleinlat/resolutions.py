@@ -15,6 +15,7 @@ multiplication tables of group extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .checks import ensure
 from .intmat import IntMatrix, solve_int
@@ -222,13 +223,10 @@ class ComparisonMaps:
     v2: RMatrix  # P_2 -> B_2
 
 
-_COMPARISON_CACHE: list = []
-
-
+# the maps depend on nothing, and every extension built from a class reads them
+@lru_cache(maxsize=None)
 def comparison_maps() -> ComparisonMaps:
     """Solve for u, v once; both directions lift the identity of Z."""
-    if _COMPARISON_CACHE:
-        return _COMPARISON_CACHE[0]
     dP1, dP2 = poly_differential(1), poly_differential(2)
     dB1, dB2 = bar_differential(1), bar_differential(2)
     u1 = solve_r_columns(dP1, [dB1.column(j) for j in range(3)])
@@ -239,6 +237,4 @@ def comparison_maps() -> ComparisonMaps:
     v2 = solve_r_columns(dB2, [rhs2.column(j) for j in range(3)])
     ensure(dP1 * u1 == dB1 and dP2 * u2 == u1 * dB2, "u is not a chain map from bar to polynomial")
     ensure(dB1 * v1 == dP1 and dB2 * v2 == v1 * dP2, "v is not a chain map from polynomial to bar")
-    out = ComparisonMaps(u1=u1, u2=u2, v1=v1, v2=v2)
-    _COMPARISON_CACHE.append(out)
-    return out
+    return ComparisonMaps(u1=u1, u2=u2, v1=v1, v2=v2)

@@ -8,6 +8,8 @@ tolerances are exact throughout.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
+
 from .intmat import IntMatrix
 from .klein import dim_vector, regular_representation, trivial_lattice
 from .polys import F2Poly
@@ -54,14 +56,10 @@ from .groups import (
     extension_from_class,
 )
 
-_TUBE_CACHE: dict = {}
-
-
+# the criteria read the same members, and a member keeps its chain and contexts
+@lru_cache(maxsize=None)
 def _tube(label: TubeLabel):
-    key = (str(label.tube), label.j, label.m)
-    if key not in _TUBE_CACHE:
-        _TUBE_CACHE[key] = tube_module_from_label(label)
-    return _TUBE_CACHE[key]
+    return tube_module_from_label(label)
 
 
 def check_round_trip(max_m: int, random_count: int, seed: int):

@@ -246,3 +246,18 @@ def test_the_syzygy_of_the_zero_lattice_is_an_input_error(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1
     assert lines[0].startswith("input error: rank 0")
+
+
+def test_a_member_over_the_rank_limit_is_an_input_error(capsys, monkeypatch):
+    import kleinlat.tubes as tubes
+
+    def no_build(label):
+        raise AssertionError("a member over the limit was built")
+
+    monkeypatch.setattr(tubes, "label_rep", no_build)
+    assert main(["build-tube", "--tube", "special:1", "--j", "1", "--m", "100000000"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == (f"input error: T[1,1]_100000000 has rank 200000000, "
+                        f"over the limit of {tubes.MAX_MEMBER_RANK}")

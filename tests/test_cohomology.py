@@ -166,6 +166,31 @@ def test_apply_group_automorphism_transports_data():
         assert str(cf2.data.entries[0][0]) == str(lab.tube)
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_transport_class_refuses_a_lift_of_even_determinant(flags):
+    # 2 psi kills H^n: the determinant check stops it, and it is not an
+    # assert, so python -O keeps it
+    code = (
+        "from kleinlat import quiver\n"
+        "from kleinlat.cohomology import SumContext, apply_group_automorphism, transport_class\n"
+        "from kleinlat.quiver import TubeId\n"
+        "from kleinlat.tubes import transport_label, tube_module, tube_module_from_label\n"
+        "T = tube_module(TubeId.special('1'), 1, 2)\n"
+        "sc = SumContext([T], 2)\n"
+        "Mt, clst = apply_group_automorphism('t2', sc.module, sc.merge([sc.representative(0, 1)]))\n"
+        "dst = SumContext([tube_module_from_label(transport_label(T.label, 't2'))], 2).H\n"
+        "real = quiver.lift_morphism\n"
+        "quiver.lift_morphism = lambda iso, M, N: real(iso, M, N).scale(2)\n"
+        "transport_class(Mt, clst, dst)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 1
+    assert "VerificationError: the lifted isomorphism has even determinant" in out.stderr
+
+
 def _closed_form_rank(n):
     """Rank of H^n(K, Z) = (Z/2)^rank for n >= 1, by the Kuenneth formula."""
     return n // 2 + 1 if n % 2 == 0 else (n - 1) // 2
@@ -208,7 +233,7 @@ def test_class_of_on_the_sparse_kernel_rows_matches_the_hermite_basis():
     # and the cocycle test agree with the Hermite basis they were read from
     rng = random.Random(3)
     for label in sweep_labels(2):
-        M = tube_module_from_label(label, with_chain=False).lattice
+        M = tube_module_from_label(label).lattice
         r = M.rank
         for n in (1, 2, 3):
             H = CohomologyGroup(M, n)
@@ -232,7 +257,7 @@ def test_generators_are_built_again_after_they_are_forgotten():
     # a group that forgot them (the integral group of a stable dual group
     # does) builds the same cocycles again
     for label in sweep_labels(2):
-        M = tube_module_from_label(label, with_chain=False).lattice
+        M = tube_module_from_label(label).lattice
         for n in (1, 2):
             H = CohomologyGroup(M, n)
             gens = H.generators
@@ -263,7 +288,7 @@ def _integral_stratum_vector(T, n, k):
     inf = is_infinity_tube(T.label)
 
     def component(j):
-        sub, emb = T.chain_modules[j], T.chain_embeds[j]
+        sub, emb = T.chain[j]
         if sub is None or sub.rank == 0:
             return ZLattice.zero(r)
         return hnf([emb.apply(v) for v in target_component(sub, n, inf).basis], r)

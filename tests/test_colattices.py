@@ -8,8 +8,8 @@ import pytest
 
 import kleinlat
 from kleinlat import colattices
-from kleinlat.intmat import IntMatrix, smith_form, solve_int
-from kleinlat.klein import A, B, SignPair, diagonal_sign_lattice
+from kleinlat.intmat import IntMatrix, kernel_basis, smith_form, solve_int
+from kleinlat.klein import A, B, SignPair, diagonal_sign_lattice, invariant_sublattice_module
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId
 from kleinlat.tubes import sweep_labels, tube_module, tube_module_from_label
@@ -168,7 +168,7 @@ def test_dual_chain_orthogonality():
         ranks = [A.rank() for A in lattices]
         assert ranks[0] == 0 and ranks[-1] == r, label
         for k, ((sub, emb), A) in enumerate(zip(chain, lattices)):
-            Mk = T.chain[k]
+            Mk = _span_of(T.chain[k][1], r)
             # A_k = Ann(M_k) = (M/M_k)*
             assert all(sum(a * b for a, b in zip(x, v)) == 0 for x in A.basis for v in Mk.basis)
             # A_k is saturated: Z^r / A_k is torsion-free
@@ -188,6 +188,25 @@ def test_dual_chain_orthogonality():
 def _span_of(emb, r):
     """The sublattice of Z^r spanned by the columns of an embedding."""
     return hnf([emb.col(j) for j in range(emb.cols)], r)
+
+
+def _annihilators_through_lattices(T):
+    """A_k = Ann(M_k) from the Hermite basis of each M_k: the reference for
+    TubeModule.annihilator_chain, which reads the kernel of embed^T."""
+    dual = T.lattice.transposed()
+    out = []
+    for _sub, emb in T.chain:
+        Mk = _span_of(emb, dual.rank)
+        A = hnf([list(v) for v in kernel_basis(Mk.basis_matrix())], dual.rank)
+        sub, _quot, embed, _proj = invariant_sublattice_module(dual, A)
+        out.append((sub, embed))
+    return out
+
+
+def test_annihilator_chain_matches_the_route_through_lattices():
+    for label in sweep_labels(3):
+        T = tube_module_from_label(label)
+        assert list(T.annihilator_chain) == _annihilators_through_lattices(T), label
 
 
 def test_dual_positions_and_z_classes():
@@ -284,7 +303,7 @@ def _eager_generators(M, n, level):
 
 def test_generators_built_on_first_read_equal_the_eager_construction():
     for label in sweep_labels(3):
-        M = tube_module_from_label(label, with_chain=False).lattice
+        M = tube_module_from_label(label).lattice
         for n in (1, 2, 3):
             for level in (2, 3):
                 H = StableDualCohomology(M, n, level)
@@ -527,7 +546,8 @@ def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
 
 def _annihilators_mod(T, q):
     """The annihilator mod q of each M_k, from qZ^r for M_0 up to Z^r."""
-    return [kernel_mod(Mk.basis_matrix(), q) for Mk in T.chain]
+    r = T.lattice.rank
+    return [kernel_mod(_span_of(emb, r).basis_matrix(), q) for _sub, emb in T.chain]
 
 
 def _order_mod(L, q):

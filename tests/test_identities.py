@@ -28,7 +28,7 @@ def closed_form_rank(label: TubeLabel, n: int) -> int:
 
 @pytest.mark.parametrize("label", sweep_labels(3) + LONG_SPECIAL, ids=str)
 def test_cohomology_of_a_member_is_the_closed_form_of_its_label(label):
-    M = tube_module_from_label(label, with_chain=False).lattice
+    M = tube_module_from_label(label).lattice
     for n in range(1, 7):
         want = (2,) * closed_form_rank(label, n)
         assert CohomologyGroup(M, n).invariants == want, n
@@ -36,7 +36,7 @@ def test_cohomology_of_a_member_is_the_closed_form_of_its_label(label):
 
 @pytest.mark.parametrize("label", sweep_labels(2), ids=str)
 def test_the_syzygy_shifts_cohomology_up_one_degree(label):
-    M = tube_module_from_label(label, with_chain=False).lattice
+    M = tube_module_from_label(label).lattice
     Om = syzygy(M)
     for n in (1, 2, 3):
         assert CohomologyGroup(M, n).invariants == CohomologyGroup(Om, n + 1).invariants, n

@@ -107,7 +107,7 @@ def test_rank_additivity_of_sharp():
         # 2M <= 2M^# <= M
         from kleinlat.klein import two_msharp_in_m
 
-        L = two_msharp_in_m(M, sh)
+        L = two_msharp_in_m(M)
         assert L is not None
         two_m = hnf([[2 * int(i == j) for j in range(M.rank)] for i in range(M.rank)])
         assert all(list(r) in L for r in two_m.basis)

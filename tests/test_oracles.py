@@ -44,7 +44,7 @@ def test_smith_invariants_match_sympy(A):
 
 @pytest.mark.parametrize("label", sweep_labels(2), ids=str)
 def test_coboundary_invariants_match_sympy(label):
-    M = tube_module_from_label(label, with_chain=False).lattice
+    M = tube_module_from_label(label).lattice
     for n in range(5):
         D = differential_matrix(M, n)
         assert smith_form(D).invariants() == _sympy_invariants(D), n

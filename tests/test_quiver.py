@@ -161,9 +161,9 @@ def test_lift_and_reduce_functorial():
     # a zero morphism lifts into twice the sharp overlattice
     zero = RepMorphism.zero(dM.rep, dN.rep)
     psi0 = lift_morphism(zero, M, N)
-    from kleinlat.klein import sharp, two_msharp_in_m
+    from kleinlat.klein import two_msharp_in_m
 
-    L = two_msharp_in_m(N, sharp(N))
+    L = two_msharp_in_m(N)
     for j in range(M.rank):
         assert L.coords(psi0.col(j)) is not None
 

@@ -10,12 +10,13 @@ from kleinlat.polys import F2Poly
 from kleinlat.quiver import TubeId, TubeLabel, identify_tube, phi
 from kleinlat.tubes import (
     end_ring_check,
-    frobenius_matrix,
     hom_cross_tube_check,
     hom_klattices,
     is_regular,
+    member_rank,
     s3_on_polynomial,
     s3_on_tube,
+    sweep_labels,
     syzygy,
     transport_label,
     tube_module,
@@ -24,12 +25,6 @@ from kleinlat.tubes import (
 
 F = F2Poly.from_string("t^2+t+1")
 G3 = F2Poly.from_string("t^3+t+1")
-
-
-def test_frobenius_examples():
-    assert frobenius_matrix(F2Poly.from_string("t+1"), 1).data == ((1,),)
-    assert frobenius_matrix(F, 1).data == ((0, 1), (1, 1))
-    assert frobenius_matrix(F2Poly.from_string("t+1"), 2).data == ((0, 1), (1, 0))
 
 
 def test_tube_module_dims():
@@ -44,7 +39,7 @@ def test_tube_module_dims():
 
 def test_chain_structure():
     T = tube_module(TubeId.homogeneous(F), None, 2)
-    assert [c.rank() for c in T.chain] == [16, 8, 0]
+    assert [emb.cols for _sub, emb in T.chain] == [16, 8, 0]
     assert all(str(l) == "T[t^2+t+1]_1" for l in T.layer_labels)
     T2 = tube_module(TubeId.special("1"), 1, 2)
     assert [str(l) for l in T2.layer_labels] == ["T[1,2]_1", "T[1,1]_1"]
@@ -110,11 +105,11 @@ def test_odd_special_members_of_length_five_and_seven():
 
 
 def test_end_ring_checks():
-    assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 1, with_chain=False))
-    assert end_ring_check(tube_module(TubeId.special("1"), 1, 1, with_chain=False))
-    assert end_ring_check(tube_module(TubeId.special("1"), 1, 2, with_chain=False))
+    assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 1))
+    assert end_ring_check(tube_module(TubeId.special("1"), 1, 1))
+    assert end_ring_check(tube_module(TubeId.special("1"), 1, 2))
     # independence of the integer lift
-    T = tube_module(TubeId.homogeneous(F), None, 2, with_chain=False)
+    T = tube_module(TubeId.homogeneous(F), None, 2)
     assert end_ring_check(T)
     assert end_ring_check(T, lift_coeffs=[1, 3, 1])
     assert end_ring_check(T, lift_coeffs=[-1, 1, 1])
@@ -198,7 +193,7 @@ def test_failed_check_raises_under_python_O():
         "import kleinlat.tubes as tubes\n"
         "from kleinlat.quiver import NON_REGULAR, TubeId\n"
         "tubes.identify_tube = lambda W: NON_REGULAR\n"
-        "tubes.tube_module(TubeId.special('1'), 1, 2)\n"
+        "tubes.tube_module(TubeId.special('1'), 1, 2).chain\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -207,3 +202,46 @@ def test_failed_check_raises_under_python_O():
     )
     assert out.returncode == 1
     assert "VerificationError: the radical of T[1,1]_2 left its tube" in out.stderr
+
+
+def test_the_chain_is_built_on_first_read_and_kept(monkeypatch):
+    import kleinlat.tubes as tubes
+
+    calls = []
+    real = tubes._chain_for
+
+    def counted(module, label):
+        calls.append(label)
+        return real(module, label)
+
+    monkeypatch.setattr(tubes, "_chain_for", counted)
+    for label in sweep_labels(2):
+        T = tube_module_from_label(label)
+        # what the structure workload does with a member reads no chain
+        identify_tube(phi(T.lattice))
+        syzygy(T.lattice)
+        assert calls == [], label
+        chain = T.chain
+        assert T.layer_labels and T.chain is chain and T.annihilator_chain
+        assert calls == [label]
+        calls.clear()
+
+
+def test_member_rank_is_read_off_the_label():
+    for label in sweep_labels(3):
+        assert member_rank(label) == tube_module_from_label(label).lattice.rank, label
+
+
+def test_a_member_over_the_rank_limit_is_refused_before_it_is_built(monkeypatch):
+    import kleinlat.tubes as tubes
+
+    def no_build(label):
+        raise AssertionError("a member over the limit was built")
+
+    monkeypatch.setattr(tubes, "label_rep", no_build)
+    for tube, j, m in ((TubeId.special("1"), 1, tubes.MAX_MEMBER_RANK // 2 + 1),
+                       (TubeId.homogeneous(G3), None, tubes.MAX_MEMBER_RANK // 12 + 1)):
+        rank = member_rank(TubeLabel(tube, j, m))
+        assert rank > tubes.MAX_MEMBER_RANK
+        with pytest.raises(ValueError, match=f"rank {rank}, over the limit of {tubes.MAX_MEMBER_RANK}"):
+            tube_module(tube, j, m)
