@@ -3,10 +3,12 @@
 Cochains in degree n are (n+1)-tuples of module vectors, the value on the
 monomial x^j y^(n-j) sitting at index j.  The coboundary has one
 implementation, differential_matrix, the matrix of C^n -> C^(n+1) on
-flattened cochains: the groups reduce it, and the closed-form cocycles and
-the dual side's connecting map apply it.  H^n is computed exactly from the
-polynomial resolution by Smith reduction of kernel modulo image; every class
-carries coordinates against the computed cyclic generators.
+flattened cochains: the groups reduce it, and the dual side's connecting map
+applies it.  H^n is computed exactly from the polynomial resolution by Smith
+reduction of kernel modulo image; every class carries coordinates against
+the computed cyclic generators.  The closed-form cocycle xi is a method of
+its group (closed_cocycle), checked by the elimination against the kernel
+rows that class_of runs; the dual group's eta is its counterpart.
 
 The dual side (colattices) reaches its classes through the integral group
 one degree up, and its filtration through chain_images, the routine of the
@@ -42,7 +44,7 @@ from .intmat import IntMatrix, determinant, kernel_basis
 from .klein import A, B, KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
-from .resolutions import r_apply, twist_chain_maps
+from .resolutions import pull_back, twist_chain_maps
 from .tubes import TubeModule, hom_klattices, s3_images
 
 
@@ -149,6 +151,13 @@ class ClassGroup:
             self, tuple(c % d for c, d in zip(coords, self.invariants))
         )
 
+    def _one_slot(self, value, in_infinity: bool) -> Cochain:
+        """The shape of the closed-form cocycles: value on x^n, or on y^n for
+        the infinity tube, in every degree, and zero on the other monomials."""
+        n, zero = self.n, (0,) * len(value)
+        slot = 0 if in_infinity else n
+        return Cochain(n, tuple(tuple(value) if j == slot else zero for j in range(n + 1)))
+
     def cochain_of(self, cls: "CohClass") -> Cochain:
         out = Cochain.zero(self.n, self.module.rank)
         for c, g in zip(cls.coords, self.generators):
@@ -212,11 +221,14 @@ class CohomologyGroup(ClassGroup):
         """Drop the kept generator cocycles; the next read builds them again."""
         self._generators = None
 
-    def class_of(self, gamma: Cochain) -> "CohClass":
-        """Coordinates by elimination against the kernel rows, as ZLattice.coords.
+    def _eliminate(self, gamma: Cochain) -> tuple[list, bool]:
+        """Coordinates against the kernel rows, as ZLattice.coords, and whether
+        gamma is a cocycle.
 
-        A remainder at a pivot stays in v, since later rows start further
-        right, so one test at the end rejects every non-cocycle.
+        The rows are a Hermite basis of the saturated integral kernel, so a
+        zero remainder means exactly D_n gamma = 0.  A remainder at a pivot
+        stays in v, since later rows start further right, so one test at the
+        end rejects every non-cocycle.
         """
         v = list(gamma.flatten())
         if len(v) != self._kernel.cols:
@@ -228,9 +240,26 @@ class CohomologyGroup(ClassGroup):
                 for j, x in zip(cols, vals):
                     v[j] -= q * x
             c.append(q)
-        if any(v):
+        return c, not any(v)
+
+    def class_of(self, gamma: Cochain) -> "CohClass":
+        c, closed = self._eliminate(gamma)
+        if not closed:
             raise ValueError("not a cocycle")
         return CohClass(self, self._q.coords(c))
+
+    def closed_cocycle(self, v: Sequence[int], in_infinity: bool) -> Cochain:
+        """xi: the one-slot cocycle with value v in M(n), checked against the
+        kernel rows."""
+        # M(n) is the saturated lattice of the vectors on which a and b act by
+        # the signs of its character, so membership is those two equations
+        M = self.module
+        chi = SignPair.from_key(target_component_key(self.n, in_infinity))
+        if any(M.apply(g, v) != tuple(chi.value(g) * x for x in v) for g in (A, B)):
+            raise ValueError("v not in M(n)")
+        gamma = self._one_slot(v, in_infinity)
+        ensure(self._eliminate(gamma)[1], "xi is not a cocycle")
+        return gamma
 
 
 def _kernel_quotient(ker: ZLattice, image, level: int):
@@ -319,24 +348,6 @@ def target_component(M: KLattice, n: int, in_infinity: bool) -> ZLattice:
     return eigencomponent(M, SignPair.from_key(target_component_key(n, in_infinity)))
 
 
-def xi(M: KLattice, v: Sequence[int], n: int, in_infinity: bool,
-       D: IntMatrix | None = None) -> Cochain:
-    """The one-slot cocycle with value v on x^n (or on y^n for the infinity tube),
-    checked by D, the coboundary of M in degree n (built when not given)."""
-    # M(n) is the saturated lattice of the vectors on which a and b act by
-    # the signs of its character, so membership is those two equations
-    chi = SignPair.from_key(target_component_key(n, in_infinity))
-    if any(M.apply(g, v) != tuple(chi.value(g) * x for x in v) for g in (A, B)):
-        raise ValueError("v not in M(n)")
-    slot = 0 if in_infinity else n
-    values = [tuple([0] * M.rank) for _ in range(n + 1)]
-    values[slot] = tuple(v)
-    gamma = Cochain(n, tuple(values))
-    D = differential_matrix(M, n) if D is None else D
-    ensure(not any(D.apply(gamma.flatten())), "xi is not a cocycle")
-    return gamma
-
-
 def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None,
                   comp: ZLattice | None = None) -> bool:
     """The closed-form classes over a basis of M(n) form a GF(2)-basis of H^n.
@@ -348,19 +359,20 @@ def verify_xi_iso(T: TubeModule, n: int, H: CohomologyGroup | None = None,
     if comp is None:
         comp = target_component(M, n, inf)
     H = H or CohomologyGroup(M, n)
-    D = differential_matrix(M, n)
-    return _classes_form_basis(H, comp.basis, lambda v: xi(M, v, n, inf, D))
+    return _classes_form_basis(H, comp.basis, inf)
 
 
-def _classes_form_basis(H: ClassGroup, vectors, cocycle) -> bool:
-    """H is elementary abelian and the classes of cocycle(v) form a basis."""
+def _classes_form_basis(H: ClassGroup, vectors, in_infinity: bool) -> bool:
+    """H is elementary abelian and the classes of its closed-form cocycles
+    over vectors form a basis."""
     if any(d != 2 for d in H.invariants):
         return False
     if len(H.invariants) != len(vectors):
         return False
     if not vectors:
         return True
-    rows = [[c & 1 for c in H.class_of(cocycle(v)).coords] for v in vectors]
+    rows = [[c & 1 for c in H.class_of(H.closed_cocycle(v, in_infinity)).coords]
+            for v in vectors]
     return is_invertible(F2Matrix(rows, cols=len(H.invariants)))
 
 
@@ -390,9 +402,10 @@ class TubeCohContext:
 
     The lattice side; colattices.DualTubeContext overrides what differs on
     the dual: the group, the chain, the filtration position, the stratum
-    vector search, the cocycle and the automorphism family.  The sums read
-    a member's contexts through of(), which keeps them on the member.  The
-    group is elementary abelian, so the context keeps its filtration as
+    vector search and the automorphism family.  Each side's group supplies
+    its closed-form cocycle (closed_cocycle).  The sums read a member's
+    contexts through of(), which keeps them on the member.  The group is
+    elementary abelian, so the context keeps its filtration as
     GF(2) row spans of class coordinates (chain_spans) and the generators'
     actions as GF(2) matrices (actions), each built on first use.
     """
@@ -461,9 +474,6 @@ class TubeCohContext:
         lower = self._component_span(k + 1)
         return next((tuple(v) for v in self._component_lattice(k).basis if v not in lower), None)
 
-    def _cocycle(self, v) -> Cochain:
-        return xi(self.T.lattice, v, self.n, self.in_inf)
-
     # -- shared ------------------------------------------------------------
 
     def chain_spans(self) -> list:
@@ -491,7 +501,7 @@ class TubeCohContext:
             v = self.representative_vector(k)
             cls = None
             if v is not None:
-                cls = self.H.class_of(self._cocycle(v))
+                cls = self.H.class_of(self.H.closed_cocycle(v, self.in_inf))
                 ensure(self.filtration_position(cls) == k,
                        "stratum representative does not sit at its filtration position")
             self._representatives[k] = cls
@@ -1034,18 +1044,6 @@ def apply_group_automorphism(which: str, M: KLattice, cls: CohClass):
     """
     n = cls.group.n
     ia, ib = s3_images(which)
-    maps = twist_chain_maps(ia, ib, n)
-    Tn = maps[n]
-    gamma = cls.group.cochain_of(cls)
-    values = []
-    for j in range(n + 1):
-        acc = (0,) * M.rank
-        for i in range(n + 1):
-            ent = Tn.data[i][j]
-            if any(ent):
-                contrib = r_apply(M, ent, gamma.values[i])
-                acc = tuple(a + b for a, b in zip(acc, contrib))
-        values.append(acc)
+    values = pull_back(M, twist_chain_maps(ia, ib, n)[n], cls.group.cochain_of(cls).values)
     twisted = M.twist(ia, ib)
-    H2 = CohomologyGroup(twisted, n)
-    return twisted, H2.class_of(Cochain(n, tuple(values)))
+    return twisted, CohomologyGroup(twisted, n).class_of(Cochain(n, tuple(values)))

@@ -8,9 +8,10 @@ isomorphism H^n(K, DM) = H^(n+1)(K, M*) (Brown, Cohomology of Groups, GTM 87):
 a carrier cocycle is lifted to Z, its integral coboundary divided by q.  So
 StableDualCohomology takes its invariants and coordinates from one integral
 group, and keeps the one coboundary of M* in degree n
-(cohomology.differential_matrix) for class_of.  Its generator cocycles need
-a Smith form of that coboundary, so they are built on first read: the eta
-basis check reads class_of only and runs no Smith form.  Its carrier
+(cohomology.differential_matrix) for class_of and for the check of its eta
+cocycles (closed_cocycle).  Its generator cocycles need a Smith form of
+that coboundary, so they are built on first read: the eta basis check reads
+class_of and closed_cocycle only and runs no Smith form.  Its carrier
 cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
@@ -160,6 +161,17 @@ class StableDualCohomology(ClassGroup):
         z = Cochain.unflatten(self.n + 1, self.module.rank, [x // q for x in boundary])
         return CohClass(self, self._integral.class_of(z).coords)
 
+    def closed_cocycle(self, u: Sequence[int], in_infinity: bool) -> Cochain:
+        """eta: the one-slot cocycle mod q with value u in N(n), checked by D_n."""
+        q = self.modulus
+        half = q // 2
+        rows = divisible_two_torsion(self.colattice, target_component_key(self.n + 1, in_infinity))
+        if any(x % half for x in u) or [x // half for x in u] not in RowSpan(rows):
+            raise ValueError("u not in N(n)")
+        gamma = self._one_slot([x % q for x in u], in_infinity)
+        ensure(not any(x % q for x in self._D.apply(gamma.flatten())), "eta is not a cocycle mod 2^k")
+        return gamma
+
 
 # ---------------------------------------------------------------------------
 # two-torsion eigencomponents and the eta cocycles
@@ -184,36 +196,12 @@ def dual_target_basis(N: ColatticeLevel, n: int, in_infinity: bool) -> list[tupl
     return [tuple(half * x for x in row) for row in rows.data]
 
 
-def eta(N: ColatticeLevel, u: Sequence[int], n: int, in_infinity: bool,
-        D: IntMatrix | None = None) -> Cochain:
-    """One-slot cocycle mod 2^k with value u in N(n), checked by D, the
-    coboundary of M* in degree n (built when not given)."""
-    q = N.modulus
-    half = q // 2
-    rows = divisible_two_torsion(N, target_component_key(n + 1, in_infinity))
-    if any(x % half for x in u) or [x // half for x in u] not in RowSpan(rows):
-        raise ValueError("u not in N(n)")
-    # the infinity tube takes the value on y^n in every degree, like xi
-    slot = 0 if in_infinity else n
-    values = [tuple([0] * N.rank) for _ in range(n + 1)]
-    values[slot] = tuple(x % q for x in u)
-    gamma = Cochain(n, tuple(values))
-    D = differential_matrix(N.transposed_module(), n) if D is None else D
-    ensure(not any(x % q for x in D.apply(gamma.flatten())), "eta is not a cocycle mod 2^k")
-    return gamma
-
-
 def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
                    H: StableDualCohomology | None = None) -> bool:
-    """The eta classes over a basis of N(n) form a GF(2)-basis of H^n(K, DM).
-
-    Each eta cocycle is checked against H's own coboundary of M*.
-    """
+    """The eta classes over a basis of N(n) form a GF(2)-basis of H^n(K, DM)."""
     H = H or StableDualCohomology(T.lattice, n, level)
-    N = H.colattice
     inf = is_infinity_tube(T.label)
-    basis = dual_target_basis(N, n, inf)
-    return _classes_form_basis(H, basis, lambda u: eta(N, u, n, inf, H._D))
+    return _classes_form_basis(H, dual_target_basis(H.colattice, n, inf), inf)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +255,6 @@ class DualTubeContext(TubeCohContext):
             if row not in lower:  # zero rows are in every span
                 return tuple(half * x for x in row)
         return None
-
-    def _cocycle(self, u) -> Cochain:
-        return eta(self.N, u, self.n, self.in_inf, self.H._D)
 
     def aut_generators(self) -> "_TransposedFamily":
         """The transposes mod 2^k of T.aut_family, without repeats, in its order.

@@ -1,14 +1,17 @@
 """Group extensions from 2-cocycles and the standard presentations.
 
-A degree-2 class is converted to a multiplication table through the bar
-comparison maps, giving an honest group on pairs (module element, group
-element).  One builder, extension_from_class, serves both sides: it reads
-the modulus from the class's group (0 for a lattice, the carrier modulus of
-a dual).  The standard crystallographic and Chernikov presentations are
-produced from canonical (co)standard data by one recipe (_presentation),
-and differ only in their sum context and in how they print; their defining
-relations are verified mechanically on the constructed extension by solving
-for a section with the prescribed squares.
+A degree-2 class is converted to a multiplication table by pulling its
+cocycle back to the bar resolution along the comparison map
+(resolutions.pull_back), giving an honest group on pairs (module element,
+group element).  One type, ExtensionGroup, holds the module, the table and
+the modulus, and checks the cocycle identity on its own table.  One
+builder, extension_from_class, serves both sides: it reads the modulus from
+the class's group (0 for a lattice, the carrier modulus of a dual).  The
+standard crystallographic and Chernikov presentations are produced from
+canonical (co)standard data by one recipe (_presentation), and differ only
+in their sum context and in how they print; their defining relations are
+verified mechanically on the constructed extension by solving for a section
+with the prescribed squares.
 
 classify() decides isomorphism of two extensions with regular base: both
 classes are brought to canonical data and compared across the six
@@ -25,8 +28,8 @@ from .checks import ensure
 from .intmat import IntMatrix, solve_int
 from .klein import GROUP, A, B, E, GroupElt, KLattice, dim_vector
 from .quiver import TubeLabel
-from .resolutions import comparison_maps, r_apply
-from .tubes import TubeModule, transport_label, tube_module_from_label
+from .resolutions import BAR2, comparison_maps, pull_back
+from .tubes import S3_NAMES, TubeModule, transport_label, tube_module_from_label
 from .cohomology import (
     CohClass,
     StandardData,
@@ -40,12 +43,6 @@ from .colattices import (
     co_canonical_form,
 )
 
-BAR2_INDEX = {}
-_NONTRIV = [GroupElt(1, 0), GroupElt(0, 1), GroupElt(1, 1)]
-for _i, _g in enumerate(_NONTRIV):
-    for _j, _h in enumerate(_NONTRIV):
-        BAR2_INDEX[(_g, _h)] = 3 * _i + _j
-
 
 def _index(g: GroupElt) -> int:
     """a^i b^j sits at index i + 2j of GROUP, so products are xors of indices."""
@@ -57,37 +54,40 @@ def _moved(rows, vec) -> tuple:
     return tuple([sum(map(mul, row, vec)) for row in rows])
 
 
-class BarCocycle:
-    """Normalized 2-cocycle table K x K -> module vectors.
+def _reduced(vec, q: int) -> tuple:
+    """vec mod q; q = 0 leaves it as it is."""
+    return tuple([x % q for x in vec]) if q else tuple(vec)
 
-    table holds the values as given; values[s][t] is the value on
-    (GROUP[s], GROUP[t]), reduced mod the modulus.
+
+class ExtensionGroup:
+    """The group on pairs (module vector, group element) for a normalized
+    2-cocycle table K x K -> module vectors.
+
+    acting is the module, with its level modulus (0 on a lattice), and
+    table maps pairs (g, h) to vectors, a missing pair to zero.  acts[s] is
+    the matrix of GROUP[s] as row tuples and values[s][t] the table's value
+    on (GROUP[s], GROUP[t]) mod the modulus, both built once.
     """
 
-    def __init__(self, rank: int, table: dict, modulus: int = 0):
-        self.rank = rank
+    def __init__(self, acting: KLattice, table: dict, modulus: int = 0):
+        zero = (0,) * acting.rank
+        full = [[tuple(table.get((g, h), zero)) for h in GROUP] for g in GROUP]
+        if any(map(any, full[0])) or any(any(row[0]) for row in full):
+            raise ValueError("table is not normalized")
+        self.acting = acting
         self.modulus = modulus
-        full = {}
-        zero = tuple([0] * rank)
-        for g in GROUP:
-            for h in GROUP:
-                full[(g, h)] = tuple(table.get((g, h), zero))
-        for g in GROUP:
-            if any(full[(E, g)]) or any(full[(g, E)]):
-                raise ValueError("table is not normalized")
-        self.table = full
-        self.values = tuple(
-            tuple(
-                tuple(x % modulus for x in full[(g, h)]) if modulus else full[(g, h)]
-                for h in GROUP
-            )
-            for g in GROUP
+        self.acts = (
+            IntMatrix.identity(acting.rank).data,
+            acting.act_a.data,
+            acting.act_b.data,
+            (acting.act_a * acting.act_b).data,
         )
+        self.values = tuple(tuple(_reduced(v, modulus) for v in row) for row in full)
 
     def value(self, g: GroupElt, h: GroupElt) -> tuple:
         return self.values[_index(g)][_index(h)]
 
-    def is_cocycle(self, module: "ModuleOps") -> bool:
+    def is_cocycle(self) -> bool:
         """The 2-cocycle identity over all triples, read from the tables."""
         gam = self.values
         q = self.modulus
@@ -95,10 +95,10 @@ class BarCocycle:
             for t in range(4):
                 gst = gam[s][t]
                 for u in range(4):
-                    lhs = module.applied(GROUP[s], gam[t][u])
                     v = [
                         a - b + c - d
-                        for a, b, c, d in zip(lhs, gam[s ^ t][u], gam[s][t ^ u], gst)
+                        for a, b, c, d in zip(self._act(s, gam[t][u]), gam[s ^ t][u],
+                                              gam[s][t ^ u], gst)
                     ]
                     if q:
                         if any(x % q for x in v):
@@ -107,59 +107,16 @@ class BarCocycle:
                         return False
         return True
 
-
-class ModuleOps:
-    """Uniform vector arithmetic for lattice or finite-level dual bases.
-
-    acts[t] is the matrix of GROUP[t] as row tuples, built once.
-    """
-
-    def __init__(self, acting: KLattice, modulus: int = 0):
-        self.acting = acting
-        self.modulus = modulus
-        self.rank = acting.rank
-        self.acts = (
-            IntMatrix.identity(acting.rank).data,
-            acting.act_a.data,
-            acting.act_b.data,
-            (acting.act_a * acting.act_b).data,
-        )
-
-    def applied(self, g: GroupElt, vec):
-        t = _index(g)
-        out = _moved(self.acts[t], vec) if t else tuple(vec)
-        if self.modulus:
-            out = tuple(x % self.modulus for x in out)
-        return out
-
-    def reduce(self, u):
-        return tuple(x % self.modulus for x in u) if self.modulus else tuple(u)
-
-    def zero(self):
-        return tuple([0] * self.rank)
-
-
-class ExtensionGroup:
-    """The group on pairs (module vector, group element) for a 2-cocycle."""
-
-    def __init__(self, ops: ModuleOps, gamma: BarCocycle):
-        if gamma.rank != ops.rank:
-            raise ValueError("rank mismatch")
-        if gamma.modulus != ops.modulus:
-            raise ValueError("modulus mismatch")
-        self.ops = ops
-        self.gamma = gamma
-
     def _act(self, s: int, v) -> tuple:
         """GROUP[s] v, unreduced."""
-        return _moved(self.ops.acts[s], v) if s else v
+        return _moved(self.acts[s], v) if s else v
 
     def _product(self, u, s: int, gv, t: int) -> tuple:
         """The vector of (u, GROUP[s]) (v, GROUP[t]), given gv = GROUP[s] v."""
-        q = self.ops.modulus
+        q = self.modulus
         if q:
-            return tuple([(a + b + c) % q for a, b, c in zip(u, gv, self.gamma.values[s][t])])
-        return tuple([a + b + c for a, b, c in zip(u, gv, self.gamma.values[s][t])])
+            return tuple([(a + b + c) % q for a, b, c in zip(u, gv, self.values[s][t])])
+        return tuple([a + b + c for a, b, c in zip(u, gv, self.values[s][t])])
 
     def mul(self, x, y):
         u, g = x
@@ -168,7 +125,7 @@ class ExtensionGroup:
         return (self._product(u, s, self._act(s, v), t), GROUP[s ^ t])
 
     def identity(self):
-        return (self.ops.zero(), E)
+        return ((0,) * self.acting.rank, E)
 
     def associativity_check(self, samples) -> bool:
         """(xy)z = x(yz) for x, y, z over each sample and all triples in K.
@@ -195,39 +152,20 @@ class ExtensionGroup:
         return True
 
 
-def bar_cocycle_from_class(cls: CohClass, acting: KLattice, modulus: int = 0) -> BarCocycle:
-    """Transport a degree-2 class to a normalized multiplication table."""
-    group = cls.group
-    if group.n != 2:
-        raise ValueError("need a degree-2 class")
-    gamma = group.cochain_of(cls)
-    maps = comparison_maps()
-    table = {}
-    for (g, h), col in BAR2_INDEX.items():
-        acc = tuple([0] * acting.rank)
-        for i in range(3):
-            ent = maps.u2.data[i][col]
-            if any(ent):
-                contrib = r_apply(acting, ent, gamma.values[i])
-                acc = tuple(a + b for a, b in zip(acc, contrib))
-        if modulus:
-            acc = tuple(x % modulus for x in acc)
-        table[(g, h)] = acc
-    return BarCocycle(acting.rank, table, modulus=modulus)
-
-
 def extension_from_class(M: KLattice, cls: CohClass) -> ExtensionGroup:
     """The extension of the Kleinian group by M with the given class.
 
-    The modulus is the class group's: 0 on the lattice side, and on the dual
-    side the carrier modulus, with M the transposed module of the group (a
-    finite-level Chernikov approximation).
+    The class's cocycle is pulled back to the bar resolution along the
+    comparison map.  The modulus is the class group's: 0 on the lattice
+    side, and on the dual side the carrier modulus, with M the transposed
+    module of the group (a finite-level Chernikov approximation).
     """
-    q = cls.group.modulus
-    gamma = bar_cocycle_from_class(cls, M, modulus=q)
-    ops = ModuleOps(M, modulus=q)
-    ext = ExtensionGroup(ops, gamma)
-    ensure(gamma.is_cocycle(ops), "the bar table of the class is not a 2-cocycle")
+    group = cls.group
+    if group.n != 2:
+        raise ValueError("need a degree-2 class")
+    values = pull_back(M, comparison_maps().u2, group.cochain_of(cls).values)
+    ext = ExtensionGroup(M, dict(zip(BAR2, values)), group.modulus)
+    ensure(ext.is_cocycle(), "the bar table of the class is not a 2-cocycle")
     return ext
 
 
@@ -351,25 +289,23 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     Conditions: (w_a, a)^2 = (e0, 1), (w_b, b)^2 = (einf, 1) and the two
     lifted generators commute.
     """
-    ops = ext.ops
-    r = ops.rank
-    g = ext.gamma
+    acting, q = ext.acting, ext.modulus
+    r = acting.rank
     ident = IntMatrix.identity(r)
-    Aact = ops.acting.act_a
-    Bact = ops.acting.act_b
+    Aact = acting.act_a
+    Bact = acting.act_b
     rhs = []
     # (1 + a) w_a = e0 - gamma(a,a)
     top = (ident + Aact).hstack(IntMatrix.zero(r, r))
-    rhs.extend(x - y for x, y in zip(e0, g.value(A, A)))
+    rhs.extend(x - y for x, y in zip(e0, ext.value(A, A)))
     # (1 + b) w_b = einf - gamma(b,b)
     mid = IntMatrix.zero(r, r).hstack(ident + Bact)
-    rhs.extend(x - y for x, y in zip(einf, g.value(B, B)))
+    rhs.extend(x - y for x, y in zip(einf, ext.value(B, B)))
     # commutation: (1 - b) w_a - (1 - a) w_b = gamma(b,a) - gamma(a,b)
     bot = (ident - Bact).hstack((Aact - ident))
-    rhs.extend(x - y for x, y in zip(g.value(B, A), g.value(A, B)))
+    rhs.extend(x - y for x, y in zip(ext.value(B, A), ext.value(A, B)))
     Amat = top.vstack(mid).vstack(bot)
-    if ops.modulus:
-        q = ops.modulus
+    if q:
         aug = Amat.hstack(IntMatrix.diagonal([q] * Amat.rows))
         sol = solve_int(aug, list(rhs))
         if sol is None:
@@ -379,16 +315,16 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
         w = solve_int(Amat, list(rhs))
         if w is None:
             return None
-    w_a = tuple(ops.reduce(w[:r]))
-    w_b = tuple(ops.reduce(w[r:2 * r]))
+    w_a = _reduced(w[:r], q)
+    w_b = _reduced(w[r:2 * r], q)
     # verify mechanically
     a_lift = (w_a, A)
     b_lift = (w_b, B)
     sq_a = ext.mul(a_lift, a_lift)
     sq_b = ext.mul(b_lift, b_lift)
-    if sq_a != (ops.reduce(e0), E):
+    if sq_a != (_reduced(e0, q), E):
         return None
-    if sq_b != (ops.reduce(einf), E):
+    if sq_b != (_reduced(einf, q), E):
         return None
     if ext.mul(a_lift, b_lift) != ext.mul(b_lift, a_lift):
         return None
@@ -433,8 +369,6 @@ def ch_presentation(data: StandardData, n0_labels: Sequence[TubeLabel] = (),
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-S3_NAMES = ("id", "t2", "t3", "t2t3", "t3t2", "t2t3t2")
 
 
 def _transport_entries(entries, which: str):

@@ -578,6 +578,21 @@ def reps_isomorphic(V: LambdaRep, W: LambdaRep, seed: int = 0) -> Optional[RepMo
 # ---------------------------------------------------------------------------
 
 
+# The largest member, in Z-rank, that tubes.tube_module builds.  A member of
+# a homogeneous tube has rank 4 deg(f) m, so no member of a tube of degree
+# over MAX_MEMBER_RANK // 4 is built, and its polynomial is refused before
+# the irreducibility test, which already takes 0.9 s at degree 256
+# (CPython 3.11 on a shared 2-CPU host).
+MAX_MEMBER_RANK = 1024
+
+
+def _check_degree(f: F2Poly) -> None:
+    """Refuse a tube polynomial none of whose members can be built."""
+    if f.degree() > MAX_MEMBER_RANK // 4:
+        raise ValueError(f"a tube of degree {f.degree()} has members of rank over "
+                         f"the limit of {MAX_MEMBER_RANK}")
+
+
 @dataclass(frozen=True)
 class TubeId:
     """Label of a tube: a monic irreducible polynomial or 0, 1, infinity."""
@@ -588,7 +603,10 @@ class TubeId:
 
     def __post_init__(self):
         if self.kind == "hom":
-            if self.poly is None or not self.poly.is_irreducible():
+            if self.poly is None:
+                raise ValueError("invalid tube id")
+            _check_degree(self.poly)
+            if not self.poly.is_irreducible():
                 raise ValueError("invalid tube id")
             if self.poly in (F2Poly.t(), F2Poly.from_string("t+1")):
                 raise ValueError("invalid tube id")

@@ -65,6 +65,20 @@ def r_apply(module, r: tuple, vec):
     return tuple(out)
 
 
+def pull_back(M, R: "RMatrix", values) -> list:
+    """The cochain values pulled back along the chain map R: the value on
+    column j is sum_i R[i][j] values[i], the group ring acting on M."""
+    out = []
+    for j in range(R.cols):
+        acc = (0,) * M.rank
+        for i in range(R.rows):
+            ent = R.data[i][j]
+            if any(ent):
+                acc = tuple([a + b for a, b in zip(acc, r_apply(M, ent, values[i]))])
+        out.append(acc)
+    return out
+
+
 class RMatrix:
     """Matrix over the group ring (entries are coefficient 4-tuples)."""
 

@@ -31,9 +31,11 @@ from .polys import F2Poly
 from .quiver import (
     NON_REGULAR,
     LambdaRep,
+    MAX_MEMBER_RANK,
     LatticeModel,
     TubeId,
     TubeLabel,
+    _check_degree,
     _embedding_matrix,
     _span_elements,
     decompose,
@@ -48,9 +50,6 @@ from .quiver import (
 
 T_POLY = F2Poly.t()
 T1_POLY = F2Poly.from_string("t+1")
-
-
-MAX_MEMBER_RANK = 1024  # see tube_module
 
 
 def member_rank(label: TubeLabel) -> int:
@@ -570,6 +569,9 @@ _S3_IMAGES = {
     "t2t3t2": ("a", "c"),
 }
 
+# the order classify tries the relabelings in, which decides the psi it reports
+S3_NAMES = tuple(_S3_IMAGES)
+
 _ELT = {"a": GroupElt(1, 0), "b": GroupElt(0, 1), "c": GroupElt(1, 1)}
 
 # action on the three special points, from the component exchange each
@@ -594,6 +596,7 @@ def s3_on_polynomial(f: F2Poly, which: str) -> F2Poly:
     """Transform of a homogeneous tube label under t2 or t3."""
     if f in (T_POLY, T1_POLY):
         raise ValueError("special label required")
+    _check_degree(f)
     if not f.is_irreducible():
         raise ValueError("polynomial must be irreducible")
     if which == TAU2:
@@ -628,15 +631,9 @@ def _word(which: str) -> list[str]:
 
     Composition is right-to-left: "t2t3" means apply t3 first, then t2.
     """
-    table = {
-        "id": [],
-        TAU2: [TAU2],
-        TAU3: [TAU3],
-        "t2t3": [TAU3, TAU2],
-        "t3t2": [TAU2, TAU3],
-        "t2t3t2": [TAU2, TAU3, TAU2],
-    }
-    return table[which]
+    if which not in _S3_IMAGES:
+        raise KeyError(which)
+    return ["t" + d for d in reversed(which.split("t")[1:])]
 
 
 # classify moves the same few labels under each S3 element for every pair it compares

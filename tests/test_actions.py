@@ -302,11 +302,10 @@ def test_the_family_matrices_are_kept_packed():
 
 
 def _tube_context(side, T, n):
-    """The tube context of one side, and the closed-form cocycle of a vector."""
-    inf = cohomology.is_infinity_tube(T.label)
+    """The tube context of one side."""
     if side == "lattice":
-        return cohomology.TubeCohContext(T, n), lambda ctx, v: cohomology.xi(T.lattice, v, n, inf)
-    return colattices.DualTubeContext(T, n), lambda ctx, u: colattices.eta(ctx.N, u, n, inf)
+        return cohomology.TubeCohContext(T, n)
+    return colattices.DualTubeContext(T, n)
 
 
 @pytest.mark.parametrize("side", ["lattice", "dual"])
@@ -315,7 +314,8 @@ def test_each_representative_is_the_closed_form_class_at_its_position(side):
     for label in sweep_labels(2):
         T = tube_module_from_label(label)
         for n in (1, 2, 3):
-            ctx, cocycle = _tube_context(side, T, n)
+            ctx = _tube_context(side, T, n)
+            inf = cohomology.is_infinity_tube(T.label)
             where = (side, str(label), n)
             for k in range(T.m):
                 v = ctx.representative_vector(k)
@@ -325,7 +325,14 @@ def test_each_representative_is_the_closed_form_class_at_its_position(side):
                     continue
                 nonempty += 1
                 assert ctx.filtration_position(cls) == k, (where, k)
-                assert cls == ctx.H.class_of(cocycle(ctx, v)), (where, k)
+                # the one-slot cochain of v, closed under the coboundary of
+                # the group's module, mod its modulus on the dual side
+                gamma = ctx.H.closed_cocycle(v, inf)
+                assert gamma.values[0 if inf else n] == v and sum(map(any, gamma.values)) == 1, (where, k)
+                q = ctx.H.modulus
+                boundary = cohomology.differential_matrix(ctx.H.module, n).apply(gamma.flatten())
+                assert not any(x % q if q else x for x in boundary), (where, k)
+                assert cls == ctx.H.class_of(gamma), (where, k)
                 assert ctx.representative(k) is cls and ctx.representative_vector(k) is v
             # every nonzero class lies in a stratum that has a representative
             for c in ctx.H.all_classes():
@@ -338,7 +345,7 @@ def test_each_representative_is_the_closed_form_class_at_its_position(side):
 def test_a_representative_off_its_position_is_refused(side):
     # the vector of stratum 1 stands in for that of stratum 0
     T = _members()[0]
-    ctx, _cocycle = _tube_context(side, T, 2)
+    ctx = _tube_context(side, T, 2)
     wrong = ctx.representative_vector(1)
     assert wrong is not None
     ctx._stratum_vector = lambda k: wrong

@@ -44,3 +44,21 @@ def test_workload_has_no_failed_operation(bench, name):
     assert p.latencies and len(p.records) >= len(p.latencies)
     assert p.errors == set(), [r for r in p.records if "!" in r.split(" ", 1)[0]]
     assert p.failures() == set()
+
+
+def test_every_traced_method_is_defined_in_its_class_body():
+    # the tracer wraps vars(cls)[name]; an inherited method is not in the
+    # subclass's own body, so moving one out fails the benchmark's set-up
+    sys.path.insert(0, BENCH)
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(BENCH)
+    named = 0
+    for layer, qualnames in spans.METHODS.items():
+        mod = importlib.import_module(f"kleinlat.{layer}")
+        for qual in qualnames:
+            cls_name, meth = qual.split(".")
+            assert meth in vars(getattr(mod, cls_name)), f"{layer}.{qual}"
+            named += 1
+    assert named > 0

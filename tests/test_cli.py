@@ -261,3 +261,24 @@ def test_a_member_over_the_rank_limit_is_an_input_error(capsys, monkeypatch):
     assert captured.out == "" and len(lines) == 1
     assert lines[0] == (f"input error: T[1,1]_100000000 has rank 200000000, "
                         f"over the limit of {tubes.MAX_MEMBER_RANK}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("build-tube", "--tube", "hom:t^1000+t+1", "--m", "1"),
+    ("s3", "--poly", "t^1000+t+1", "--which", "t2"),
+], ids=["build-tube", "s3"])
+def test_a_tube_polynomial_over_the_degree_limit_is_an_input_error(capsys, monkeypatch, argv):
+    # refused before the irreducibility test, slow at this degree
+    import kleinlat.quiver as quiver
+    from kleinlat.polys import F2Poly
+
+    def no_test(f):
+        raise AssertionError("the irreducibility test ran")
+
+    monkeypatch.setattr(F2Poly, "is_irreducible", no_test)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0] == (f"input error: a tube of degree 1000 has members of rank over "
+                        f"the limit of {quiver.MAX_MEMBER_RANK}")

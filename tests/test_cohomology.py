@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -28,7 +29,6 @@ from kleinlat.cohomology import (
     target_component,
     transport_class,
     verify_xi_iso,
-    xi,
 )
 
 F = F2Poly.from_string("t^2+t+1")
@@ -81,10 +81,11 @@ def test_xi_cocycles_and_iso():
     comp = target_component(T.lattice, 2, False)
     assert comp.rank() == 1
     v = comp.basis[0]
-    gamma = xi(T.lattice, v, 2, False)
+    H = CohomologyGroup(T.lattice, 2)
+    gamma = H.closed_cocycle(v, False)
     assert gamma.values[2] == tuple(v)
     with pytest.raises(ValueError):
-        xi(T.lattice, (1, 1), 2, False)
+        H.closed_cocycle((1, 1), False)
     assert verify_xi_iso(T, 2)
     # parity periodicity of the group orders for regular modules
     Tf = tube_module(TubeId.homogeneous(F), None, 1)
@@ -189,6 +190,54 @@ def test_transport_class_refuses_a_lift_of_even_determinant(flags):
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 1
     assert "VerificationError: the lifted isomorphism has even determinant" in out.stderr
+
+
+# xi and eta over every vector of their components on the members of
+# sweep_labels(1), with one entry of the slot's value off by one; xi in
+# degrees 1..3 and eta in degrees 1 and 3, where that is never a cocycle
+_BROKEN_SLOT = (
+    "from kleinlat.checks import VerificationError\n"
+    "from kleinlat.cohomology import ClassGroup, CohomologyGroup, is_infinity_tube, target_component\n"
+    "from kleinlat.colattices import StableDualCohomology, dual_target_basis\n"
+    "from kleinlat.tubes import sweep_labels, tube_module_from_label\n"
+    "real = ClassGroup._one_slot\n"
+    "def broken(self, value, inf):\n"
+    "    return real(self, [value[0] + 1] + list(value[1:]), inf)\n"
+    "total, refused = 0, {}\n"
+    "for label in sweep_labels(1):\n"
+    "    M, inf = tube_module_from_label(label).lattice, is_infinity_tube(label)\n"
+    "    cases = [(CohomologyGroup(M, n), target_component(M, n, inf).basis) for n in (1, 2, 3)]\n"
+    "    for n in (1, 3):\n"
+    "        H = StableDualCohomology(M, n)\n"
+    "        cases.append((H, dual_target_basis(H.colattice, n, inf)))\n"
+    "    for H, vectors in cases:\n"
+    "        for v in vectors:\n"
+    "            H.closed_cocycle(v, inf)\n"
+    "            total += 1\n"
+    "            ClassGroup._one_slot = broken\n"
+    "            try:\n"
+    "                H.closed_cocycle(v, inf)\n"
+    "            except VerificationError as e:\n"
+    "                refused[str(e)] = refused.get(str(e), 0) + 1\n"
+    "            finally:\n"
+    "                ClassGroup._one_slot = real\n"
+    "print(total, sorted(refused.items()))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+def test_a_closed_form_cochain_that_is_not_a_cocycle_is_refused(flags):
+    # the cocycle checks of xi (the kernel elimination) and eta (D_n mod q)
+    # are not asserts, so python -O keeps them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", _BROKEN_SLOT],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    total, refused = out.stdout.split(" ", 1)
+    refused = dict(ast.literal_eval(refused))
+    assert set(refused) == {"xi is not a cocycle", "eta is not a cocycle mod 2^k"}
+    assert sum(refused.values()) == int(total) > 0
 
 
 def _closed_form_rank(n):

@@ -20,7 +20,6 @@ from kleinlat.colattices import (
     StableDualCohomology,
     co_canonical_form,
     dual_target_basis,
-    eta,
     verify_eta_iso,
 )
 from kleinlat.cohomology import (
@@ -154,7 +153,7 @@ def test_eta_rejects_bad_vector():
     H = StableDualCohomology(T.lattice, 1)
     N = H.colattice
     with pytest.raises(ValueError):
-        eta(N, tuple([1] * N.rank), 1, False)
+        H.closed_cocycle(tuple([1] * N.rank), False)
 
 
 def test_dual_chain_orthogonality():
@@ -425,7 +424,8 @@ class _ThreeLevelStable(ClassGroup):
         low = _LevelCohomology(M, n, level)
         self.carrier = _LevelCohomology(M, n, level + 1)
         self.module = self.carrier.module
-        # verify_eta_iso checks its eta cocycles against the group's D_n of M*
+        # verify_eta_iso reads the group's eta; this one borrows that of
+        # StableDualCohomology, which reads the level, the degree and D_n of M*
         self._D = differential_matrix(self.module, n)
         gens = _image_gens(low, self.carrier)
         lower = _LevelCohomology(M, n, level - 1)
@@ -469,6 +469,8 @@ class _ThreeLevelStable(ClassGroup):
 
     def class_of(self, gamma):
         return CohClass(self, self.coords_of_carrier(self.carrier.class_of(gamma)))
+
+    closed_cocycle = StableDualCohomology.closed_cocycle
 
 
 def _carrier_sample(carrier, rng):
@@ -533,7 +535,7 @@ def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
     kept = dict(N._torsion)
     assert list(kept) == ["mp"]
     for u in basis:
-        eta(N, u, 2, False)
+        H.closed_cocycle(u, False)
     assert N._torsion == kept and N._torsion["mp"] is kept["mp"]
     # equality and hashing ignore what is kept
     assert N == ColatticeLevel(T.lattice, N.level) and hash(N) == hash(ColatticeLevel(T.lattice, N.level))
@@ -762,11 +764,11 @@ def test_eta_takes_exactly_the_two_torsion_of_the_component():
                 u = tuple(q // 2 * t for t in x)
                 if ref.coords(u) is None:
                     with pytest.raises(ValueError, match="not in N"):
-                        eta(N, u, n, inf, H._D)
+                        H.closed_cocycle(u, inf)
                     refused += 1
                 else:
-                    assert eta(N, u, n, inf, H._D).values[0 if inf else n] == u
+                    assert H.closed_cocycle(u, inf).values[0 if inf else n] == u
                     taken += 1
             with pytest.raises(ValueError, match="not in N"):
-                eta(N, (1,) + (0,) * (N.rank - 1), n, inf, H._D)
+                H.closed_cocycle((1,) + (0,) * (N.rank - 1), inf)
     assert refused > taken > 0

@@ -21,10 +21,7 @@ from kleinlat.cohomology import (
 )
 from kleinlat.colattices import DualSumContext, co_canonical_form
 from kleinlat.groups import (
-    BarCocycle,
     ExtensionGroup,
-    ModuleOps,
-    bar_cocycle_from_class,
     ch_presentation,
     classify,
     co_classify,
@@ -43,9 +40,7 @@ def test_comparison_maps_commute():
     H = CohomologyGroup(Z, 2)
     for gen in H.generators:
         cls = H.class_of(gen)
-        gamma = bar_cocycle_from_class(cls, Z)
-        ops = ModuleOps(Z)
-        assert gamma.is_cocycle(ops)
+        assert extension_from_class(Z, cls).is_cocycle()
 
 
 def test_poly_chain_maps_for_twists():
@@ -62,9 +57,10 @@ def test_extension_split_square():
     T = tube_module(TubeId.special("1"), 1, 1)
     sc = SumContext([T], 2)
     ext = extension_from_class(sc.module, sc.H.zero())
-    a_lift = (ext.ops.zero(), A)
+    zero = (0,) * sc.module.rank
+    a_lift = (zero, A)
     assert ext.mul(a_lift, a_lift) == ext.identity()
-    b_lift = (ext.ops.zero(), B)
+    b_lift = (zero, B)
     assert ext.mul(b_lift, b_lift) == ext.identity()
 
 
@@ -105,18 +101,24 @@ def test_extension_associativity_and_negative_control():
         extension_from_class(dsc.H.module, dsc.merge([dsc.representative(0, 1)])),
     ]
     for good in goods:
-        r, q = good.ops.rank, good.ops.modulus
+        r, q = good.acting.rank, good.modulus
+        # a value on a pair that holds the identity is refused, also one
+        # that is zero mod the modulus
+        for key in ((E, A), (C, E), (E, E)):
+            for v in ((1,) * r, (q,) * r):
+                if any(v):
+                    with pytest.raises(ValueError, match="not normalized"):
+                        ExtensionGroup(good.acting, {key: v}, q)
         for key in ((A, B), (B, A), (A, A), (C, C), (C, A)):
             for t in (0, r - 1):
                 table = {
-                    (g, h): v
-                    for (g, h), v in good.gamma.table.items()
+                    (g, h): good.value(g, h)
+                    for g in GROUP for h in GROUP
                     if g != E and h != E
                 }
                 table[key] = tuple(x + (i == t) for i, x in enumerate(table[key]))
-                bad = BarCocycle(r, table, modulus=q)
-                assert not bad.is_cocycle(good.ops), (q, key, t)
-                bad_ext = ExtensionGroup(good.ops, bad)
+                bad_ext = ExtensionGroup(good.acting, table, q)
+                assert not bad_ext.is_cocycle(), (q, key, t)
                 sample = [
                     tuple(tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(3))
                 ]
@@ -163,6 +165,11 @@ def _reference_associative(acting, q, table, samples):
     return True
 
 
+def _table(ext):
+    """The extension's values as a dict on pairs of K, as the reference reads them."""
+    return {(g, h): ext.value(g, h) for g in GROUP for h in GROUP}
+
+
 def test_extension_tables_match_the_reference_product_and_checks():
     rng = random.Random(13)
     Td = tube_module(TubeId.homogeneous(F), None, 2)
@@ -174,27 +181,26 @@ def test_extension_tables_match_the_reference_product_and_checks():
     for k in (1, 2, 3):
         q = 1 << k
         base = goods[-1]
-        table = {key: tuple(x % q for x in v) for key, v in base.gamma.table.items()}
-        goods.append(ExtensionGroup(ModuleOps(base.ops.acting, q), BarCocycle(base.ops.rank, table, q)))
+        table = {key: tuple(x % q for x in v) for key, v in _table(base).items()}
+        goods.append(ExtensionGroup(base.acting, table, q))
     cases = []
     for good in goods:
-        r, q = good.ops.rank, good.ops.modulus
+        q = good.modulus
         cases.append(good)
         for _ in range(4):
             # random normalized tables, mostly not cocycles, and small
             # perturbations of a cocycle
-            table = dict(good.gamma.table)
+            table = _table(good)
             for g in GROUP[1:]:
                 for h in GROUP[1:]:
                     if rng.random() < 0.3:
                         table[(g, h)] = tuple(x + rng.randint(-3, 3) for x in table[(g, h)])
-            bad = BarCocycle(r, table, modulus=q)
-            cases.append(ExtensionGroup(good.ops, bad))
+            cases.append(ExtensionGroup(good.acting, table, q))
     seen = set()
     for ext in cases:
-        acting, q, rank = ext.ops.acting, ext.ops.modulus, ext.ops.rank
-        table = {key: tuple(x % q for x in v) if q else v for key, v in ext.gamma.table.items()}
-        cocycle = ext.gamma.is_cocycle(ext.ops)
+        acting, q, rank = ext.acting, ext.modulus, ext.acting.rank
+        table = _table(ext)
+        cocycle = ext.is_cocycle()
         assert cocycle == _reference_is_cocycle(acting, q, table)
         bound = 2 * q if q else 5
         for _ in range(3):
@@ -219,11 +225,11 @@ def test_failing_extension_check_survives_python_O():
     code = (
         "import kleinlat.groups as G\n"
         "from kleinlat.cohomology import CohomologyGroup\n"
-        "from kleinlat.klein import A, B, trivial_lattice\n"
+        "from kleinlat.klein import trivial_lattice\n"
         "Z = trivial_lattice(1)\n"
         "H = CohomologyGroup(Z, 2)\n"
-        "G.bar_cocycle_from_class = lambda cls, acting, modulus=0: "
-        "G.BarCocycle(1, {(A, B): (1,)}, modulus)\n"
+        "# the bar table {(a, b): 1}, zero elsewhere, is not a 2-cocycle\n"
+        "G.pull_back = lambda M, R, values: [(0,), (1,)] + [(0,)] * 7\n"
         "G.extension_from_class(Z, H.zero())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
@@ -387,7 +393,7 @@ def test_check_groups_fails_on_a_kept_extension_with_a_non_cocycle_table(monkeyp
     code = (
         "import kleinlat.groups as G\n"
         "import kleinlat.verification as V\n"
-        "from kleinlat.klein import A, B\n"
+        "from kleinlat.klein import A, B, GROUP\n"
         "real = V.extension_from_class\n"
         "built = []\n"
         "def corrupt_second(M, cls):\n"
@@ -395,9 +401,9 @@ def test_check_groups_fails_on_a_kept_extension_with_a_non_cocycle_table(monkeyp
         "    built.append(ext)\n"
         "    if len(built) != 2:\n"
         "        return ext\n"
-        "    table = dict(ext.gamma.table)\n"
+        "    table = {(g, h): ext.value(g, h) for g in GROUP for h in GROUP}\n"
         "    table[(A, B)] = tuple(x + (i == 0) for i, x in enumerate(table[(A, B)]))\n"
-        "    return G.ExtensionGroup(ext.ops, G.BarCocycle(ext.ops.rank, table, ext.ops.modulus))\n"
+        "    return G.ExtensionGroup(ext.acting, table, ext.modulus)\n"
         "V.extension_from_class = corrupt_second\n"
         "print(V.check_groups(200, 0))\n"
     )

@@ -5,10 +5,13 @@ they hold wherever the suite runs (tests/test_oracles.py is skipped when
 sympy is missing).
 """
 
+import itertools
+import random
+
 import pytest
 
 from kleinlat.cohomology import CohomologyGroup
-from kleinlat.quiver import TubeId, TubeLabel
+from kleinlat.quiver import TubeId, TubeLabel, lattice_of, random_rep_in_R
 from kleinlat.tubes import sweep_labels, syzygy, tube_module_from_label
 
 LONG_SPECIAL = [TubeLabel(TubeId.special(lam), j, m)
@@ -40,3 +43,36 @@ def test_the_syzygy_shifts_cohomology_up_one_degree(label):
     Om = syzygy(M)
     for n in (1, 2, 3):
         assert CohomologyGroup(M, n).invariants == CohomologyGroup(Om, n + 1).invariants, n
+
+
+def _additivity_pairs():
+    """Pairs of lattices: the members of sweep_labels(2) two at a time up to
+    a sum of rank 12, each larger member beside a rank-2 one, and six pairs
+    of random_rep_in_R(rng, 6) lattices."""
+    members = [tube_module_from_label(l).lattice for l in sweep_labels(2)]
+    small = min(members, key=lambda M: M.rank)
+    pairs = [(M, N) for M, N in itertools.combinations_with_replacement(members, 2)
+             if M.rank + N.rank <= 12]
+    pairs += [(M, small) for M in members if M.rank > 10]
+    rng = random.Random(3)
+    pairs += [(lattice_of(random_rep_in_R(rng, 6)), lattice_of(random_rep_in_R(rng, 6)))
+              for _ in range(6)]
+    return pairs
+
+
+def test_the_cohomology_of_a_direct_sum_is_the_sum_of_the_cohomologies():
+    pairs = _additivity_pairs()
+    assert len(pairs) == 99
+    invariants = {}
+
+    def of(M, n):
+        key = (id(M), n)
+        if key not in invariants:
+            invariants[key] = CohomologyGroup(M, n).invariants
+        return invariants[key]
+
+    for M, N in pairs:
+        S = M.direct_sum(N)
+        for n in range(1, 5):
+            want = sorted(of(M, n) + of(N, n))
+            assert sorted(CohomologyGroup(S, n).invariants) == want, (M.rank, N.rank, n)

@@ -245,3 +245,25 @@ def test_a_member_over_the_rank_limit_is_refused_before_it_is_built(monkeypatch)
         assert rank > tubes.MAX_MEMBER_RANK
         with pytest.raises(ValueError, match=f"rank {rank}, over the limit of {tubes.MAX_MEMBER_RANK}"):
             tube_module(tube, j, m)
+
+
+def test_a_tube_polynomial_over_the_degree_limit_is_refused_before_the_irreducibility_test(monkeypatch):
+    import kleinlat.tubes as tubes
+
+    # every member of a tube of degree d has rank 4 d m, so the limit is
+    # MAX_MEMBER_RANK // 4 = 256; the test is patched to pass and to count,
+    # so a degree-256 polynomial parses without its slow irreducibility test
+    tested = []
+    monkeypatch.setattr(F2Poly, "is_irreducible", lambda f: tested.append(f.degree()) or True)
+    limit = tubes.MAX_MEMBER_RANK // 4
+    assert limit == 256
+    at, over = F2Poly.from_string(f"t^{limit}+t+1"), F2Poly.from_string(f"t^{limit + 1}+t+1")
+    assert TubeId.homogeneous(at).poly == at
+    assert s3_on_polynomial(at, "t2").degree() == limit
+    assert tested == [limit, limit]
+    message = f"a tube of degree {limit + 1} has members of rank over the limit of {tubes.MAX_MEMBER_RANK}"
+    with pytest.raises(ValueError, match=message):
+        TubeId.homogeneous(over)
+    with pytest.raises(ValueError, match=message):
+        s3_on_polynomial(over, "t2")
+    assert tested == [limit, limit]
