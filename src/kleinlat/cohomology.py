@@ -10,24 +10,27 @@ the computed cyclic generators.  The closed-form cocycle xi is a method of
 its group (closed_cocycle), checked by the elimination against the kernel
 rows that class_of runs; the dual group's eta is its counterpart.
 
-The dual side (colattices) reaches its classes through the integral group
-one degree up, and its filtration through chain_images, the routine of the
-lattice side, run on the annihilator chain of M* in that degree.
+The dual side (colattices) computes H^n(K, DM) as H^(n+1)(K, M*) through
+the connecting map, so its normal form is this module's, run on M* one
+degree up.
 
 For a tube member the submodule chain induces a filtration of H^n whose
-strata are the automorphism orbits.  One tube context (TubeCohContext,
-specialised by colattices.DualTubeContext) and one normal-form engine serve
-lattices and their duals: it moves a class on a direct sum of tube members
-to the fixed stratum representatives and then cancels components against
-each other with unipotent automorphisms, emitting (co)standard data, the
-complementary summand list, and an explicit witness automorphism.  The sum
-context supplies what differs between the two sides: the tube contexts, the
-homomorphisms between summands and the modulus of the witnesses.  A tube
-context belongs to its member: TubeCohContext.of keeps it in the member's
-contexts dict, keyed by side, degree and (on the dual side) level, so every
-sum over a member reads the same one, and a sum of one member takes its
-group from that context.  canonical_form() is the lattice side, with
-lengths decreasing.  A brute-force orbit closure is included as the
+strata are the automorphism orbits.  One tube context (TubeCohContext) and
+one normal-form engine serve lattices and their duals: it moves a class on
+a direct sum of tube members to the fixed stratum representatives and then
+cancels components against each other with unipotent automorphisms,
+emitting (co)standard data, the complementary summand list, and an explicit
+witness automorphism.  The dual side runs the same contexts on the dual
+members (tubes.DualMember: M*, the annihilator chain from the top, the
+transposed automorphisms) with the filtration index reflected
+(colattices.DualTubeContext); its sum (colattices.DualSumContext) keeps the
+class group of the duals, which shares the coordinates of the integral
+group the engine works in, and reduces its witnesses mod 2^(level+1).  A
+tube context belongs to its member: TubeCohContext.of keeps it in the
+member's contexts dict, keyed by side, degree and (on the dual side) level,
+so every sum over a member reads the same one, and a sum of one member
+takes its group from that context.  canonical_form() is the lattice side,
+with lengths decreasing.  A brute-force orbit closure is included as the
 independent oracle for the orbit structure on small groups, on either side.
 """
 
@@ -400,10 +403,10 @@ def chain_images(H: CohomologyGroup, chain, n: int) -> list[list[CohClass]]:
 class TubeCohContext:
     """Cohomology of one tube member with its filtration and orbit data.
 
-    The lattice side; colattices.DualTubeContext overrides what differs on
-    the dual: the group, the chain, the filtration position, the stratum
-    vector search and the automorphism family.  Each side's group supplies
-    its closed-form cocycle (closed_cocycle).  The sums read a member's
+    T is a member (tubes.TubeModule) or the dual of one (tubes.DualMember):
+    the context reads its label, lattice, chain and automorphism family.
+    colattices.DualTubeContext is this context on the dual member one degree
+    up, with the filtration index reflected.  The sums read a member's
     contexts through of(), which keeps them on the member.  The group is
     elementary abelian, so the context keeps its filtration as
     GF(2) row spans of class coordinates (chain_spans) and the generators'
@@ -416,7 +419,7 @@ class TubeCohContext:
         self.T = T
         self.n = n
         self.in_inf = is_infinity_tube(T.label)
-        self.H = self._cohomology()
+        self.H = CohomologyGroup(T.lattice, n)
         _ensure_elementary(self.H, "cohomology of a tube member")
         self._spans: Optional[list] = None
         self._representatives: dict = {}
@@ -432,15 +435,6 @@ class TubeCohContext:
             ctx = T.contexts[(cls,) + key] = cls(T, *key)
         return ctx
 
-    # -- what a side supplies --------------------------------------------
-
-    def _cohomology(self) -> ClassGroup:
-        return CohomologyGroup(self.T.lattice, self.n)
-
-    def _chain(self):
-        """(group, chain of (sub, embed) pairs, degree) for chain_images."""
-        return self.H, self.T.chain, self.n
-
     def filtration_position(self, cls: CohClass):
         """The last k with the class in the image of M_k."""
         if cls.is_zero():
@@ -454,13 +448,12 @@ class TubeCohContext:
         return pos
 
     def _component_lattice(self, k: int) -> ZLattice:
-        """M_k(n) in Z^r; A_k(n + 1) on the dual, which reads its own _chain."""
-        _group, chain, n = self._chain()
-        sub, emb = chain[k]
+        """M_k(n) in Z^r, M_k the k-th module of the chain."""
+        sub, emb = self.T.chain[k]
         n_amb = self.T.lattice.rank
         if sub is None or sub.rank == 0:
             return ZLattice.zero(n_amb)
-        comp = target_component(sub, n, self.in_inf)
+        comp = target_component(sub, self.n, self.in_inf)
         return hnf([emb.apply(r) for r in comp.basis], n_amb)
 
     def _component_span(self, k: int) -> RowSpan:
@@ -474,18 +467,14 @@ class TubeCohContext:
         lower = self._component_span(k + 1)
         return next((tuple(v) for v in self._component_lattice(k).basis if v not in lower), None)
 
-    # -- shared ------------------------------------------------------------
-
     def chain_spans(self) -> list:
         """The chain images as GF(2) row spans of class coordinates, built on
-        first use; the chain group is elementary abelian, so a membership
-        test is a few XORs."""
+        first use; the group is elementary abelian, so a membership test is
+        a few XORs."""
         if self._spans is None:
-            group, chain, n = self._chain()
-            _ensure_elementary(group, "cohomology of the chain's module")
-            s = len(group.invariants)
+            s = len(self.H.invariants)
             self._spans = [RowSpan(F2Matrix([c.coords for c in img], cols=s))
-                           for img in chain_images(group, chain, n)]
+                           for img in chain_images(self.H, self.T.chain, self.n)]
         return self._spans
 
     def representative_vector(self, k: int):
@@ -512,10 +501,11 @@ class TubeCohContext:
     def aut_generators(self) -> Sequence:
         """Generating family of automorphisms (closed under inverse).
 
-        This is T.aut_family (see tubes._aut_generator_family): it depends
-        on the member only, so the member builds it once and the contexts
-        of every degree, on both sides, share it.  Their actions on this
-        context's cohomology are kept here, in actions().
+        This is T.aut_family (see tubes._aut_generator_family), or its
+        transposes on a dual member: it depends on the member only, so the
+        member builds it once and the contexts of every degree, on both
+        sides, share it.  Their actions on this context's cohomology are
+        kept here, in actions().
         """
         return self.T.aut_family
 
@@ -673,17 +663,19 @@ class StandardData:
 class SumContext:
     """A direct sum of tube members with its cohomology.
 
-    This is the lattice side of the normal form; DualSumContext specialises
-    it to the duals.  A side supplies its cohomology and tube contexts, the
-    homomorphisms between summands and the modulus of the witnesses (0
-    here: they are integral).  The tube contexts belong to the members
-    (TubeCohContext.of), so sums over one member share them; a sum of one
-    member takes its group from that member's context.
+    This is the lattice side of the normal form.  colattices.DualSumContext
+    is the same sum over the dual members one degree up, with a class group
+    that shares this integral group's coordinates and witnesses reduced mod
+    its modulus (0 here: they are integral).  The tube contexts belong to the
+    members (TubeCohContext.of), so sums over one member share them; a sum
+    of one member takes its group from that member's context.
 
-    The group is elementary abelian like its summands', and the context
-    keeps, each from its first use, the GF(2) matrices of split and merge
-    between its coordinates and the summands' concatenated ones, and the
-    hom basis of each pair of summands.
+    summands lists the members the tube contexts compute over: the given
+    members here, their duals on the dual side.  The group is elementary
+    abelian like its summands', and the context keeps, each from its first
+    use, the GF(2) matrices of split and merge between its coordinates and
+    the summands' concatenated ones, and the hom basis of each pair of
+    summands.
     """
 
     modulus = 0
@@ -691,42 +683,35 @@ class SumContext:
     def __init__(self, summands: list[TubeModule], n: int):
         if not summands:
             raise ValueError("need at least one summand")
-        self.summands = list(summands)
-        self.n = n
-        mod = summands[0].lattice
-        for T in summands[1:]:
+        self.ctxs = [self._tube_context(T, n) for T in summands]
+        self.summands = [ctx.T for ctx in self.ctxs]
+        self.n = self.ctxs[0].n
+        mod = self.summands[0].lattice
+        for T in self.summands[1:]:
             mod = mod.direct_sum(T.lattice)
         self.module = mod
         self.offsets = []
         off = 0
-        for T in summands:
+        for T in self.summands:
             self.offsets.append(off)
             off += T.lattice.rank
-        self.ctxs = [self._tube_context(T) for T in summands]
-        # a sum of one member has the member's lattice as its module
-        self.H = self.ctxs[0].H if len(summands) == 1 else self._cohomology()
+        # H^n of the module, whose coordinates split reads; a sum of one
+        # member has the member's lattice as its module
+        self.integral = self.ctxs[0].H if len(summands) == 1 else CohomologyGroup(mod, self.n)
+        self.H = self.integral
         self._split: Optional[tuple] = None
         self._homs: dict = {}
 
-    # -- what a side supplies ----------------------------------------------
-
-    def _cohomology(self) -> ClassGroup:
-        return CohomologyGroup(self.module, self.n)
-
-    def _tube_context(self, T: TubeModule) -> TubeCohContext:
-        return TubeCohContext.of(T, self.n)
-
-    def _hom_basis(self, i: int, j: int) -> list[IntMatrix]:
-        return hom_klattices(self.summands[i].lattice, self.summands[j].lattice)
-
-    # -- shared ------------------------------------------------------------
+    def _tube_context(self, T: TubeModule, n: int) -> TubeCohContext:
+        return TubeCohContext.of(T, n)
 
     def homs(self, i: int, j: int) -> list[IntMatrix]:
         """Generators of the homomorphisms from summand i to summand j, kept
         per pair from the first call."""
         got = self._homs.get((i, j))
         if got is None:
-            got = self._homs[(i, j)] = self._hom_basis(i, j)
+            got = self._homs[(i, j)] = hom_klattices(self.summands[i].lattice,
+                                                     self.summands[j].lattice)
         return got
 
     def representative(self, i: int, k: int):
@@ -761,14 +746,16 @@ class SumContext:
     def split_matrices(self) -> tuple[F2Matrix, F2Matrix]:
         """(split, merge) over GF(2), built on first use: split takes the
         coordinates of a class to the summands' concatenated coordinates,
-        by the cochain route (project_values, class_of) on each basis class,
-        and merge is its inverse, which a non-additive sum does not have."""
+        by the cochain route (project_values, class_of) on each basis class
+        of the integral group, and merge is its inverse, which a non-additive
+        sum does not have."""
         if self._split is None:
-            _ensure_elementary(self.H, "cohomology of the sum")
-            s = len(self.H.invariants)
+            I = self.integral
+            _ensure_elementary(I, "cohomology of the sum")
+            s = len(I.invariants)
             cols = []
             for a in range(s):
-                gamma = self.H.cochain_of(self.H.from_coords([int(t == a) for t in range(s)]))
+                gamma = I.cochain_of(I.from_coords([int(t == a) for t in range(s)]))
                 cols.append([c for i, ctx in enumerate(self.ctxs)
                              for c in ctx.H.class_of(self.project_values(gamma, i)).coords])
             width = sum(len(ctx.H.invariants) for ctx in self.ctxs)
@@ -932,27 +919,20 @@ def _check_sequence(seq):
 def _solve_cancellation(H_j: ClassGroup, cls_i, cls_j, homs):
     """Combination theta of homs with theta_*(cls_i) = cls_j, or None.
 
-    On the dual side a map mod 2^k can push a class out of the stable
-    image; such maps are left out.
+    The homs are integral on both sides, so every one of them pushes cls_i
+    into H_j; on the dual side, through the connecting map, they keep the
+    stable image.
     """
-    cols = []
-    kept = []
-    for th in homs:
-        try:
-            pushed = push_class(th, cls_i, H_j)
-        except ValueError:
-            continue
-        cols.append([c & 1 for c in pushed.coords])
-        kept.append(th)
-    if not kept:
+    if not homs:
         return None
+    cols = [[c & 1 for c in push_class(th, cls_i, H_j).coords] for th in homs]
     s = len(H_j.invariants)
-    Amat = F2Matrix([[cols[j][i] for j in range(len(kept))] for i in range(s)], cols=len(kept))
+    Amat = F2Matrix([[cols[j][i] for j in range(len(homs))] for i in range(s)], cols=len(homs))
     sol = f2_solve(Amat, [c & 1 for c in cls_j.coords])
     if sol is None:
         return None
     combo = None
-    for c, th in zip(sol, kept):
+    for c, th in zip(sol, homs):
         if c:
             combo = th if combo is None else combo + th
     return combo

@@ -17,26 +17,27 @@ cocycles are those of the stable image
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
 by exactness the cocycles whose reduction mod 2 is a coboundary; the eta
-cocycles live there.  The filtration of the dual of a tube member goes
-through the same map, which is natural in the module: the image of
-H^n(K, D(M/M_k)) is that of H^(n+1)(K, A_k), A_k = Ann(M_k) = (M/M_k)* in
-M*.  So it is the lattice-side filtration (cohomology.chain_images) of the
-annihilator chain of M*, one degree up, and no sub-complex is reduced mod 2^k.
+cocycles live there.
 
 The eta cocycles take their values in N(n) = (q/2)(M*(n+1) mod 2), M*(n+1)
 the lattice side's target component one degree up.  N(n) is the two-torsion
 of the divisible part of a sign component of DM; that part is S (x) Q2/Z2,
 S the saturated eigencomponent of M* (on bare two-torsion the sign of an
 involution is invisible), and its elements of order 2 are the s (x) 1/2,
-zero for s in 2S.  The dual strata read the components of the A_k in degree
-n + 1 the same way, mod 2, and no lattice mod 2^k is needed.
+zero for s in 2S.
 
-co_canonical_form() runs the normal-form engine of cohomology.  This side
-supplies, through DualTubeContext (a cohomology.TubeCohContext, kept on its
-member per degree and level like the lattice-side contexts) and
-DualSumContext, the stratum representatives (eta over fixed two-torsion
-vectors), the homomorphisms between summands mod 2^k (dual_hom_mod),
-witnesses reduced mod 2^k, and the costandard length order.
+The costandard form is the standard form of M* one degree up.  The
+connecting map is natural in the module, so the filtration of the dual of a
+tube member is the lattice-side filtration of M* along the annihilator
+chain, the integral automorphisms and homomorphisms of the M*_i act on
+H^(n+1) as on H^n of the duals, and an eta class is the class of the xi
+cocycle one degree up.  DualTubeContext is the lattice-side context of the
+dual member (tubes.DualMember) in degree n + 1, with the filtration index
+reflected; DualSumContext is the lattice-side sum over the dual members,
+whose class group is the carrier and whose witnesses are reduced mod q.
+co_canonical_form() runs the normal-form engine of cohomology on it, with
+lengths increasing.  dual_hom_mod lists the equivariant maps between finite
+levels mod 2^k; the normal form does not read it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .checks import VerificationError, ensure
+from .checks import ensure
 from .f2 import F2Matrix, RowSpan, rref
 from .intmat import IntMatrix, smith_form, solve_int
 from .klein import KLattice, SignPair, eigencomponent
@@ -103,12 +104,15 @@ class StableDualCohomology(ClassGroup):
 
     Classes are carried by cocycles mod q = 2^(level+1) in the stable image.
     The constructor keeps what class_of reads: the integral group, the
-    coboundary D_n of M* and the mod-2 coboundaries.  The generators, one
-    carrier cocycle over each generator of H^(n+1)(K, M*), are built on
-    first read, as CohomologyGroup.generators are.
+    coboundary D_n of M* and the mod-2 coboundaries.  The integral group is
+    built here, or given (integral) by a context whose coordinates this
+    group then shares.  The generators, one carrier cocycle over each
+    generator of H^(n+1)(K, M*), are built on first read, as
+    CohomologyGroup.generators are.
     """
 
-    def __init__(self, M: KLattice, n: int, level: int = DEFAULT_LEVEL):
+    def __init__(self, M: KLattice, n: int, level: int = DEFAULT_LEVEL,
+                 integral: CohomologyGroup | None = None):
         if level < 2:
             raise ValueError("level must be >= 2")
         if n < 1:
@@ -119,7 +123,13 @@ class StableDualCohomology(ClassGroup):
         self.colattice = ColatticeLevel(M, level + 1)
         self.modulus = self.colattice.modulus
         self.module = mod = self.colattice.transposed_module()
-        self._integral = I = CohomologyGroup(mod, n + 1)
+        # a group given by a context is shared with it, and keeps its generators
+        self._owns_integral = integral is None
+        if integral is None:
+            integral = CohomologyGroup(mod, n + 1)
+        ensure(integral.n == n + 1 and integral.module == mod,
+               "the integral group is not H^(n+1) of the transposed module")
+        self._integral = I = integral
         self.invariants = I.invariants
         # E holds the carrier cocycles that are coboundaries mod 2 (exactness
         # of 0 -> N_level -> N_level+1 -> N_1 -> 0)
@@ -143,9 +153,10 @@ class StableDualCohomology(ClassGroup):
                     c = solve_int(D, z.scale(d).flatten(), sf)
                     ensure(c is not None, "d z is not a coboundary for z of order d")
                     gens.append(Cochain.unflatten(self.n, self.module.rank, c).scale(q // d).reduce(q))
-                # the integral group is kept for class_of and the filtration,
-                # which read its kernel rows and coordinates only
-                I.forget_generators()
+                # a group of its own is kept for class_of, which reads its
+                # kernel rows and coordinates only
+                if self._owns_integral:
+                    I.forget_generators()
             self._generators = tuple(gens)
         return self._generators
 
@@ -210,63 +221,41 @@ def verify_eta_iso(T: TubeModule, n: int, level: int = DEFAULT_LEVEL,
 
 
 class DualTubeContext(TubeCohContext):
-    """Stable cohomology of the dual of one tube member, with filtration.
+    """H^n(K, DM) of one tube member M, as H^(n+1)(K, M*) with its filtration.
 
-    The filtration comes from the annihilators A_k = Ann(M_k) = (M/M_k)* in
-    M*, kept on the member (T.annihilator_chain).  The connecting map is
-    natural in the module, so the image of H^n(K, D(M/M_k)) in H^n(K, DM)
-    is the image of H^(n+1)(K, A_k) in H^(n+1)(K, M*): the lattice-side
-    chain images, run on M* one degree up.
+    This is the lattice-side context of the dual member T.dual, which reads
+    M* with the chain A_m = M* > ... > A_0 = 0 of annihilators A_k =
+    Ann(M_k) = (M/M_k)* and the transposed automorphism family, in degree
+    n + 1.  The connecting map is natural in the module, so the image of
+    H^n(K, D(M/M_k)) in H^n(K, DM) is that of H^(n+1)(K, A_k) in
+    H^(n+1)(K, M*).  The one rule of this side is the index: the dual
+    position k counts the annihilators up from A_0, the chain down from
+    A_m, so k reads position m - 1 - k of that context, in the filtration
+    and in the strata.  The carrier group H^n(K, DM), with cocycles mod the
+    modulus of N, shares the coordinates of H and is built on first read.
     """
 
     def __init__(self, T: TubeModule, n: int, level: int = DEFAULT_LEVEL):
+        super().__init__(T.dual, n + 1)
         self.level = level
-        self._gens: Optional[_TransposedFamily] = None
-        super().__init__(T, n)
-        self.N = self.H.colattice  # carrier level
-        self.modulus = self.N.modulus
+        self.N = ColatticeLevel(T.lattice, level + 1)  # carrier level
+        self._carrier: Optional[StableDualCohomology] = None
 
-    def _cohomology(self) -> StableDualCohomology:
-        return StableDualCohomology(self.T.lattice, self.n, self.level)
-
-    def _chain(self):
-        """Classes of the integral group H^(n+1)(K, M*), whose coordinates
-        are those of H; the kept spans (chain_spans) hold only the
-        coordinates, mod 2."""
-        return self.H._integral, self.T.annihilator_chain, self.n + 1
+    @property
+    def carrier(self) -> StableDualCohomology:
+        """H^n(K, DM) over this context's H^(n+1)(K, M*), built on first read."""
+        if self._carrier is None:
+            self._carrier = StableDualCohomology(self.N.base, self.n - 1, self.level, integral=self.H)
+        return self._carrier
 
     def filtration_position(self, cls: CohClass):
-        """Smallest Z-set index k with the class visible from A_{k+1}."""
-        if cls.is_zero():
-            return "zero"
-        spans = self.chain_spans()
-        for k in range(1, len(spans)):
-            if cls.coords in spans[k]:
-                return k - 1
-        raise VerificationError("class not even in the image of the full module")
+        """Smallest k with the class visible from A_(k+1)."""
+        pos = super().filtration_position(cls)
+        return pos if pos == "zero" else self.T.label.m - 1 - pos
 
     def _stratum_vector(self, k: int):
-        """q/2 times the first echelon row of A_(k+1)(n + 1) mod 2 outside
-        the span of A_k(n + 1) mod 2, or None."""
-        half = self.N.modulus // 2
-        lower = self._component_span(k)
-        upper = rref(F2Matrix(self._component_lattice(k + 1).basis, cols=self.N.rank))[0]
-        for row in upper.data:
-            if row not in lower:  # zero rows are in every span
-                return tuple(half * x for x in row)
-        return None
-
-    def aut_generators(self) -> "_TransposedFamily":
-        """The transposes mod 2^k of T.aut_family, without repeats, in its order.
-
-        The family is closed under inverse, so this sequence is too.  It is
-        chosen once per context and keeps only which members of the family
-        it lists; their actions on this context's cohomology are kept in
-        actions().
-        """
-        if self._gens is None:
-            self._gens = _TransposedFamily(self.T.aut_family, self.N.modulus)
-        return self._gens
+        """An element of A_(k+1)(n + 1) outside 2 A_(k+1)(n + 1) + A_k(n + 1), or None."""
+        return super()._stratum_vector(self.T.label.m - 1 - k)
 
     # class_action and move_to are written out, not inherited, so that the
     # tracer of bench/spans.py times this side under its own names
@@ -274,39 +263,8 @@ class DualTubeContext(TubeCohContext):
         return _class_action(self.H, U)
 
     def move_to(self, src: CohClass, dst: CohClass):
-        """Automorphism word mod 2^k carrying src to dst, or None."""
+        """Automorphism word of M* carrying src to dst, or None."""
         return _move_word(self, src, dst)
-
-
-class _TransposedFamily(Sequence):
-    """The distinct transposes mod q of a family of matrices, in its order.
-
-    Only the indices of the members listed are kept; a transpose is made
-    again when it is read.  The search reads each generator about once, to
-    build its action, so this costs little time and keeps the family's
-    matrices from being held twice, once as given and once transposed.
-    """
-
-    def __init__(self, family, q: int):
-        self._family = family
-        self._q = q
-        seen = set()
-        keep = []
-        for i, U in enumerate(family):
-            W = self._make(U)
-            if W not in seen:
-                seen.add(W)
-                keep.append(i)
-        self._keep = tuple(keep)
-
-    def _make(self, U: IntMatrix) -> IntMatrix:
-        return U.transpose().mod(self._q)
-
-    def __len__(self) -> int:
-        return len(self._keep)
-
-    def __getitem__(self, g: int) -> IntMatrix:
-        return self._make(self._family[self._keep[g]])
 
 
 def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
@@ -339,29 +297,38 @@ def dual_hom_mod(N1: ColatticeLevel, N2: ColatticeLevel) -> list[IntMatrix]:
 class DualSumContext(SumContext):
     """Duals of a direct sum of tube members, at a fixed level.
 
-    The dual side of the normal form: stable dual cohomology, dual tube
-    contexts, dual_hom_mod between summands and witnesses reduced mod 2^k.
+    The lattice-side sum over the dual members in degree n + 1: its tube
+    contexts, the integral homomorphisms between the M*_i and the split on
+    H^(n+1)(K, sum of M*_i).  Its class group H is H^n(K, D(sum of M_i)),
+    which shares those coordinates, and its witnesses are reduced mod the
+    carrier modulus q.  A sum of one member takes the carrier of its
+    member context.
     """
 
     def __init__(self, summands: list[TubeModule], n: int, level: int = DEFAULT_LEVEL):
         self.level = level
         super().__init__(summands, n)
+        if len(self.ctxs) == 1:
+            self.H = self.ctxs[0].carrier
+        else:
+            self.H = StableDualCohomology(self.module.transposed(), n, level, integral=self.integral)
         self.N = self.H.colattice
         self.modulus = self.N.modulus
 
     @property
     def base(self) -> KLattice:
         """The direct sum of the summands' lattices, whose dual this is."""
-        return self.module
+        return self.H.base
 
-    def _cohomology(self) -> StableDualCohomology:
-        return StableDualCohomology(self.module, self.n, self.level)
+    def _tube_context(self, T: TubeModule, n: int) -> DualTubeContext:
+        return DualTubeContext.of(T, n, self.level)
 
-    def _tube_context(self, T: TubeModule) -> DualTubeContext:
-        return DualTubeContext.of(T, self.n, self.level)
-
-    def _hom_basis(self, i: int, j: int) -> list[IntMatrix]:
-        return dual_hom_mod(self.ctxs[i].N, self.ctxs[j].N)
+    def representative_vector(self, i: int, k: int):
+        """(q/2)(v mod 2) for the member's vector v: the vector of N(n) whose
+        eta cocycle has the class of representative(i, k)."""
+        v = self.ctxs[i].representative_vector(k)
+        half = self.modulus // 2
+        return None if v is None else tuple(half * (x & 1) for x in v)
 
 
 @dataclass(frozen=True, slots=True)

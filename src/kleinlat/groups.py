@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .checks import ensure
 from .intmat import IntMatrix, solve_int
-from .klein import GROUP, A, B, E, GroupElt, KLattice, dim_vector
+from .klein import GROUP, A, B, E, GroupElt, KLattice
 from .quiver import TubeLabel
 from .resolutions import BAR2, comparison_maps, pull_back
 from .tubes import S3_NAMES, TubeModule, transport_label, tube_module_from_label
@@ -329,13 +329,6 @@ def _solve_section(ext: ExtensionGroup, e0, einf):
     if ext.mul(a_lift, b_lift) != ext.mul(b_lift, a_lift):
         return None
     return w_a, w_b
-
-
-def is_crystallographic(M: KLattice) -> bool:
-    """At least two of the three nontrivial sign components are nonzero."""
-    dv = dim_vector(M)
-    nonzero = sum(1 for key in ("pm", "mp", "mm") if dv.component(key) > 0)
-    return nonzero >= 2
 
 
 def ch_presentation(data: StandardData, n0_labels: Sequence[TubeLabel] = (),

@@ -133,6 +133,53 @@ class TubeModule:
             out.append((sub, embed))
         return tuple(out)
 
+    @cached_property
+    def dual(self) -> "DualMember":
+        """M* as a member in its own right (DualMember), built on first use
+        and kept here for the dual contexts of every degree, level and sum."""
+        return DualMember(self)
+
+
+class DualMember:
+    """The transposed module M* of a tube member M, read as a member.
+
+    It carries what a lattice-side cohomology context reads of a member,
+    each taken from M on first read: M's label, since the costandard data
+    name M's summands; the lattice M*; the chain A_m = M* > ... > A_0 = 0,
+    M's annihilator chain reversed, in the format of TubeModule.chain; and
+    the transposes of M's automorphism family, in its order.
+    """
+
+    def __init__(self, member: TubeModule):
+        self.member = member
+        self.label = member.label
+
+    @property
+    def lattice(self) -> KLattice:
+        return self.member.lattice.transposed()
+
+    @cached_property
+    def chain(self) -> tuple:
+        return tuple(reversed(self.member.annihilator_chain))
+
+    @cached_property
+    def aut_family(self) -> "_Transposes":
+        return _Transposes(self.member.aut_family)
+
+
+class _Transposes(Sequence):
+    """The transposes of a family of matrices, in its order, each made when
+    it is read, so the family's matrices are not held twice."""
+
+    def __init__(self, family: Sequence):
+        self._family = family
+
+    def __len__(self) -> int:
+        return len(self._family)
+
+    def __getitem__(self, g: int) -> IntMatrix:
+        return self._family[g].transpose()
+
 
 def _surjection(homs, W: LambdaRep):
     """The first element of a hom basis that is onto W at every vertex, or None.

@@ -39,6 +39,7 @@ from .tubes import (
 from .cohomology import (
     CohomologyGroup,
     SumContext,
+    apply_group_automorphism,
     canonical_form,
     cohomology_invariants_generic,
     ORBIT_ORACLE_MAX,
@@ -47,8 +48,9 @@ from .cohomology import (
     verify_xi_iso,
     is_infinity_tube,
     push_class,
+    transport_class,
 )
-from .colattices import verify_eta_iso
+from .colattices import DualSumContext, co_canonical_form, verify_eta_iso
 from .groups import (
     classify,
     cr_presentation,
@@ -378,15 +380,11 @@ def check_groups(pair_count: int, seed: int):
     pres = cr_presentation(cfi.data, cfi.m0_labels)
     if not any(x % 2 for x in pres.section["einf"]):
         return False, "infinity entry did not populate the bbar square"
-    from .colattices import DualSumContext, co_canonical_form
-
     Tf2 = _tube(TubeLabel(hom, None, 2))
     dsc = DualSumContext([Tf2], 2)
     dcf = co_canonical_form([Tf2], dsc.merge([dsc.representative(0, 0)]), 2, context=dsc)
     ch_presentation(dcf.data, dcf.n0_labels)
     # classification: a twist is isomorphic, distinct positions are not
-    from .cohomology import apply_group_automorphism, transport_class
-
     T2 = _tube(TubeLabel(s1, 1, 2))
     sc2 = SumContext([T2], 2)
     c1 = sc2.merge([sc2.representative(0, 1)])
@@ -399,7 +397,6 @@ def check_groups(pair_count: int, seed: int):
         res = classify([T2], c1, [Tt], moved, context1=sc2, context2=sct)
         if not res.isomorphic or res.psi != which:
             return False, f"twist by {which} not recognized: {res}"
-    Tf2 = _tube(TubeLabel(hom, None, 2))
     scf = SumContext([Tf2], 2)
     c0 = scf.merge([scf.representative(0, 0)])
     cpos1 = scf.merge([scf.representative(0, 1)])

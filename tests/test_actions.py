@@ -123,10 +123,10 @@ def test_congruence_units_act_trivially_and_the_family_is_closed_under_inverse()
             ctx = cohomology.TubeCohContext(T, n)
             ident = F2Matrix.identity(len(ctx.H.invariants))
             assert all(ctx.class_action(U) == ident for U in units), (T.label, n)
+            # the dual context acts on H^(n+1)(K, M*) by integral units of M*
             dual = colattices.DualTubeContext(T, n)
-            q = dual.N.modulus
             ident = F2Matrix.identity(len(dual.H.invariants))
-            assert all(dual.class_action(U.mod(q)) == ident for U in dual_units), (T.label, n)
+            assert all(dual.class_action(U) == ident for U in dual_units), (T.label, n)
 
 
 class _Point:
@@ -227,13 +227,15 @@ def test_the_search_builds_only_the_actions_it_reaches():
 
 @pytest.mark.parametrize("context,form", SIDES, ids=SIDE_IDS)
 def test_a_one_member_sum_shares_its_group_with_the_tube_context(context, form):
+    # the integral group, which is the class group on the lattice side and
+    # gives the dual side's class group its coordinates
     T = _members()[0]
     sc = context([T], 2)
-    assert sc.ctxs[0].H is sc.H
+    assert sc.ctxs[0].H is sc.integral
     # the forms agree with those of a sum whose tube context has its own group
     apart = context([T], 2)
     apart.ctxs = [type(apart.ctxs[0])(T, 2)]
-    assert apart.ctxs[0].H is not apart.H
+    assert apart.ctxs[0].H is not apart.integral
     assert apart.ctxs[0].H.invariants == sc.H.invariants
     classes = [c for c in sc.H.all_classes() if not c.is_zero()]
     assert classes
@@ -269,10 +271,15 @@ def test_member_contexts_are_kept_apart_by_side_and_level():
 def test_a_one_member_sum_takes_the_group_of_the_member_context(context):
     T = _members()[1]
     ctx = context([T, T], 2).ctxs[0]
-    assert context([T], 2).H is ctx.H
+    sc = context([T], 2)
+    assert sc.integral is ctx.H
+    # the dual side's class group is the carrier the member context keeps
+    assert sc.H is (ctx.carrier if context is DualSumContext else ctx.H)
 
 
 def test_dual_generators_are_the_distinct_transposes_mod_q():
+    # the dual member's family is the transposes of the member's, in its
+    # order, and no two of them agree mod q
     for T in _members():
         for n in (2, 3):
             ctx = colattices.DualTubeContext(T, n)
@@ -283,10 +290,10 @@ def test_dual_generators_are_the_distinct_transposes_mod_q():
                 if Um not in expected:
                     expected.append(Um)
             gens = ctx.aut_generators()
-            assert gens is ctx.aut_generators()
+            assert gens is ctx.aut_generators() is T.dual.aut_family
             assert len(gens) == len(expected)
-            assert list(gens) == expected
-            assert gens[-1] == expected[-1]
+            assert [U.mod(q) for U in gens] == expected
+            assert gens[-1] == T.aut_family[-1].transpose()
 
 
 def test_the_family_matrices_are_kept_packed():
@@ -317,6 +324,7 @@ def test_each_representative_is_the_closed_form_class_at_its_position(side):
             ctx = _tube_context(side, T, n)
             inf = cohomology.is_infinity_tube(T.label)
             where = (side, str(label), n)
+            d = ctx.H.n  # n + 1 on the dual side
             for k in range(T.m):
                 v = ctx.representative_vector(k)
                 cls = ctx.representative(k)
@@ -326,13 +334,19 @@ def test_each_representative_is_the_closed_form_class_at_its_position(side):
                 nonempty += 1
                 assert ctx.filtration_position(cls) == k, (where, k)
                 # the one-slot cochain of v, closed under the coboundary of
-                # the group's module, mod its modulus on the dual side
+                # the group's module in the group's degree
                 gamma = ctx.H.closed_cocycle(v, inf)
-                assert gamma.values[0 if inf else n] == v and sum(map(any, gamma.values)) == 1, (where, k)
+                assert gamma.values[0 if inf else d] == v and sum(map(any, gamma.values)) == 1, (where, k)
                 q = ctx.H.modulus
-                boundary = cohomology.differential_matrix(ctx.H.module, n).apply(gamma.flatten())
+                boundary = cohomology.differential_matrix(ctx.H.module, d).apply(gamma.flatten())
                 assert not any(x % q if q else x for x in boundary), (where, k)
                 assert cls == ctx.H.class_of(gamma), (where, k)
+                if side == "dual":
+                    # through the connecting map, the eta cocycle of
+                    # (q/2)(v mod 2) has the class of xi(v) one degree up
+                    carrier = ctx.carrier
+                    u = tuple(carrier.modulus // 2 * (x & 1) for x in v)
+                    assert carrier.class_of(carrier.closed_cocycle(u, inf)).coords == cls.coords, (where, k)
                 assert ctx.representative(k) is cls and ctx.representative_vector(k) is v
             # every nonzero class lies in a stratum that has a representative
             for c in ctx.H.all_classes():
@@ -416,20 +430,29 @@ def _census_sums():
     return [labels for labels, *_queries in workloads._census_pool(K, "full")]
 
 
+def _member_groups(sc):
+    """The summands' class groups: on the dual side the carriers, whose
+    cocycles are those of the sum's class group, mod q in degree n."""
+    if isinstance(sc, DualSumContext):
+        return [ctx.carrier for ctx in sc.ctxs]
+    return [ctx.H for ctx in sc.ctxs]
+
+
 def _cochain_split(sc, cls):
-    """The components of a class by restricting its cochain to each block."""
+    """The coordinates of the components of a class, by restricting its
+    cochain to each block."""
     gamma = sc.H.cochain_of(cls)
-    return [ctx.H.class_of(sc.project_values(gamma, i)) for i, ctx in enumerate(sc.ctxs)]
+    return [G.class_of(sc.project_values(gamma, i)).coords for i, G in enumerate(_member_groups(sc))]
 
 
 def _cochain_merge(sc, comps):
     """The class of the sum of the components' cochains, each embedded in its block."""
     r = sc.module.rank
-    gamma = Cochain.zero(sc.n, r)
-    for i, c in enumerate(comps):
+    gamma = Cochain.zero(sc.H.n, r)
+    for i, (c, G) in enumerate(zip(comps, _member_groups(sc))):
         off, ri = sc.offsets[i], sc.summands[i].lattice.rank
         embed = IntMatrix.from_dicts([{t - off: 1} if off <= t < off + ri else {} for t in range(r)], ri)
-        gamma = gamma.add(c.group.cochain_of(c).map_values(embed))
+        gamma = gamma.add(G.cochain_of(G.from_coords(c.coords)).map_values(embed))
     return sc.H.class_of(gamma)
 
 
@@ -451,7 +474,9 @@ def test_split_and_merge_matrices_agree_with_the_cochain_route(context):
             mixed += split != F2Matrix.identity(split.rows)
             for cls in sc.H.all_classes():
                 comps = sc.split(cls)
-                assert comps == _cochain_split(sc, cls), ([str(l) for l in labels], n, cls.coords)
+                assert [c.coords for c in comps] == _cochain_split(sc, cls), \
+                    ([str(l) for l in labels], n, cls.coords)
+                assert all(c.group is ctx.H for c, ctx in zip(comps, sc.ctxs))
                 assert sc.merge(comps) == cls == _cochain_merge(sc, comps)
                 count += 1
     assert count > 300 and mixed >= 2

@@ -619,23 +619,28 @@ def test_dual_filtration_matches_the_mod_2k_reference():
             for n in (1, 2, 3):
                 where = (str(label), n, level)
                 ctx = DualTubeContext(T, n, level)
-                H = ctx.H
+                H = ctx.carrier
                 old = _reference_images(H, T, level)
-                new = chain_images(*ctx._chain())
+                # the images of the dual member's chain, A_m down to A_0,
+                # in the coordinates the carrier shares with ctx.H
+                new = [[H.from_coords(c.coords) for c in img]
+                       for img in reversed(chain_images(ctx.H, ctx.T.chain, ctx.n))]
                 assert len(new) == len(old) == T.m + 1, where
                 for k in range(len(old)):
                     both = _subgroup_order(H, old[k] + new[k])
                     assert _subgroup_order(H, old[k]) == _subgroup_order(H, new[k]) == both, (where, k)
-                for cls in H.all_classes():
-                    assert ctx.filtration_position(cls) == _reference_position(old, cls), (where, cls)
+                for cls in ctx.H.all_classes():
+                    assert ctx.filtration_position(cls) == \
+                        _reference_position(old, H.from_coords(cls.coords)), (where, cls)
 
 
 def _in_span_position(ctx, images, cls):
-    """The filtration position by in_span on the chain images, either side."""
+    """The filtration position by in_span on the chain images, either side;
+    the dual side counts the annihilators up from A_0, its chain runs down."""
     if cls.is_zero():
         return "zero"
     if isinstance(ctx, DualTubeContext):
-        return _reference_position(images, cls)
+        return _reference_position(images[::-1], cls)
     pos = 0
     while pos + 1 < len(images) and in_span(images[pos + 1], cls):
         pos += 1
@@ -650,7 +655,7 @@ def test_filtration_position_matches_the_integral_span_route(context):
         T = tube_module_from_label(label)
         for n in (1, 2, 3):
             ctx = context(T, n)
-            images = chain_images(*ctx._chain())
+            images = chain_images(ctx.H, ctx.T.chain, ctx.n)
             for cls in ctx.H.all_classes():
                 if not cls.is_zero():
                     count += 1
@@ -727,7 +732,8 @@ def test_eta_bases_and_dual_strata_match_the_mod_2k_reference():
             refs = {}
             for n in (1, 2, 3, 4):
                 where = (str(label), n, level)
-                ctx = DualTubeContext(T, n, level)
+                sc = DualSumContext([T], n, level)
+                ctx = sc.ctxs[0]
                 N = ctx.N
                 key = target_component_key(n + 1, ctx.in_inf)
                 if key not in refs:
@@ -735,7 +741,7 @@ def test_eta_bases_and_dual_strata_match_the_mod_2k_reference():
                 basis, inside = refs[key]
                 assert dual_target_basis(N, n, ctx.in_inf) == basis, where
                 for k in range(T.m):
-                    got = ctx._stratum_vector(k)
+                    got = sc.representative_vector(0, k)
                     assert got == _reference_stratum_vector(inside, k, N.modulus), (where, k)
                     strata += 1
                     found += got is not None

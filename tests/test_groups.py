@@ -27,7 +27,6 @@ from kleinlat.groups import (
     co_classify,
     cr_presentation,
     extension_from_class,
-    is_crystallographic,
 )
 
 F = F2Poly.from_string("t^2+t+1")
@@ -268,15 +267,6 @@ def test_cr_presentation_rejects_odd_data():
     )
     with pytest.raises(ValueError):
         cr_presentation(bad, ())
-
-
-def test_is_crystallographic():
-    assert is_crystallographic(tube_module(TubeId.homogeneous(F), None, 1).lattice)
-    T11 = tube_module(TubeId.special("1"), 1, 1).lattice
-    M3 = T11.direct_sum(T11).direct_sum(T11)
-    assert not is_crystallographic(M3)
-    T01 = tube_module(TubeId.special("0"), 1, 1).lattice
-    assert is_crystallographic(T11.direct_sum(T01))
 
 
 def test_ch_presentation():
