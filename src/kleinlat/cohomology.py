@@ -4,11 +4,14 @@ Cochains in degree n are (n+1)-tuples of module vectors, the value on the
 monomial x^j y^(n-j) sitting at index j.  The coboundary has one
 implementation, differential_matrix, the matrix of C^n -> C^(n+1) on
 flattened cochains: the groups reduce it, and the dual side's connecting map
-applies it.  H^n is computed exactly from the polynomial resolution by Smith
-reduction of kernel modulo image; every class carries coordinates against
-the computed cyclic generators.  The closed-form cocycle xi is a method of
-its group (closed_cocycle), checked by the elimination against the kernel
-rows that class_of runs; the dual group's eta is its counterpart.
+applies it.  H^n is computed exactly from the polynomial resolution as
+kernel modulo image: the kernel rows are the Hermite basis kernel_basis
+returns, one elimination against them (IntMatrix.echelon_coords) writes the
+image and every cocycle in their coordinates, and one Smith form of the image
+gives the invariants.  Every class carries coordinates against the cyclic
+generators, which are built on first read.  The closed-form cocycle xi is a
+method of its group (closed_cocycle), checked by the elimination that
+class_of runs; the dual group's eta is its counterpart.
 
 The dual side (colattices) computes H^n(K, DM) as H^(n+1)(K, M*) through
 the connecting map, so its normal form is this module's, run on M* one
@@ -184,31 +187,37 @@ class ClassGroup:
 class CohomologyGroup(ClassGroup):
     """H^n(K, M) with explicit generator cocycles and coordinates.
 
-    Kernel modulo image of the integral cochain complex.  Since the exponent
-    divides four, the quotient is taken mod 8 (lattices.pow2_quotient), and a
-    check confirms no invariant 8 shows up.
+    Kernel modulo image of the integral cochain complex.  The kernel rows
+    are kept as kernel_basis returns them, already in Hermite form, and the
+    image of D_(n-1) is written in their coordinates by the elimination that
+    class_of runs.  Since the exponent divides four, the quotient is taken
+    mod 8 (lattices.pow2_quotient), and a check confirms no invariant 8
+    shows up.  Neither the quotient's generators nor the cocycles over them
+    are built until generators is read.
     """
 
     modulus = 0
 
-    def __init__(self, M: KLattice, n: int):
+    def __init__(self, M: KLattice, n: int, Dprev: IntMatrix | None = None):
+        """Dprev is D_(n-1), differential_matrix(M, n - 1), when the caller
+        has built it already; it is built here otherwise."""
         if n < 1:
             raise ValueError("degree must be >= 1")
         self.module = M
         self.n = n
-        r = M.rank
-        width = (n + 1) * r
-        D = differential_matrix(M, n)
-        Dprev = differential_matrix(M, n - 1)
-        ker = hnf([list(v) for v in kernel_basis(D)], width)
-        self._q = _kernel_quotient(ker, Dprev.transpose().data, 3)
+        width = (n + 1) * M.rank
+        if Dprev is None:
+            Dprev = differential_matrix(M, n - 1)
+        ensure(Dprev.rows == width and Dprev.cols == n * M.rank,
+               f"D_{n - 1} does not have the shape of the degree-{n - 1} coboundary")
+        # kernel_basis returns the Hermite basis of the saturated kernel: a
+        # row has about three nonzero entries of (n+1) r, and a group lives
+        # as long as its context, so the rows are kept as a sparse matrix
+        self._kernel = IntMatrix(kernel_basis(differential_matrix(M, n)), cols=width)
+        self._q = _kernel_quotient(self._kernel, Dprev.transpose().data, 3)
         ensure(all(4 % d == 0 for d in self._q.invariants),
                f"H^{n} has an invariant not dividing 4: {self._q.invariants}")
         self.invariants = self._q.invariants
-        # a Hermite row of the kernel has about three nonzero entries of
-        # (n+1) r, and a group lives as long as its context, so the rows are
-        # kept as a sparse matrix
-        self._kernel = ker.basis_matrix()
         self._generators = None
 
     @property
@@ -225,24 +234,13 @@ class CohomologyGroup(ClassGroup):
         self._generators = None
 
     def _eliminate(self, gamma: Cochain) -> tuple[list, bool]:
-        """Coordinates against the kernel rows, as ZLattice.coords, and whether
-        gamma is a cocycle.
-
-        The rows are a Hermite basis of the saturated integral kernel, so a
-        zero remainder means exactly D_n gamma = 0.  A remainder at a pivot
-        stays in v, since later rows start further right, so one test at the
-        end rejects every non-cocycle.
-        """
+        """Coordinates of gamma against the kernel rows, and whether gamma is
+        a cocycle: the rows are the Hermite basis of the saturated integral
+        kernel, so a zero remainder means exactly D_n gamma = 0."""
         v = list(gamma.flatten())
         if len(v) != self._kernel.cols:
             raise ValueError("vector length differs from ambient rank")
-        c = []
-        for cols, vals in self._kernel.sparse_rows():
-            q = v[cols[0]] // vals[0]
-            if q:
-                for j, x in zip(cols, vals):
-                    v[j] -= q * x
-            c.append(q)
+        c = self._kernel.echelon_coords(v)
         return c, not any(v)
 
     def class_of(self, gamma: Cochain) -> "CohClass":
@@ -265,14 +263,15 @@ class CohomologyGroup(ClassGroup):
         return gamma
 
 
-def _kernel_quotient(ker: ZLattice, image, level: int):
-    """ker / image mod 2^level, over the coordinates of the basis rows of ker."""
-    s = ker.rank()
+def _kernel_quotient(K: IntMatrix, image, level: int):
+    """ker / image mod 2^level, over the coordinates of K, the Hermite basis
+    rows of ker."""
     coords = []
-    for v in image:
-        c = ker.coords(v)
-        ensure(c is not None, "image not inside the kernel")
-        coords.append(list(c))
+    for vec in image:
+        v = list(vec)
+        coords.append(K.echelon_coords(v))
+        ensure(not any(v), "image not inside the kernel")
+    s = K.rows
     C = IntMatrix(coords, cols=s) if coords else IntMatrix.zero(0, s)
     return pow2_quotient(C, s, level)
 

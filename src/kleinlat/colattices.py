@@ -9,10 +9,11 @@ a carrier cocycle is lifted to Z, its integral coboundary divided by q.  So
 StableDualCohomology takes its invariants and coordinates from one integral
 group, and keeps the one coboundary of M* in degree n
 (cohomology.differential_matrix) for class_of and for the check of its eta
-cocycles (closed_cocycle).  Its generator cocycles need a Smith form of
-that coboundary, so they are built on first read: the eta basis check reads
-class_of and closed_cocycle only and runs no Smith form.  Its carrier
-cocycles are those of the stable image
+cocycles (closed_cocycle); an integral group it builds itself reads that
+coboundary as its image differential, so it is built once.  Its generator
+cocycles need a Smith form of that coboundary, so they are built on first
+read: the eta basis check reads class_of and closed_cocycle only and runs no
+Smith form.  Its carrier cocycles are those of the stable image
 
     E  =  image( H^n(K, N_level)  ->  H^n(K, N_level+1) ),
 
@@ -105,10 +106,10 @@ class StableDualCohomology(ClassGroup):
     Classes are carried by cocycles mod q = 2^(level+1) in the stable image.
     The constructor keeps what class_of reads: the integral group, the
     coboundary D_n of M* and the mod-2 coboundaries.  The integral group is
-    built here, or given (integral) by a context whose coordinates this
-    group then shares.  The generators, one carrier cocycle over each
-    generator of H^(n+1)(K, M*), are built on first read, as
-    CohomologyGroup.generators are.
+    built here, on the kept D_n as its image differential, or given
+    (integral) by a context whose coordinates this group then shares.  The
+    generators, one carrier cocycle over each generator of H^(n+1)(K, M*),
+    are built on first read, as CohomologyGroup.generators are.
     """
 
     def __init__(self, M: KLattice, n: int, level: int = DEFAULT_LEVEL,
@@ -123,10 +124,13 @@ class StableDualCohomology(ClassGroup):
         self.colattice = ColatticeLevel(M, level + 1)
         self.modulus = self.colattice.modulus
         self.module = mod = self.colattice.transposed_module()
+        # D_n, the differential of M*, is the connecting map of class_of; a
+        # group built here reads it as the image differential of degree n + 1
+        self._D = differential_matrix(mod, n)
         # a group given by a context is shared with it, and keeps its generators
         self._owns_integral = integral is None
         if integral is None:
-            integral = CohomologyGroup(mod, n + 1)
+            integral = CohomologyGroup(mod, n + 1, self._D)
         ensure(integral.n == n + 1 and integral.module == mod,
                "the integral group is not H^(n+1) of the transposed module")
         self._integral = I = integral
@@ -135,8 +139,6 @@ class StableDualCohomology(ClassGroup):
         # of 0 -> N_level -> N_level+1 -> N_1 -> 0)
         Dprev = differential_matrix(mod, n - 1)
         self._coboundaries_mod2 = RowSpan(F2Matrix.from_int(Dprev.transpose()))
-        # D_n, the differential of M*, is the connecting map of class_of
-        self._D = differential_matrix(mod, n)
         self._generators = None
 
     @property

@@ -83,6 +83,7 @@ class ExtensionGroup:
             (acting.act_a * acting.act_b).data,
         )
         self.values = tuple(tuple(_reduced(v, modulus) for v in row) for row in full)
+        self._assoc = None
 
     def value(self, g: GroupElt, h: GroupElt) -> tuple:
         return self.values[_index(g)][_index(h)]
@@ -130,26 +131,43 @@ class ExtensionGroup:
     def associativity_check(self, samples) -> bool:
         """(xy)z = x(yz) for x, y, z over each sample and all triples in K.
 
-        g.v and g.w are formed once per sample and g in K, x.y once per
-        (g, h) and y.z once per (h, k); the (xy)z side reads gh.w from the
-        table, so g.(yz) is the one action product formed per triple.  The
-        element of K is the same on both sides, so only the vectors are
-        compared.
+        For x = (u, s), y = (v, t), z = (w, r) the element of K is str on
+        both sides, and the vector of (xy)z minus that of x(yz) is
+
+            [u + s.v + gamma(s,t) + st.w] - [u + s.v + s.(t.w)]
+              - [s.gamma(t,r) + gamma(s,tr) - gamma(st,r)].
+
+        The last bracket does not depend on the sample: it is formed once
+        per extension (_associator) and kept.  The first two share u + s.v,
+        which cancels, so per sample and (s, t) the check forms
+        gamma(s,t) + st.w - s.(t.w) and compares it, mod the modulus, with
+        the kept bracket for each r.  The integers are those of the products,
+        so the answer is that of multiplying out every triple.
         """
-        prod, act = self._product, self._act
+        act, gam, q = self._act, self.values, self.modulus
+        kept = self._associator()
         R = range(4)
-        for (u, v, w) in samples:
-            gv = [act(s, v) for s in R]
-            gw = [act(s, w) for s in R]
-            xy = [[prod(u, s, gv[s], t) for t in R] for s in R]
-            yz = [[prod(v, t, gw[t], r) for r in R] for t in R]
+        for (_u, _v, w) in samples:
+            tw = [act(t, w) for t in R]
             for s in R:
                 for t in R:
-                    st = s ^ t
-                    for r in R:
-                        if prod(xy[s][t], st, gw[st], r) != prod(u, s, act(s, yz[t][r]), t ^ r):
-                            return False
+                    d = _reduced([a + b - c for a, b, c in zip(gam[s][t], tw[s ^ t],
+                                                               act(s, tw[t]))], q)
+                    if any(d != kept[s][t][r] for r in R):
+                        return False
         return True
+
+    def _associator(self) -> tuple:
+        """[s][t][r]: s.gamma(t,r) + gamma(s,tr) - gamma(st,r) mod the
+        modulus, formed on first use and kept."""
+        if self._assoc is None:
+            act, gam, q = self._act, self.values, self.modulus
+            R = range(4)
+            self._assoc = tuple(tuple(tuple(
+                _reduced([a + b - c for a, b, c in zip(act(s, gam[t][r]), gam[s][t ^ r],
+                                                       gam[s ^ t][r])], q)
+                for r in R) for t in R) for s in R)
+        return self._assoc
 
 
 def extension_from_class(M: KLattice, cls: CohClass) -> ExtensionGroup:

@@ -193,11 +193,26 @@ class IntMatrix:
                 out[idx[k]][i] = val[k]
         return out
 
-    def sparse_rows(self):
-        """Each row as (columns, values) of its nonzero entries, columns ascending."""
+    def echelon_coords(self, v: list) -> list:
+        """Coordinates of v over the rows of a matrix in row echelon form with
+        positive pivots, as kernel_basis returns it; v, a list, is left
+        holding the remainder.
+
+        A zero remainder means exactly that v lies in the row lattice.  A
+        remainder at a pivot stays in v, since later rows start further
+        right, so one test of v at the end rejects every non-member.  A row
+        is read only where v is nonzero at its pivot.
+        """
         idx, val = self._idx, self._val
+        out = []
         for a, b in pairwise(self._ptr):
-            yield idx[a:b], val[a:b]
+            x = v[idx[a]]
+            q = x // val[a] if x else 0
+            if q:
+                for j, y in zip(idx[a:b], val[a:b]):
+                    v[j] -= q * y
+            out.append(q)
+        return out
 
     def __getitem__(self, ij):
         i, j = ij

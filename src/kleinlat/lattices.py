@@ -224,22 +224,35 @@ def lift_invertible(Abar: F2Matrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Pow2Quotient:
     """Z^s modulo (row space of C + 2^k Z^s), with coordinates.
 
-    invariants are the cyclic orders (powers of two, > 1); generators[i] is a
-    vector of Z^s generating the i-th factor.  Of the left Smith transform U
-    only the rows at positions are kept, each reduced mod its order, in _rows:
-    coordinates read no other.
+    invariants are the cyclic orders (powers of two, > 1).  Of the left
+    Smith transform U only the rows at positions are kept, each reduced mod
+    its order, in _rows: coordinates read no other.  generators[i], a vector
+    of Z^s generating the i-th factor, is a column of U^-1 mod 2^k; the
+    inverse is formed on first read of generators, and U is dropped then.
     """
 
-    s: int
-    k: int
-    invariants: tuple
-    positions: tuple
-    generators: tuple
-    _rows: tuple
+    __slots__ = ("s", "k", "invariants", "positions", "_rows", "_U", "_generators")
+
+    def __init__(self, s: int, k: int, invariants: tuple, positions: tuple,
+                 rows: tuple, U: IntMatrix):
+        self.s, self.k = s, k
+        self.invariants, self.positions = invariants, positions
+        self._rows = rows
+        self._U = U
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple:
+        """The columns of U^-1 at positions, mod 2^k, built on first read."""
+        if self._generators is None:
+            q = 1 << self.k
+            Uinv_cols = tuple(zip(*inverse_unimodular(self._U).data))
+            self._generators = tuple(tuple(x % q for x in Uinv_cols[i]) for i in self.positions)
+            self._U = None
+        return self._generators
 
     def coords(self, vec) -> tuple:
         """Coordinates of vec: the rows of U at positions, each mod its order."""
@@ -264,14 +277,13 @@ def pow2_quotient(C: IntMatrix, s: int, k: int) -> Pow2Quotient:
     orders = [gcd(d, q) for d in diag] + [q] * (s - len(diag))
     positions = tuple(i for i, d in enumerate(orders) if d != 1)
     U = sf.U.data
-    Uinv_cols = tuple(zip(*inverse_unimodular(sf.U).data))
     return Pow2Quotient(
         s=s,
         k=k,
         invariants=tuple(orders[i] for i in positions),
         positions=positions,
-        generators=tuple(tuple(x % q for x in Uinv_cols[i]) for i in positions),
-        _rows=tuple(tuple(x % orders[i] for x in U[i]) for i in positions),
+        rows=tuple(tuple(x % orders[i] for x in U[i]) for i in positions),
+        U=sf.U,
     )
 
 

@@ -357,8 +357,11 @@ def lattice_of_model(V: LambdaRep) -> LatticeModel:
     B = hnf(rows, n).basis_matrix()
     ensure(B.rows == n, "the lattice of V does not have full rank")
     Bc = B.transpose()  # basis vectors as columns
-    act_a = solve_matrix_exact(Bc, ambient.act_a * Bc)
-    act_b = solve_matrix_exact(Bc, ambient.act_b * Bc)
+    # both actions against one Smith form of Bc: the solution is unique, so
+    # its two column blocks are the two one-sided solutions
+    X = solve_matrix_exact(Bc, (ambient.act_a * Bc).hstack(ambient.act_b * Bc)).data
+    act_a = IntMatrix([row[:n] for row in X], cols=n)
+    act_b = IntMatrix([row[n:] for row in X], cols=n)
     return LatticeModel(module=KLattice(act_a, act_b), basis=B, ambient_dims=mult)
 
 

@@ -277,6 +277,42 @@ def test_failed_check_in_cohomology_raises_under_python_O():
     assert "VerificationError: group too large for the brute-force oracle" in out.stderr
 
 
+def test_kernel_basis_rows_are_their_own_hermite_form():
+    # CohomologyGroup keeps the kernel_basis rows as its Hermite basis and
+    # runs no hnf pass of its own: the rows come in pivot order, with
+    # positive pivots and the entries above each pivot reduced
+    def check(D, where):
+        rows = kernel_basis(D)
+        assert tuple(rows) == hnf(rows, D.cols).basis, where
+
+    for label in sweep_labels(3):
+        M = tube_module_from_label(label).lattice
+        for side, mod in (("M", M), ("M*", M.transposed())):
+            for n in range(6):
+                D = differential_matrix(mod, n)
+                check(D, (str(label), side, n))
+                check(D.transpose(), (str(label), side, n, "transposed"))
+    rng = random.Random(29)
+    entries = (0,) * 6 + (1, -1, 2, -2, 3, 6)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        A = [[rng.choice(entries) for _ in range(cols)] for _ in range(rows)]
+        check(IntMatrix(A, cols=cols), A)
+        # echelon_coords on those rows is ZLattice.coords: the coordinates
+        # of a member, and a nonzero remainder for every non-member
+        L = hnf(kernel_basis(IntMatrix(A, cols=cols)), cols)
+        K = L.basis_matrix()
+        for _ in range(3):
+            c = [rng.randint(-3, 3) for _ in L.basis]
+            v = [sum(ci * b[t] for ci, b in zip(c, L.basis)) + rng.choice((0, 0, 1))
+                 for t in range(cols)]
+            rest = list(v)
+            got = K.echelon_coords(rest)
+            want = L.coords(v)
+            assert (not any(rest)) == (want is not None), (A, v)
+            assert want is None or tuple(got) == want, (A, v)
+
+
 def test_class_of_on_the_sparse_kernel_rows_matches_the_hermite_basis():
     # the group keeps only the nonzero entries of its kernel rows; coordinates
     # and the cocycle test agree with the Hermite basis they were read from

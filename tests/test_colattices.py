@@ -381,8 +381,9 @@ class _LevelCohomology(ClassGroup):
         Dprev = differential_matrix(mod, n - 1)
         self._kernel = kernel_mod(D, q)
         image = hnf_mod([list(Dprev.col(j)) for j in range(Dprev.cols)], (n + 1) * r, q).basis
-        self._q = _kernel_quotient(self._kernel, image, k)
-        flats = _representatives(self._kernel.basis_matrix(), self._q)
+        K = self._kernel.basis_matrix()
+        self._q = _kernel_quotient(K, image, k)
+        flats = _representatives(K, self._q)
         self.invariants = self._q.invariants
         self.generators = tuple(Cochain.unflatten(n, r, f).reduce(q) for f in flats)
 
@@ -594,7 +595,8 @@ def _reference_images(H, T, level):
         ker = intersection_mod(kerD, W, q)
         img_rows = [Dprev.apply(v) for v in hnf_mod(_cochains_in(L, n, r), n * r, q).basis]
         img = hnf_mod([list(v) for v in img_rows], (n + 1) * r, q)
-        flats = _representatives(ker.basis_matrix(), _kernel_quotient(ker, img.basis, level))
+        K = ker.basis_matrix()
+        flats = _representatives(K, _kernel_quotient(K, img.basis, level))
         out.append([H.class_of(Cochain.unflatten(n, r, f).scale(2).reduce(2 * q)) for f in flats])
     return out
 

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kleinlat
+from kleinlat import lattices
 from kleinlat.checks import VerificationError
+from kleinlat.cohomology import Cochain, CohomologyGroup, verify_xi_iso
+from kleinlat.colattices import verify_eta_iso
 from kleinlat.intmat import (
     IntMatrix,
     determinant,
@@ -27,6 +30,7 @@ from kleinlat.lattices import (
     lift_invertible,
     pow2_quotient,
 )
+from kleinlat.tubes import sweep_labels, tube_module_from_label
 
 
 small_matrices = st.integers(1, 5).flatmap(
@@ -502,6 +506,47 @@ def test_pow2_quotient_is_the_quotient_map_exhaustively():
                     pq.coords([1] * bad)
 
 
+def test_pow2_quotient_generators_are_built_on_first_read(monkeypatch):
+    # the generators are columns of U^-1, and criteria 3 and 4 read only
+    # invariants and coordinates: building a group, class_of and the xi and
+    # eta basis checks invert no Smith transform
+    members = [tube_module_from_label(label) for label in sweep_labels(2)]
+    real = lattices.inverse_unimodular
+    calls = []
+
+    def counting(A):
+        calls.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(lattices, "inverse_unimodular", counting)
+    for T in members:
+        for n in (1, 2):
+            H = CohomologyGroup(T.lattice, n)
+            assert H.class_of(Cochain.zero(n, T.lattice.rank)).is_zero()
+            assert verify_xi_iso(T, n, H) and verify_eta_iso(T, n), (str(T.label), n)
+    assert calls == []
+    # read, they are the columns of U^-1 at positions mod 2^k, and kept
+    rng = random.Random(4)
+    cases = []
+    for _ in range(40):
+        s, k = rng.randint(1, 4), rng.randint(1, 3)
+        gens = [[rng.randint(0, 7) for _ in range(s)] for _ in range(rng.randint(0, 4))]
+        cases.append((gens, s, k))
+    rng = random.Random(8)
+    for k in (1, 2, 3):
+        for s in (1, 2, 3):
+            cases.extend((rows, s, k) for rows in _small_matrices(s, 1 << k, rng, 12))
+    for rows, s, k in cases:
+        C = IntMatrix(rows, cols=s) if rows else IntMatrix.zero(0, s)
+        pq = pow2_quotient(C, s, k)
+        Uinv_cols = list(zip(*real(smith_form(C.transpose()).U).data))
+        want = tuple(tuple(x % (1 << k) for x in Uinv_cols[i]) for i in pq.positions)
+        before = len(calls)
+        assert pq.generators == want, (rows, s, k)
+        assert pq.generators is pq.generators
+        assert len(calls) == before + 1
+
+
 def test_kernel_mod_is_the_solution_set_exhaustively():
     rng = random.Random(9)
     for k in (1, 2, 3):
@@ -689,7 +734,6 @@ def test_sparse_rows_match_the_dense_reference(case):
     assert (A * B).data == _dense_int_mul(dense, B.data, k)
     assert A.transpose().data == tuple(tuple(r[j] for r in dense) for j in range(cols))
     assert [A.col(j) for j in range(cols)] == [tuple(r[j] for r in dense) for j in range(cols)]
-    assert [dict(zip(*r)) for r in A.sparse_rows()] == A.row_dicts()
     assert A.row_dicts() == [{j: x for j, x in enumerate(r) if x} for r in dense]
     assert IntMatrix.from_dicts(A.row_dicts(), cols) == A
     assert A.is_zero() == (not any(map(any, dense)))

@@ -124,6 +124,46 @@ def test_extension_associativity_and_negative_control():
                 assert not bad_ext.associativity_check(sample), (q, key, t)
 
 
+def test_associativity_check_reads_the_module_law_and_keeps_its_constants():
+    Td = tube_module(TubeId.homogeneous(F), None, 2)
+    dsc = DualSumContext([Td], 2)
+    sc = SumContext([tube_module(TubeId.special("1"), 1, 1)], 2)
+    goods = [
+        extension_from_class(sc.module, sc.merge([sc.representative(0, 0)])),
+        extension_from_class(dsc.H.module, dsc.merge([dsc.representative(0, 1)])),
+    ]
+    for good in goods:
+        acting, q, r = good.acting, good.modulus, good.acting.rank
+        table = {(g, h): good.value(g, h) for g in GROUP for h in GROUP}
+        # a w that b moves: with ab acting as a, (xy)z and x(yz) differ by
+        # a.w - ab.w on the triples with st = ab
+        units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        w = next(e for e in units if acting.apply(B, e) != e)
+        sample = [((1,) * r, (0,) * r, w)]
+        assert good.associativity_check(sample)
+        bad = ExtensionGroup(acting, table, q)
+        bad.acts = (bad.acts[0], bad.acts[1], bad.acts[2], bad.acts[1])
+        assert not bad.associativity_check(sample), q
+        # the sample-free constants s.gamma(t,r) are formed on the first
+        # call and kept: a second call forms no product with a table value
+        ext = ExtensionGroup(acting, table, q)
+        seen = []
+        real_act = ext._act
+
+        def recording_act(s, v):
+            seen.append(v)
+            return real_act(s, v)
+
+        ext._act = recording_act
+        values = [v for row in ext.values for v in row if any(v)]
+        assert values, q
+        assert ext.associativity_check(sample)
+        assert any(v is g for v in seen for g in values)
+        seen.clear()
+        assert ext.associativity_check(sample)
+        assert seen and not any(v is g for v in seen for g in values)
+
+
 # The product and the checks as they were written before the extension tables:
 # one group action per product and every triple of K recomputed.  They are the
 # reference for the table-driven ones.

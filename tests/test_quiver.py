@@ -6,9 +6,9 @@ import sys
 import pytest
 
 import kleinlat
-
+from kleinlat import intmat
 from kleinlat.f2 import F2Matrix, is_invertible, solve as f2_solve
-from kleinlat.klein import SIGN_KEYS, DimVector, dim_vector, sharp
+from kleinlat.klein import SIGN_KEYS, DimVector, diagonal_sign_lattice, dim_vector, sharp
 from kleinlat.polys import F2Poly
 from kleinlat.quiver import (
     NON_REGULAR,
@@ -22,6 +22,7 @@ from kleinlat.quiver import (
     identify_tube,
     in_category_R,
     is_morphism,
+    label_rep,
     lattice_of,
     lattice_of_model,
     lift_morphism,
@@ -32,6 +33,7 @@ from kleinlat.quiver import (
     special_tube_rep,
     tube_rep,
 )
+from kleinlat.tubes import sweep_labels
 
 F = F2Poly.from_string("t^2+t+1")
 G3 = F2Poly.from_string("t^3+t+1")
@@ -81,6 +83,29 @@ def test_lattice_of_examples():
                 {k: F2Matrix([], cols=1) for k in ("pp", "pm", "mp", "mm")},
             )
         )
+
+
+def test_lattice_of_model_solves_both_actions_against_one_smith_form(monkeypatch):
+    real = intmat.smith_form
+    calls = []
+
+    def counting(A):
+        calls.append(A.rows)
+        return real(A)
+
+    monkeypatch.setattr(intmat, "smith_form", counting)
+    rng = random.Random(31)
+    reps = [label_rep(label) for label in sweep_labels(4)]
+    reps += [random_rep_in_R(rng, 4) for _ in range(50)]
+    for V in reps:
+        calls.clear()
+        model = lattice_of_model(V)
+        assert len(calls) == 1
+        # the unique solution equals one solve per action
+        Bc = model.basis.transpose()
+        ambient = diagonal_sign_lattice(model.ambient_dims)
+        assert model.module.act_a == intmat.solve_matrix_exact(Bc, ambient.act_a * Bc)
+        assert model.module.act_b == intmat.solve_matrix_exact(Bc, ambient.act_b * Bc)
 
 
 def test_phi_round_trip_random():
