@@ -46,7 +46,7 @@ from typing import Optional, Sequence
 from .checks import ensure
 from .f2 import F2Matrix, RowSpan, inverse, is_invertible
 from .f2 import solve as f2_solve
-from .intmat import IntMatrix, determinant, kernel_basis
+from .intmat import IntMatrix, kernel_basis
 from .klein import A, B, KLattice, SignPair, eigencomponent
 from .lattices import ZLattice, finite_quotient, hnf, pow2_quotient
 from .quiver import TubeLabel
@@ -1003,17 +1003,13 @@ def _orbits(points, moves) -> list[set]:
 
 
 def transport_class(Msrc: KLattice, cls: CohClass, dst_group: CohomologyGroup) -> CohClass:
-    """Map a class along the lift psi: Msrc -> module of dst_group of an
-    isomorphism of their Phi.  psi can have det 3 or 5; an odd det is checked,
-    since then its cokernel is odd, has no H^n for n >= 1 and maps to zero in
-    the 2-group H^n, so psi pushes H^n isomorphically for n >= 1."""
+    """Map a class along psi: Msrc -> module of dst_group, the lift of an
+    isomorphism of their Phi, which lift_morphism makes an isomorphism."""
     from .quiver import lift_morphism, phi, reps_isomorphic
 
     iso = reps_isomorphic(phi(Msrc), phi(dst_group.module))
     ensure(iso is not None, "modules are not isomorphic")
-    psi = lift_morphism(iso, Msrc, dst_group.module)
-    ensure(determinant(psi) % 2 == 1, "the lifted isomorphism has even determinant")
-    return push_class(psi, cls, dst_group)
+    return push_class(lift_morphism(iso, Msrc, dst_group.module), cls, dst_group)
 
 
 def apply_group_automorphism(which: str, M: KLattice, cls: CohClass):

@@ -239,7 +239,7 @@ def eigencomponent(M: KLattice, s: SignPair) -> ZLattice:
     sb = 1 if s.beta == "+" else -1
     ident = IntMatrix.identity(M.rank)
     stacked = (M.act_a - ident.scale(sa)).vstack(M.act_b - ident.scale(sb))
-    return hnf([list(v) for v in kernel_basis(stacked)], M.rank)
+    return ZLattice(M.rank, kernel_basis(stacked), _canonical=True)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Optional
 from .checks import ensure
 from .f2 import F2Matrix, is_invertible, nullspace_bits, rank as f2_rank, rref
 from .f2 import inverse as f2_inverse
-from .intmat import IntMatrix, solve_matrix_exact
+from .intmat import IntMatrix, determinant, solve_matrix_exact
 from .klein import (
     SIGN_KEYS,
     DimVector,
@@ -47,7 +47,7 @@ from .klein import (
     sharp,
     two_msharp_in_m,
 )
-from .lattices import ZLattice, finite_quotient, hnf
+from .lattices import ZLattice, finite_quotient, hnf, lift_invertible
 from .polys import F2Poly, char_poly, companion_matrix, primary_decomposition
 
 
@@ -331,20 +331,7 @@ def phi(M: KLattice) -> LambdaRep:
     return phi_data(M).rep
 
 
-@dataclass(frozen=True)
-class LatticeModel:
-    """A KLattice cut out of a sign-diagonal ambient lattice.
-
-    basis rows express the module's basis in the ambient coordinates; the
-    ambient carries the diagonal action with multiplicities ambient_dims.
-    """
-
-    module: KLattice
-    basis: IntMatrix
-    ambient_dims: tuple
-
-
-def lattice_of_model(V: LambdaRep) -> LatticeModel:
+def lattice_of(V: LambdaRep) -> KLattice:
     """Realize V as a lattice between 2 Mtilde and Mtilde."""
     if not in_category_R(V):
         raise ValueError("not in category R")
@@ -362,25 +349,31 @@ def lattice_of_model(V: LambdaRep) -> LatticeModel:
     X = solve_matrix_exact(Bc, (ambient.act_a * Bc).hstack(ambient.act_b * Bc)).data
     act_a = IntMatrix([row[:n] for row in X], cols=n)
     act_b = IntMatrix([row[n:] for row in X], cols=n)
-    return LatticeModel(module=KLattice(act_a, act_b), basis=B, ambient_dims=mult)
-
-
-def lattice_of(V: LambdaRep) -> KLattice:
-    return lattice_of_model(V).module
+    return KLattice(act_a, act_b)
 
 
 def lift_morphism(phi_m: RepMorphism, M: KLattice, N: KLattice) -> IntMatrix:
-    """Integer K-map M -> N reducing to the given morphism phi(M) -> phi(N)."""
+    """Integer K-map M -> N reducing to the given morphism phi(M) -> phi(N).
+
+    It is E_N^-1 L E_M, E the embeddings into the sharp blocks and L the
+    block-diagonal lift of the arms: their {0,1} lifts, or for an isomorphism
+    their unimodular lifts (lift_invertible), so that the lift of an
+    isomorphism is one, which is checked.
+    """
     dM = phi_data(M)
     dN = phi_data(N)
     if not is_morphism(phi_m, dM.rep, dN.rep):
         raise ValueError("morphism incompatible with representations")
-    L = IntMatrix.block_diagonal([phi_m.phi[key].to_int() for key in SIGN_KEYS])
+    iso = phi_m.is_invertible()
+    lift = lift_invertible if iso else F2Matrix.to_int
+    L = IntMatrix.block_diagonal([lift(phi_m.phi[key]) for key in SIGN_KEYS])
     psi = solve_matrix_exact(_embedding_matrix(dN), L * _embedding_matrix(dM))
     ensure(
         psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi,
         "lifted map is not K-equivariant",
     )
+    if iso:
+        ensure(abs(determinant(psi)) == 1, "the lift of an isomorphism is not unimodular")
     return psi
 
 

@@ -8,10 +8,11 @@ quiver morphism), take the kernel, repeat.  Layer labels are recomputed from
 the actual subquotients rather than trusted, so the kept data is
 self-checking.
 
-hom_klattices() computes an integer basis of the K-equivariant maps between
-two overring lattices through their sharp coordinates: a block-diagonal
-unknown is constrained by an integrality congruence mod a power of two,
-which keeps the linear algebra word-sized.
+Every lattice map here is written through phi_data's embedding E_M of M
+into its sharp blocks: the lift of a quiver morphism (quiver.lift_morphism),
+the unit family, and the Hom and End lattices.  Those are the block-diagonal
+Y with Y E_M Z^m inside E_N Z^n (_hom_order); since 2 N^# lies in N the
+condition is one congruence mod 2, so the linear algebra is over GF(2).
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from typing import Optional
 
 from .checks import ensure
 from .f2 import F2Matrix, nullspace as f2_nullspace, rank as f2_rank
-from .intmat import IntMatrix, determinant, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
+from .intmat import IntMatrix, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
 from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
 from .klein import regular_representation, two_msharp_in_m
-from .lattices import ZLattice, hnf, kernel_mod, lift_invertible
+from .lattices import ZLattice, hnf
 from .polys import F2Poly
 from .quiver import (
     NON_REGULAR,
     LambdaRep,
     MAX_MEMBER_RANK,
-    LatticeModel,
     TubeId,
     TubeLabel,
     _check_degree,
@@ -42,7 +42,7 @@ from .quiver import (
     hom_reps,
     identify_tube,
     label_rep,
-    lattice_of_model,
+    lattice_of,
     lift_morphism,
     phi,
     phi_data,
@@ -72,11 +72,7 @@ class TubeModule:
     """
 
     label: TubeLabel
-    model: LatticeModel
-
-    @property
-    def lattice(self) -> KLattice:
-        return self.model.module
+    lattice: KLattice
 
     @property
     def m(self) -> int:
@@ -128,7 +124,7 @@ class TubeModule:
         dual = self.lattice.transposed()
         out = []
         for _sub, Mk in self.chain:
-            A = hnf([list(v) for v in kernel_basis(Mk.transpose())], dual.rank)
+            A = ZLattice(dual.rank, kernel_basis(Mk.transpose()), _canonical=True)
             sub, _quot, embed, _proj = invariant_sublattice_module(dual, A)
             out.append((sub, embed))
         return tuple(out)
@@ -214,7 +210,7 @@ def _chain_for(module: KLattice, label: TubeLabel):
         d_cur = phi_data(cur)
         for branch in top_candidates:
             S_label = TubeLabel(cur_label.tube, branch, 1)
-            S_mod = lattice_of_model(label_rep(S_label)).module
+            S_mod = lattice_of(label_rep(S_label))
             W = phi(S_mod)
             homs = hom_reps(d_cur.rep, W)
             onto = _surjection(homs, W)
@@ -224,7 +220,7 @@ def _chain_for(module: KLattice, label: TubeLabel):
         ensure(found is not None, f"no quasi-simple quotient found below {cur_label}")
         S_label, S_mod, onto = found
         psi = lift_morphism(onto, cur, S_mod)
-        ker = hnf([list(v) for v in kernel_basis(psi)], cur.rank)
+        ker = ZLattice(cur.rank, kernel_basis(psi), _canonical=True)
         sub, _quot, embed, _proj = invariant_sublattice_module(cur, ker)
         ensure(sub is not None and sub.rank == cur.rank - S_mod.rank,
                f"the kernel onto the top of {cur_label} has the wrong rank")
@@ -266,7 +262,7 @@ def tube_module(tube: TubeId, j: Optional[int], m: int) -> TubeModule:
     rank = member_rank(label)
     if rank > MAX_MEMBER_RANK:
         raise ValueError(f"{label} has rank {rank}, over the limit of {MAX_MEMBER_RANK}")
-    return TubeModule(label=label, model=lattice_of_model(label_rep(label)))
+    return TubeModule(label=label, lattice=lattice_of(label_rep(label)))
 
 
 def tube_module_from_label(label: TubeLabel, with_chain: bool = True) -> TubeModule:
@@ -293,67 +289,58 @@ def _block_slots(dimsN, dimsM):
     return slots
 
 
-def hom_klattices(M: KLattice, N: KLattice):
-    """Z-basis of the K-equivariant maps M -> N (both overring lattices)."""
+def _hom_order(M: KLattice, N: KLattice) -> tuple:
+    """The block-diagonal Y with Y E_M Z^m inside E_N Z^n: (slots, lattice).
+
+    E_M and E_N are phi_data's embeddings into the sharp blocks, so these Y
+    are the K-maps M^# -> N^# that carry M into N.  A Y is flattened to its
+    entries at the slots.  Since 2 N^# lies in N, the condition reads Y mod 2
+    alone, h Y E_M = 0 mod 2 for the rows h that cut N out mod 2, so the
+    lattice is 2 Z^u plus the lift of one GF(2) nullspace.
+    """
     dM = phi_data(M)
     dN = phi_data(N)
-    E_M = _embedding_matrix(dM)
-    E_N = _embedding_matrix(dN)
-    det_N = determinant(E_N)
-    q = abs(det_N)
-    adjN = solve_matrix_exact(E_N, IntMatrix.diagonal([det_N] * N.rank))
-    dimsM = [c.rank() for c in dM.sharp.components]
-    dimsN = [c.rank() for c in dN.sharp.components]
-    slots = _block_slots(dimsN, dimsM)
+    slots = _block_slots([c.rank() for c in dN.sharp.components],
+                         [c.rank() for c in dM.sharp.components])
     u = len(slots)
-    if u == 0:
+    H = f2_nullspace(F2Matrix.from_int(_embedding_matrix(dN).transpose()))
+    cols = _embedding_matrix(dM).transpose().data
+    rows = [[h[a] & c[b] & 1 for a, b in slots] for h in H for c in cols]
+    gens = [list(v) for v in f2_nullspace(F2Matrix(rows, cols=u))]
+    gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))
+    return slots, hnf(gens, u)
+
+
+def hom_klattices(M: KLattice, N: KLattice):
+    """Z-basis of the K-equivariant maps M -> N (both overring lattices):
+    E_N^-1 Y E_M for the Hermite basis rows Y of _hom_order(M, N)."""
+    slots, order = _hom_order(M, N)
+    if not order.basis:
         return []
-    if q == 1:
-        sol_rows = [[1 if t == s else 0 for t in range(u)] for s in range(u)]
-    else:
-        W_rows = []
-        adj, emb = adjN.data, E_M.data
-        for i in range(N.rank):
-            for jj in range(M.rank):
-                row = [
-                    (adj[i][a] * emb[b][jj]) % q for (a, b) in slots
-                ]
-                W_rows.append(row)
-        W = IntMatrix(W_rows, cols=u)
-        sol = kernel_mod(W, q)
-        sol_rows = [list(r) for r in sol.basis]
-    out = []
-    for y in sol_rows:
-        Y = [[0] * M.rank for _ in range(N.rank)]
+    E_M = _embedding_matrix(phi_data(M))
+    r = M.rank
+    prods = []
+    for y in order.basis:
+        Y = [[0] * r for _ in range(N.rank)]
         for val, (a, b) in zip(y, slots):
             Y[a][b] = val
-        Ym = IntMatrix(Y, cols=M.rank)
-        prod = adjN * Ym * E_M
-        psi_rows = []
-        for r in prod.data:
-            ensure(all(x % det_N == 0 for x in r), "a hom solution is not integral")
-            psi_rows.append([x // det_N for x in r])
-        psi = IntMatrix(psi_rows, cols=M.rank)
+        prods.append(IntMatrix(Y, cols=r) * E_M)
+    # every map against one Smith form of E_N
+    X = solve_matrix_exact(_embedding_matrix(phi_data(N)), IntMatrix.block([prods])).data
+    out = []
+    for k in range(len(prods)):
+        psi = IntMatrix([row[k * r:(k + 1) * r] for row in X], cols=r)
         ensure(psi * M.act_a == N.act_a * psi and psi * M.act_b == N.act_b * psi,
                "a hom solution is not K-equivariant")
         out.append(psi)
     return out
 
 
-def _ambient_to_module(T: TubeModule, amb: IntMatrix) -> IntMatrix:
-    """Rewrite an ambient block-diagonal map preserving M in M's coordinates."""
-    Bc = T.model.basis.transpose()
-    U = solve_matrix_exact(Bc, amb * Bc)
-    ensure(U * T.lattice.act_a == T.lattice.act_a * U and U * T.lattice.act_b == T.lattice.act_b * U,
-           "an ambient unit does not commute with the action")
-    return U
-
-
 def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
     """Generating family of automorphisms of T's lattice (closed under inverse).
 
-    The unit lifts of invertible quiver endomorphisms (blockwise unimodular
-    {0,1}-lifts), each followed by its inverse, then -1.  The units
+    The lifts of invertible quiver endomorphisms (lift_morphism, which lifts
+    an isomorphism to a unit), each followed by its inverse, then -1.  The units
     congruent to the identity mod 2 on the sharp overlattice (sign flips and
     1 + 2E_ij per block, and on the dual side 1 + 2E^T) act as the identity
     on H^n, so the class action factors through Aut(Phi(T)) and they are
@@ -367,13 +354,12 @@ def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
     Completeness of the family is empirical; the orbit oracle cross-checks
     it on small cohomology groups.  Read it through TubeModule.aut_family.
     """
-    rep = phi(T.lattice)
+    M = T.lattice
+    rep = phi(M)
     out = []
     seen = set()
 
     def push(U: IntMatrix):
-        if abs(determinant(U)) != 1:
-            return
         for W in (U, inverse_unimodular(U)):
             if not W.is_identity() and W not in seen:
                 seen.add(W)
@@ -381,10 +367,9 @@ def _aut_generator_family(T: TubeModule) -> "_PackedFamily":
 
     for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
         if e.is_invertible():
-            push(_ambient_to_module(T, IntMatrix.block_diagonal(
-                [lift_invertible(e.phi[k]) for k in SIGN_KEYS])))
-    push(IntMatrix.identity(T.lattice.rank).scale(-1))
-    return _PackedFamily(out, T.lattice.rank)
+            push(lift_morphism(e, M, M))
+    push(IntMatrix.identity(M.rank).scale(-1))
+    return _PackedFamily(out, M.rank)
 
 
 class _PackedFamily(Sequence):
@@ -470,7 +455,7 @@ def syzygy(M: KLattice) -> KLattice:
     )
     sf = smith_form(Psi)
     ensure(sf.rank() == M.rank and all(x == 1 for x in sf.invariants()), "cover not onto")
-    ker = hnf([list(v) for v in kernel_basis(Psi)], 4 * dd)
+    ker = ZLattice(4 * dd, kernel_basis(Psi), _canonical=True)
     free = regular_representation(dd)
     sub, _quot, _embed, _proj = invariant_sublattice_module(free, ker)
     ensure(sub is not None, "the syzygy is zero")
@@ -482,40 +467,18 @@ def syzygy(M: KLattice) -> KLattice:
 # ---------------------------------------------------------------------------
 
 
-def _member_conditions_mod2(model: LatticeModel) -> F2Matrix:
-    """Rows h with: x in M  iff  h . x = 0 mod 2 (for x in the ambient)."""
-    B2 = F2Matrix(model.basis.data, cols=model.basis.cols)
-    # rows of B2 span M mod 2; the conditions are the kernel of B2 (as rows)
-    rel = f2_nullspace(B2)
-    return F2Matrix([list(v) for v in rel], cols=model.basis.cols)
-
-
-def end_order_lattice(model: LatticeModel) -> ZLattice:
-    """End_A(M) as a lattice of block-diagonal ambient matrices, flattened."""
-    mult = model.ambient_dims
-    n = sum(mult)
-    H = _member_conditions_mod2(model)
-    slots = _block_slots(mult, mult)
-    u = len(slots)
-    rows = []
-    for v in model.basis.data:
-        for hrow in H.data:
-            eq = [0] * u
-            for idx, (a, b) in enumerate(slots):
-                if hrow[a] & v[b] & 1:
-                    eq[idx] ^= 1
-            rows.append(eq)
-    if rows:
-        sols = f2_nullspace(F2Matrix(rows, cols=u))
-    else:
-        sols = [tuple(1 if t == s else 0 for t in range(u)) for s in range(u)]
-    gens = [list(v) for v in sols]
-    gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))
-    return hnf(gens, u)
+def end_order_lattice(M: KLattice) -> ZLattice:
+    """End_A(M) as a lattice of block-diagonal sharp-block matrices, flattened."""
+    return _hom_order(M, M)[1]
 
 
 def expected_end_order(label: TubeLabel, lift_coeffs: Optional[list[int]] = None) -> ZLattice:
-    """The predicted order: companion-diagonal part plus twice everything."""
+    """The predicted order: companion-diagonal part plus twice everything.
+
+    It is written in the sign-diagonal ambient of label_rep(label), which
+    end_order_lattice reads as the sharp blocks of the member's lattice: on
+    members phi_data's embedding is the transposed basis of lattice_of.
+    """
     rep = label_rep(label)
     mult = tuple(rep.dims.component(k) for k in ("pp", "pm", "mp", "mm"))
     slots = _block_slots(mult, mult)
@@ -595,7 +558,7 @@ def _int_power(Mtx: IntMatrix, k: int) -> IntMatrix:
 
 def end_ring_check(T: TubeModule, lift_coeffs: Optional[list[int]] = None) -> bool:
     """Lattice equality of End_A(T) with the predicted order."""
-    got = end_order_lattice(T.model)
+    got = end_order_lattice(T.lattice)
     want = expected_end_order(T.label, lift_coeffs=lift_coeffs)
     return got == want
 
@@ -687,7 +650,7 @@ def _word(which: str) -> list[str]:
 @lru_cache(maxsize=None)
 def transport_label(label: TubeLabel, which: str) -> TubeLabel:
     """Label of the twisted module, computed from an actual twist."""
-    M = lattice_of_model(label_rep(label)).module
+    M = lattice_of(label_rep(label))
     got = identify_tube(phi(twist_module(M, which)))
     ensure(got != NON_REGULAR, f"the twist of {label} by {which} is not regular")
     return got

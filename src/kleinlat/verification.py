@@ -126,9 +126,11 @@ def check_cohomology(max_m: int, degrees):
     for label in sweep_labels(max_m):
         T = _tube(label)
         inf = is_infinity_tube(label)
+        # M(n) depends on the parity of n alone
+        comps = {p: target_component(T.lattice, p, inf) for p in {n % 2 for n in degrees}}
         for n in degrees:
             H = CohomologyGroup(T.lattice, n)
-            comp = target_component(T.lattice, n, inf)
+            comp = comps[n % 2]
             if H.invariants != tuple([2] * comp.rank()):
                 return False, f"{label}, n={n}: invariants {H.invariants}"
             if not verify_xi_iso(T, n, H, comp):

@@ -18,7 +18,7 @@ from kleinlat import cohomology, colattices, polys, quiver, tubes, verification
 from kleinlat.cohomology import Cochain, SumContext, _ActionMemo, _move_word, canonical_form, push_class
 from kleinlat.colattices import DualSumContext, co_canonical_form
 from kleinlat.f2 import F2Matrix
-from kleinlat.intmat import IntMatrix, inverse_unimodular
+from kleinlat.intmat import IntMatrix, inverse_unimodular, solve_matrix_exact
 from kleinlat.polys import F2Poly
 from kleinlat.checks import VerificationError
 from kleinlat.quiver import TubeId, TubeLabel
@@ -92,15 +92,21 @@ def test_unit_family_is_built_once_per_member(monkeypatch):
 
 
 def _congruence_units(T):
-    """Single sign flips and 1 + 2E_ij inside each sharp block, on T's lattice."""
-    n_amb = sum(T.model.ambient_dims)
+    """Single sign flips and 1 + 2E_ij inside each sharp block, on T's lattice:
+    E_M^-1 U E_M, E_M the embedding of T's lattice into its sharp blocks."""
+    M = T.lattice
+    d = quiver.phi_data(M)
+    E = quiver._embedding_matrix(d)
+    n_amb = M.rank
     off = 0
-    for s in T.model.ambient_dims:
+    for s in (c.rank() for c in d.sharp.components):
         for i in range(off, off + s):
             for j in range(off, off + s):
                 amb = [[int(a == b) for b in range(n_amb)] for a in range(n_amb)]
                 amb[i][j] = -1 if i == j else 2
-                yield tubes._ambient_to_module(T, IntMatrix(amb, cols=n_amb))
+                U = solve_matrix_exact(E, IntMatrix(amb, cols=n_amb) * E)
+                assert U * M.act_a == M.act_a * U and U * M.act_b == M.act_b * U
+                yield U
         off += s
 
 

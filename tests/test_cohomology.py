@@ -168,9 +168,10 @@ def test_apply_group_automorphism_transports_data():
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
-def test_transport_class_refuses_a_lift_of_even_determinant(flags):
-    # 2 psi kills H^n: the determinant check stops it, and it is not an
-    # assert, so python -O keeps it
+def test_transport_class_refuses_a_non_unimodular_lift_of_an_isomorphism(flags):
+    # three times the unimodular lift of each arm still reduces to the
+    # isomorphism, but its lift has det +-3^r: lift_morphism stops it, and
+    # its check is not an assert, so python -O keeps it
     code = (
         "from kleinlat import quiver\n"
         "from kleinlat.cohomology import SumContext, apply_group_automorphism, transport_class\n"
@@ -180,8 +181,8 @@ def test_transport_class_refuses_a_lift_of_even_determinant(flags):
         "sc = SumContext([T], 2)\n"
         "Mt, clst = apply_group_automorphism('t2', sc.module, sc.merge([sc.representative(0, 1)]))\n"
         "dst = SumContext([tube_module_from_label(transport_label(T.label, 't2'))], 2).H\n"
-        "real = quiver.lift_morphism\n"
-        "quiver.lift_morphism = lambda iso, M, N: real(iso, M, N).scale(2)\n"
+        "real = quiver.lift_invertible\n"
+        "quiver.lift_invertible = lambda A: real(A).scale(3)\n"
         "transport_class(Mt, clst, dst)\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(kleinlat.__file__)))
@@ -189,7 +190,7 @@ def test_transport_class_refuses_a_lift_of_even_determinant(flags):
     out = subprocess.run([sys.executable, *flags, "-c", code],
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 1
-    assert "VerificationError: the lifted isomorphism has even determinant" in out.stderr
+    assert "VerificationError: the lift of an isomorphism is not unimodular" in out.stderr
 
 
 # xi and eta over every vector of their components on the members of

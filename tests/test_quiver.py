@@ -8,10 +8,12 @@ import pytest
 import kleinlat
 from kleinlat import intmat
 from kleinlat.f2 import F2Matrix, is_invertible, solve as f2_solve
-from kleinlat.klein import SIGN_KEYS, DimVector, diagonal_sign_lattice, dim_vector, sharp
-from kleinlat.polys import F2Poly
+from kleinlat.klein import SIGN_KEYS, DimVector, KLattice, diagonal_sign_lattice, dim_vector, sharp
+from kleinlat.lattices import hnf
+from kleinlat.polys import F2Poly, irreducibles_of_degree
 from kleinlat.quiver import (
     NON_REGULAR,
+    _embedding_matrix,
     _span_elements,
     LambdaRep,
     RepMorphism,
@@ -24,7 +26,6 @@ from kleinlat.quiver import (
     is_morphism,
     label_rep,
     lattice_of,
-    lattice_of_model,
     lift_morphism,
     phi,
     phi_data,
@@ -71,11 +72,10 @@ def test_lattice_of_examples():
     M = lattice_of(V)
     assert M.rank == 1
     assert M.act_a.data == ((1,),) and M.act_b.data == ((1,),)
-    # index of the tube lattice in its ambient is 2^(d_plus - d_dot)
-    model = lattice_of_model(tube_rep(F, 1))
+    # index of the tube lattice in its sharp blocks is 2^(d_plus - d_dot)
     from kleinlat.intmat import determinant
 
-    assert abs(determinant(model.basis)) == 2 ** (8 - 4)
+    assert abs(determinant(_embedding_matrix(phi_data(lattice_of(tube_rep(F, 1)))))) == 2 ** (8 - 4)
     with pytest.raises(ValueError):
         lattice_of(
             LambdaRep(
@@ -85,7 +85,15 @@ def test_lattice_of_examples():
         )
 
 
-def test_lattice_of_model_solves_both_actions_against_one_smith_form(monkeypatch):
+def _ambient_basis(V):
+    """The basis lattice_of takes for V: the Hermite basis of the rows of 2 I
+    and of the stacked map, in the sign-diagonal ambient."""
+    n = V.dims.d_plus
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    return hnf(rows + [list(r) for r in V.stacked().transpose().data], n).basis_matrix()
+
+
+def test_lattice_of_solves_both_actions_against_one_smith_form(monkeypatch):
     real = intmat.smith_form
     calls = []
 
@@ -99,13 +107,26 @@ def test_lattice_of_model_solves_both_actions_against_one_smith_form(monkeypatch
     reps += [random_rep_in_R(rng, 4) for _ in range(50)]
     for V in reps:
         calls.clear()
-        model = lattice_of_model(V)
+        M = lattice_of(V)
         assert len(calls) == 1
         # the unique solution equals one solve per action
-        Bc = model.basis.transpose()
-        ambient = diagonal_sign_lattice(model.ambient_dims)
-        assert model.module.act_a == intmat.solve_matrix_exact(Bc, ambient.act_a * Bc)
-        assert model.module.act_b == intmat.solve_matrix_exact(Bc, ambient.act_b * Bc)
+        Bc = _ambient_basis(V).transpose()
+        ambient = diagonal_sign_lattice(tuple(V.dims.component(k) for k in SIGN_KEYS))
+        assert M.act_a == intmat.solve_matrix_exact(Bc, ambient.act_a * Bc)
+        assert M.act_b == intmat.solve_matrix_exact(Bc, ambient.act_b * Bc)
+
+
+def test_a_member_is_embedded_into_its_sharp_blocks_by_its_ambient_basis():
+    # the frame tubes.expected_end_order is written in: on a member, phi_data's
+    # embedding E_M is the transposed ambient basis of lattice_of; checked on
+    # sweep_labels(5) and every homogeneous tube of degree 2 to 4 at m <= 3
+    labels = sweep_labels(5) + [TubeLabel(TubeId.homogeneous(f), None, m)
+                                for d in (2, 3, 4) for f in irreducibles_of_degree(d)
+                                for m in (1, 2, 3)]
+    assert len(labels) == 58
+    for label in labels:
+        V = label_rep(label)
+        assert _embedding_matrix(phi_data(lattice_of(V))) == _ambient_basis(V).transpose(), label
 
 
 def test_phi_round_trip_random():
@@ -191,6 +212,34 @@ def test_lift_and_reduce_functorial():
     L = two_msharp_in_m(N)
     for j in range(M.rank):
         assert L.coords(psi0.col(j)) is not None
+
+
+def _unimodular(n, rng):
+    """A seeded product of 3 n elementary integer matrices."""
+    P = intmat.IntMatrix.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        E = [[int(a == b) for b in range(n)] for a in range(n)]
+        E[i][j] = rng.choice((-1, 1))
+        P = P * intmat.IntMatrix(E, cols=n)
+    return P
+
+
+def test_the_lift_of_an_isomorphism_is_unimodular():
+    # on these unimodular conjugates of sums of one or two members, the {0,1}
+    # lift of the arms of an isomorphism has det -3 on one and 27 on another;
+    # lift_morphism lifts them unimodularly, so its lift has det +-1
+    rng = random.Random(0)
+    labels = sweep_labels(2)
+    for _ in range(40):
+        M = lattice_of(label_rep(rng.choice(labels)))
+        if rng.random() < 0.5:
+            M = M.direct_sum(lattice_of(label_rep(rng.choice(labels))))
+        P = _unimodular(M.rank, rng)
+        Pi = intmat.inverse_unimodular(P)
+        N = KLattice(P * M.act_a * Pi, P * M.act_b * Pi)
+        iso = reps_isomorphic(phi(M), phi(N))
+        assert abs(intmat.determinant(lift_morphism(iso, M, N))) == 1
 
 
 def test_incompatible_morphism_rejected():

@@ -151,6 +151,105 @@ def test_hom_klattices_matches_brute_force():
     assert brute == fast
 
 
+# The routes the sharp-block frame replaced, kept as references: hom_klattices
+# by the adjugate of E_N mod det E_N, end_order_lattice by the mod-2 conditions
+# on lattice_of's ambient basis, and the unit family by rewriting an ambient
+# lift in that basis.
+
+
+def _hom_by_adjugate(M, N):
+    from kleinlat.intmat import IntMatrix, determinant, solve_matrix_exact
+    from kleinlat.lattices import kernel_mod
+    from kleinlat.quiver import _embedding_matrix, phi_data
+    from kleinlat.tubes import _block_slots
+
+    dM, dN = phi_data(M), phi_data(N)
+    E_M, E_N = _embedding_matrix(dM), _embedding_matrix(dN)
+    det_N = determinant(E_N)
+    q = abs(det_N)
+    adjN = solve_matrix_exact(E_N, IntMatrix.diagonal([det_N] * N.rank))
+    slots = _block_slots([c.rank() for c in dN.sharp.components],
+                         [c.rank() for c in dM.sharp.components])
+    u = len(slots)
+    adj, emb = adjN.data, E_M.data
+    W = IntMatrix([[(adj[i][a] * emb[b][j]) % q for (a, b) in slots]
+                   for i in range(N.rank) for j in range(M.rank)], cols=u)
+    out = []
+    for y in kernel_mod(W, q).basis:
+        Y = [[0] * M.rank for _ in range(N.rank)]
+        for val, (a, b) in zip(y, slots):
+            Y[a][b] = val
+        prod = adjN * IntMatrix(Y, cols=M.rank) * E_M
+        assert all(x % det_N == 0 for r in prod.data for x in r)
+        out.append(IntMatrix([[x // det_N for x in r] for r in prod.data], cols=M.rank))
+    return out
+
+
+def _rank_24_members():
+    return [tube_module_from_label(TubeLabel(TubeId.homogeneous(f), None, m))
+            for f, m in ((F, 3), (G3, 2))]
+
+
+def test_hom_klattices_equals_the_adjugate_route():
+    members = [tube_module_from_label(label).lattice for label in sweep_labels(2)]
+    pairs = [(M, N) for M in members for N in members]
+    pairs += [(T.lattice, T.lattice) for T in _rank_24_members()]
+    for M, N in pairs:
+        assert hom_klattices(M, N) == _hom_by_adjugate(M, N)
+
+
+def _end_order_by_ambient_basis(label):
+    from kleinlat.f2 import F2Matrix, nullspace
+    from kleinlat.lattices import hnf
+    from kleinlat.quiver import label_rep
+    from kleinlat.tubes import _block_slots
+    from test_quiver import _ambient_basis
+
+    V = label_rep(label)
+    B = _ambient_basis(V)
+    mult = [V.dims.component(k) for k in ("pp", "pm", "mp", "mm")]
+    slots = _block_slots(mult, mult)
+    u = len(slots)
+    # h . x = 0 mod 2 exactly for x in M, the rows of B spanning M mod 2
+    H = nullspace(F2Matrix(B.data, cols=B.cols))
+    rows = [[h[a] & v[b] & 1 for (a, b) in slots] for v in B.data for h in H]
+    sols = nullspace(F2Matrix(rows, cols=u))
+    return hnf([list(v) for v in sols] + [[2 * (t == s) for t in range(u)] for s in range(u)], u)
+
+
+def test_end_order_lattice_equals_the_ambient_route():
+    from kleinlat.tubes import end_order_lattice
+
+    for label in sweep_labels(3):
+        assert end_order_lattice(tube_module_from_label(label).lattice) == _end_order_by_ambient_basis(label)
+
+
+def _unit_family_by_ambient_basis(T):
+    from kleinlat.intmat import IntMatrix, determinant, inverse_unimodular, solve_matrix_exact
+    from kleinlat.lattices import lift_invertible
+    from kleinlat.quiver import _span_elements, hom_reps, label_rep
+    from test_quiver import _ambient_basis
+
+    Bc = _ambient_basis(label_rep(T.label)).transpose()
+    rep = phi(T.lattice)
+    out = []
+    for e in _span_elements(hom_reps(rep, rep), 9, tries=512, seed=0):
+        if e.is_invertible():
+            amb = IntMatrix.block_diagonal([lift_invertible(e.phi[k]) for k in ("pp", "pm", "mp", "mm")])
+            U = solve_matrix_exact(Bc, amb * Bc)
+            if abs(determinant(U)) == 1:
+                for W in (U, inverse_unimodular(U)):
+                    if not W.is_identity() and W not in out:
+                        out.append(W)
+    minus = IntMatrix.identity(T.lattice.rank).scale(-1)
+    return out + [minus] * (minus not in out)
+
+
+def test_the_unit_family_equals_the_ambient_route():
+    for T in [tube_module_from_label(label) for label in sweep_labels(2)] + _rank_24_members():
+        assert list(T.aut_family) == _unit_family_by_ambient_basis(T), T.label
+
+
 def test_s3_polynomials():
     assert s3_on_polynomial(F, "t2") == F
     assert s3_on_polynomial(F, "t3") == F
