@@ -43,7 +43,8 @@ levels mod 2^k; the normal form does not read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .checks import ensure
@@ -74,15 +75,10 @@ DEFAULT_LEVEL = 3
 
 @dataclass(frozen=True)
 class ColatticeLevel:
-    """Hom(M, 2^-k Z / Z) as (Z/2^k)^rank with the contragredient action.
-
-    The divisible two-torsion of each sign component (divisible_two_torsion)
-    is kept in _torsion, by sign key, from its first use.
-    """
+    """Hom(M, 2^-k Z / Z) as (Z/2^k)^rank with the contragredient action."""
 
     base: KLattice
     level: int
-    _torsion: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.level < 1:
@@ -195,11 +191,14 @@ def divisible_two_torsion(N: ColatticeLevel, key: str) -> F2Matrix:
     """Two-torsion of the divisible part of the sign component, over q/2:
     the reduced echelon rows of S = eigencomponent(M*, key) mod 2, pivot
     columns increasing, one per basis row of the saturated S."""
-    got = N._torsion.get(key)
-    if got is None:
-        S = eigencomponent(N.transposed_module(), SignPair.from_key(key))
-        got = N._torsion[key] = rref(F2Matrix(S.basis, cols=N.rank))[0]
-    return got
+    return _torsion_rows(N.transposed_module(), key)
+
+
+# it reads M* alone, so the levels and degrees over one member share it
+@lru_cache(maxsize=None)
+def _torsion_rows(dual: KLattice, key: str) -> F2Matrix:
+    S = eigencomponent(dual, SignPair.from_key(key))
+    return rref(F2Matrix(S.basis, cols=dual.rank))[0]
 
 
 def dual_target_basis(N: ColatticeLevel, n: int, in_infinity: bool) -> list[tuple]:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .checks import ensure
+from .f2 import F2Matrix
 from .intmat import IntMatrix, kernel_basis, smith_form
-from .lattices import ZLattice, finite_quotient, hnf
+from .lattices import ZLattice, finite_quotient, hnf, lift_span
 
 SIGN_PAIRS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 SIGN_KEYS = ("pp", "pm", "mp", "mm")
@@ -317,18 +318,15 @@ def sharp(M: KLattice, projectors: list[IntMatrix] | None = None) -> SharpData:
 def two_msharp_in_m(M: KLattice):
     """The lattice 2 M^# expressed in the coordinates of M, or None.
 
-    Returns None when 2 M^# is not contained in M (then M is not a module
-    over the minimal overring).
+    Returns None when 2 M^# is not contained in M, that is when M^# needs
+    the denominator 4 (then M is not a module over the minimal overring).
     """
     sh = sharp(M)
     if sh.denom == 4:
         return None
+    # denom * M^# contains denom * M, so 2 M^# contains 2 Z^rank
     mult = 2 // sh.denom
-    rows = [[mult * x for x in r] for r in sh.msharp.basis]
-    L = ZLattice(M.rank, rows)
-    if not ZLattice.full(M.rank).contains_lattice(L):
-        return None
-    return L
+    return lift_span(F2Matrix([[mult * x for x in r] for r in sh.msharp.basis], cols=M.rank))
 
 
 def is_A_lattice(M: KLattice) -> bool:

@@ -4,16 +4,17 @@ A ZLattice is a subgroup of Z^n held in row-style Hermite normal form
 (positive pivots, entries above each pivot reduced into [0, pivot)), so two
 lattices are equal iff their stored bases are equal.  On top of that sit
 membership and coordinates; finite_quotient gives the structure of a
-quotient K/I.
+quotient K/I.  A lattice between 2 Z^n and Z^n is the lift of a GF(2) row
+space, and lift_span reads its Hermite basis off one reduced echelon form.
 
 The second half lifts an invertible matrix over GF(2) to a unimodular
 integer matrix, which carries quiver-level automorphisms to honest
 lattices, and works mod 2^k: the kernel of a matrix mod 2^k, as a lattice
 containing 2^k Z^n, and the quotient of Z^s by a row space and 2^k Z^s.
-Every elimination is the one integral Hermite reduction (_echelon) or the
-integral Smith form (intmat.smith_form).  Inputs are reduced mod 2^k, and so
-are the generators and coordinates of a quotient; every step in between is
-integral.
+Apart from lift_span, every elimination is the one integral Hermite
+reduction (_echelon) or the integral Smith form (intmat.smith_form).  Inputs
+are reduced mod 2^k, and so are the generators and coordinates of a
+quotient; every step in between is integral.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .checks import ensure
-from .f2 import F2Matrix
+from .f2 import F2Matrix, rref
 from .intmat import IntMatrix, _addmul, inverse_unimodular, smith_form
 
 
@@ -176,9 +177,6 @@ class ZLattice:
     def __contains__(self, vec) -> bool:
         return self.coords(vec) is not None
 
-    def contains_lattice(self, other: "ZLattice") -> bool:
-        return all(self.coords(r) is not None for r in other.basis)
-
     def to_json(self) -> dict:
         return {"ambient_rank": self.ambient_rank, "basis": [list(r) for r in self.basis]}
 
@@ -191,6 +189,21 @@ def hnf(rows: Iterable[Sequence[int]], ambient_rank: int | None = None) -> ZLatt
             raise ValueError("ambient rank required for an empty generating set")
         ambient_rank = len(rows[0])
     return ZLattice(ambient_rank, rows)
+
+
+def lift_span(A: F2Matrix) -> ZLattice:
+    """2 Z^n plus the {0,1} lift of A's row space, n = A.cols.
+
+    Its Hermite basis is read off rref(A): the reduced row at each pivot
+    column and 2 e_j at every other column j.  Those rows are in Hermite form
+    already: a pivot 1 has only zeros above it, and a pivot 2 only 0s and 1s.
+    """
+    n = A.cols
+    R, pivots = rref(A)
+    reduced = dict(zip(pivots, R.data))
+    rows = [reduced[j] if j in reduced else tuple(2 if t == j else 0 for t in range(n))
+            for j in range(n)]
+    return ZLattice(n, rows, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

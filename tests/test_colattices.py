@@ -19,6 +19,7 @@ from kleinlat.colattices import (
     DualTubeContext,
     StableDualCohomology,
     co_canonical_form,
+    divisible_two_torsion,
     dual_target_basis,
     verify_eta_iso,
 )
@@ -174,7 +175,7 @@ def test_dual_chain_orthogonality():
             assert A.rank() == r - Mk.rank(), (label, k)
             assert all(d == 0 for d in finite_quotient(ZLattice.full(r), A).invariants), (label, k)
             if k:
-                assert ranks[k - 1] < ranks[k] and A.contains_lattice(lattices[k - 1]), (label, k)
+                assert ranks[k - 1] < ranks[k] and all(v in A for v in lattices[k - 1].basis), (label, k)
             if sub is None:
                 assert k == 0
                 continue
@@ -533,12 +534,15 @@ def test_colattice_level_keeps_its_transpose_and_torsion_lattices():
     assert N.transposed_module() is T.lattice.transposed()
     assert H.module is N.transposed_module()
     basis = dual_target_basis(N, 2, False)
-    kept = dict(N._torsion)
-    assert list(kept) == ["mp"]
+    kept = divisible_two_torsion(N, "mp")
     for u in basis:
         H.closed_cocycle(u, False)
-    assert N._torsion == kept and N._torsion["mp"] is kept["mp"]
-    # equality and hashing ignore what is kept
+    # the torsion rows are kept by M* and sign key, so every level and
+    # degree over the member reads the same rows
+    assert divisible_two_torsion(N, "mp") is kept
+    assert divisible_two_torsion(ColatticeLevel(T.lattice, N.level + 1), "mp") is kept
+    assert divisible_two_torsion(StableDualCohomology(T.lattice, 4).colattice, "mp") is kept
+    # equality and hashing read the base and the level
     assert N == ColatticeLevel(T.lattice, N.level) and hash(N) == hash(ColatticeLevel(T.lattice, N.level))
 
 

@@ -28,6 +28,7 @@ from kleinlat.lattices import (
     hnf,
     kernel_mod,
     lift_invertible,
+    lift_span,
     pow2_quotient,
 )
 from kleinlat.tubes import sweep_labels, tube_module_from_label
@@ -110,6 +111,23 @@ def test_hnf_idempotent_and_mixing_invariant(data, rng):
                 c = rng.randint(-2, 2)
                 mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
         assert hnf(mixed, n) == L
+
+
+def test_lift_span_is_the_hermite_form_of_twice_the_identity_and_the_rows():
+    # lift_span reads the Hermite basis of 2 Z^n + (the {0,1} rows) off the
+    # GF(2) reduced echelon form; the integral Hermite form is the reference
+    rng = random.Random(31)
+    cases = [F2Matrix.zero(0, 0), F2Matrix.zero(3, 0), F2Matrix.zero(0, 4), F2Matrix.zero(2, 5),
+             F2Matrix.identity(6), F2Matrix([[1, 1, 0], [0, 1, 1], [1, 1, 1]])]
+    for _ in range(200):
+        r, n = rng.randint(0, 9), rng.randint(0, 9)
+        cases.append(F2Matrix([[rng.randint(0, 1) for _ in range(n)] for _ in range(r)], cols=n))
+    full = 0
+    for A in cases:
+        want = hnf(_scalar_rows(A.cols, 2) + [list(r) for r in A.data], A.cols)
+        assert lift_span(A) == want, A
+        full += A.cols > 0 and rank(A) == A.cols
+    assert full >= 5
 
 
 def test_hnf_checks_row_lengths():
@@ -555,7 +573,7 @@ def test_kernel_mod_is_the_solution_set_exhaustively():
             for rows in _small_matrices(n, q, rng, 12):
                 A = IntMatrix(rows, cols=n)
                 ker = kernel_mod(A, q)
-                assert ker.contains_lattice(hnf(_scalar_rows(n, q))), (rows, k)
+                assert all(v in ker for v in _scalar_rows(n, q)), (rows, k)
                 brute = {x for x in _box(n, q) if all(v % q == 0 for v in A.apply(x))}
                 assert _span_mod(ker.basis, n, q) == brute, (rows, k)
 

@@ -68,7 +68,7 @@ CASES = [
      "db2741faa224ac0a3f589b9ac8882f4f15b2a847cd9dbc9ec1e87e567b38581e", None),
     (("canonical", "--summands", "special:1:1:2", "--coords", "1,1,1"), 2, EMPTY, None),
     (("verify-all", "--fast", "--max-m", "2", "--degrees", "1..2"), 0,
-     "4637740bbc770548226eb4c7c8b2d2c2c9fc5215a145969302fd7d0914414c0f", None),
+     "c95fe952f4d58fe2c66fb203ba1768c31333a388c0090e8d1463f213ec7bab50", None),
 ]
 
 

@@ -5,11 +5,15 @@ import sys
 import pytest
 
 import kleinlat
+from kleinlat.intmat import IntMatrix
 from kleinlat.klein import dim_vector
-from kleinlat.polys import F2Poly
-from kleinlat.quiver import TubeId, TubeLabel, identify_tube, phi
+from kleinlat.lattices import hnf
+from kleinlat.polys import F2Poly, irreducibles_of_degree
+from kleinlat.quiver import TubeId, TubeLabel, identify_tube, label_rep, phi
 from kleinlat.tubes import (
+    _block_slots,
     end_ring_check,
+    expected_end_order,
     hom_cross_tube_check,
     hom_klattices,
     is_regular,
@@ -108,11 +112,102 @@ def test_end_ring_checks():
     assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 1))
     assert end_ring_check(tube_module(TubeId.special("1"), 1, 1))
     assert end_ring_check(tube_module(TubeId.special("1"), 1, 2))
-    # independence of the integer lift
-    T = tube_module(TubeId.homogeneous(F), None, 2)
-    assert end_ring_check(T)
-    assert end_ring_check(T, lift_coeffs=[1, 3, 1])
-    assert end_ring_check(T, lift_coeffs=[-1, 1, 1])
+    assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 2))
+    # ranks 36 and 32: the Hermite form of an integer lift of the companion
+    # powers grew for minutes on these; the order mod 2 takes milliseconds
+    assert end_ring_check(tube_module(TubeId.homogeneous(G3), None, 3))
+    assert end_ring_check(tube_module(TubeId.homogeneous(F), None, 4))
+
+
+def _int_poly_power(coeffs, m):
+    out = [1]
+    for _ in range(m):
+        new = [0] * (len(out) + len(coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(coeffs):
+                new[i + j] += a * b
+        out = new
+    return out
+
+
+def _int_companion(monic_coeffs, size):
+    assert monic_coeffs[-1] == 1 and len(monic_coeffs) == size + 1
+    m = [[0] * size for _ in range(size)]
+    for i in range(size - 1):
+        m[i + 1][i] = 1
+    for i in range(size):
+        m[i][size - 1] = -monic_coeffs[i]
+    return IntMatrix(m, cols=size)
+
+
+def _int_shift(size, upper):
+    m = [[0] * size for _ in range(size)]
+    for i in range(size - 1):
+        if upper:
+            m[i][i + 1] = 1
+        else:
+            m[i + 1][i] = 1
+    return IntMatrix(m, cols=size)
+
+
+def _int_power(Mtx, k):
+    out = IntMatrix.identity(Mtx.rows)
+    for _ in range(k):
+        out = out * Mtx
+    return out
+
+
+def _expected_end_order_over_z(label, lift_coeffs=None):
+    """The integer route to the predicted order: the companion powers of an
+    integer lift of f^m (or the powers of the shift) and 2 e_s, in one
+    Hermite form over the slots of the sign-diagonal ambient."""
+    rep = label_rep(label)
+    mult = tuple(rep.dims.component(k) for k in ("pp", "pm", "mp", "mm"))
+    slots = _block_slots(mult, mult)
+    u = len(slots)
+    if label.tube.kind == "hom":
+        f = label.tube.poly
+        if lift_coeffs is None:
+            lift_coeffs = [int(c) for c in f.coeffs]
+        size = f.degree() * label.m
+        comp = _int_companion(_int_poly_power(lift_coeffs, label.m), size)
+        blocks = [[_int_power(comp, k)] * 4 for k in range(size)]
+    else:
+        upper = label.m % 2 == 1
+        blocks = [[_int_power(_int_shift(s, upper), k) for s in mult] for k in range(max(mult))]
+    gens = []
+    for quad in blocks:
+        vec = [0] * u
+        ro = 0
+        for t in range(4):
+            block = quad[t].data
+            for idx, (a, b) in enumerate(slots):
+                if ro <= a < ro + mult[t] and ro <= b < ro + mult[t]:
+                    vec[idx] = block[a - ro][b - ro]
+            ro += mult[t]
+        gens.append(vec)
+    gens.extend([2 if t == s else 0 for t in range(u)] for s in range(u))
+    return hnf(gens, u)
+
+
+def test_the_predicted_order_mod_2_equals_the_integer_route():
+    # the order contains 2 Z^u, so no integer lift of f^m can move it: on
+    # every homogeneous label with deg f * m <= 6 and every special label
+    # with m <= 5, the order mod 2 equals the integer route for the natural
+    # lift, for 2 added to the t coefficient and for the constant negated
+    # ([1, 1, 1], [1, 3, 1] and [-1, 1, 1] for t^2+t+1)
+    labels = [TubeLabel(TubeId.homogeneous(f), None, m)
+              for d in range(2, 7) for f in irreducibles_of_degree(d) for m in range(1, 6 // d + 1)]
+    assert len(labels) == 3 + 4 + 3 + 6 + 9
+    for label in labels:
+        c = [int(x) for x in label.tube.poly.coeffs]
+        want = expected_end_order(label)
+        for lift in (c, [x + 2 * (i == 1) for i, x in enumerate(c)], [-c[0]] + c[1:]):
+            assert want == _expected_end_order_over_z(label, lift), (label, lift)
+    specials = [TubeLabel(TubeId.special(lam), j, m)
+                for lam in ("0", "1", "inf") for j in (1, 2) for m in range(1, 6)]
+    for label in specials:
+        assert expected_end_order(label) == _expected_end_order_over_z(label), label
 
 
 def test_hom_cross_tube():
